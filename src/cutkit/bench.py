@@ -95,9 +95,10 @@ def bench_graph(family: str, n: int, seed: int = 0) -> WeightedGraph:
     if family == "clique":
         return clique_graph(n)
     if family == "grid":
-        rows = max(2, int(math.isqrt(n)))
-        if n % rows:
-            raise InputError(f"grid bench size {n} must be divisible by {rows}")
+        # The most nearly square grid: rows is n's largest divisor <= isqrt(n).
+        rows = next((r for r in range(math.isqrt(n), 1, -1) if n % r == 0), None)
+        if rows is None:
+            raise InputError(f"grid bench size {n} has no divisor in [2, isqrt(n)]")
         return grid_graph(rows, n // rows)
     if family == "gnp":
         return gnp_graph(n, p=min(1.0, 4.0 / max(n - 1, 1)), seed=seed)

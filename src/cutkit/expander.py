@@ -28,6 +28,7 @@ from .graph import (
 )
 
 EXHAUSTIVE_LIMIT = 20
+INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,15 @@ def _exhaustive_violating(
             dsum += ((masks >> v) & 1) * d
     total = sum(demands)
     mindem = np.minimum(dsum, total - dsum)
-    violating = cross * phi.denominator < phi.numerator * mindem
+    num, den = phi.numerator, phi.denominator
+    # Compare in int64 when both products provably fit, exactly otherwise;
+    # the floor of 1 also keeps num and den themselves within int64.
+    cross_bound = max(int(cross.max()), 1) * den
+    demand_bound = num * max(int(mindem.max()), 1)
+    if cross_bound < INT64_LIMIT and demand_bound < INT64_LIMIT:
+        violating = cross * den < num * mindem
+    else:
+        violating = cross.astype(object) * den < num * mindem.astype(object)
     if not violating.any():
         return None
     ratio = np.where(violating, cross / np.maximum(mindem, 1), np.inf)

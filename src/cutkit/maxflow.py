@@ -1,9 +1,12 @@
 """Exact s-t maximum flow / minimum cut with call metering.
 
-The default engine is a pure-Python Dinic (blocking flows) working on
-arbitrary Python integers. A scipy-backed engine is available for speed on
-instances whose capacities fit in int32. Both are deterministic and return
-the inclusion-minimal minimum cut side (the residual-reachable set of s).
+The default engine is a pure-Python Dinic working on arbitrary Python
+integers; a call runs O(n^2 m) interpreted steps at worst. The scipy engine
+needs int32 capacities; a call costs about 0.3 ms of fixed SciPy overhead
+plus the same algorithm compiled. Both are deterministic and return identical
+results: the flow value and the inclusion-minimal minimum cut side (the
+residual-reachable set of s), which for an edgeless or two-vertex instance
+is {s}; the scipy engine answers those without calling SciPy.
 """
 
 from collections import deque
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, contract
 
 INT32_LIMIT = 1 << 31
@@ -150,58 +153,46 @@ class DinicEngine:
 
 
 class ScipyEngine:
-    """scipy.sparse.csgraph.maximum_flow engine; capacities must fit int32."""
+    """scipy.sparse.csgraph.maximum_flow engine; capacities must fit int32.
+
+    An edgeless or two-vertex instance costs no SciPy call: its only s-t cut
+    is {s}, of value the total edge weight. Any other costs one argsort of
+    its 2m arcs into a canonical CSR, one maximum_flow call, and one csgraph
+    BFS over the arcs with positive residual capacity.
+    """
 
     name = "scipy"
 
     def solve(self, graph: WeightedGraph, s: int, t: int) -> FlowResult:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_flow
-
         n = graph.n
-        if graph.m == 0:
-            return FlowResult(0, _component_of(graph, s))
         us, vs, ws = graph.edge_arrays
-        if int(ws.max()) >= INT32_LIMIT:
+        if graph.m and int(ws.max()) >= INT32_LIMIT:
             raise InputError("capacity exceeds int32 range; use the dinic engine")
-        rows = np.concatenate([us, vs])
-        cols = np.concatenate([vs, us])
-        data = np.concatenate([ws, ws]).astype(np.int32)
-        mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-        res = maximum_flow(mat, s, t)
-        residual = mat - res.flow
-        residual.data = np.maximum(residual.data, 0)
+        if graph.m == 0 or n == 2:
+            return FlowResult(graph.total_weight, VertexSet(n, 1 << s))
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+        # Arcs are all (v, u), then all (u, v), over the sorted edges u < v, so
+        # a stable sort by tail leaves each row's heads ascending and distinct.
+        rows = np.concatenate([vs, us])
+        order = np.argsort(rows, kind="stable")
+        indices = np.concatenate([us, vs])[order].astype(np.int32)
+        cap = np.concatenate([ws, ws])[order].astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        res = maximum_flow(csr_matrix((cap, indices, indptr), shape=(n, n)), s, t)
+        flow = res.flow
+        if not (np.array_equal(flow.indptr, indptr) and np.array_equal(flow.indices, indices)):
+            raise ContractViolation("maximum_flow returned a different CSR layout")
+        # float64 is csgraph's own dtype, so the BFS works on it without a copy.
+        residual = csr_matrix(
+            (np.subtract(cap, flow.data, dtype=np.float64), indices, indptr), shape=(n, n)
+        )
         residual.eliminate_zeros()
-        seen = np.zeros(n, dtype=bool)
-        seen[s] = True
-        frontier = [s]
-        indptr, indices, rdata = residual.indptr, residual.indices, residual.data
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for idx in range(indptr[u], indptr[u + 1]):
-                    if rdata[idx] > 0:
-                        v = indices[idx]
-                        if not seen[v]:
-                            seen[v] = True
-                            nxt.append(v)
-            frontier = nxt
         mask = 0
-        for v in np.flatnonzero(seen):
-            mask |= 1 << int(v)
+        for v in breadth_first_order(residual, s, return_predecessors=False).tolist():
+            mask |= 1 << v
         return FlowResult(int(res.flow_value), VertexSet(n, mask))
-
-
-def _component_of(graph: WeightedGraph, s: int) -> VertexSet:
-    stack = [s]
-    mask = 1 << s
-    while stack:
-        u = stack.pop()
-        for v, _ in graph.adj[u]:
-            if not (mask >> v) & 1:
-                mask |= 1 << v
-                stack.append(v)
-    return VertexSet(graph.n, mask)
 
 
 _ENGINES = {"dinic": DinicEngine, "scipy": ScipyEngine}
@@ -264,6 +255,13 @@ def min_cut_separating(
 # ---------------------------------------------------------------------------
 
 
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise InputError(f"line {lineno}: {token!r} is not an integer") from exc
+
+
 def parse_dimacs(text: str) -> tuple[WeightedGraph, int, int]:
     n = None
     source = sink = None
@@ -277,18 +275,19 @@ def parse_dimacs(text: str) -> tuple[WeightedGraph, int, int]:
         if tag == "p":
             if len(parts) != 4 or parts[1] != "max":
                 raise InputError(f"line {lineno}: header must be 'p max <n> <m>'")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], lineno)
         elif tag == "n":
             if len(parts) != 3 or parts[2] not in ("s", "t"):
                 raise InputError(f"line {lineno}: node line must be 'n <id> s|t'")
             if parts[2] == "s":
-                source = int(parts[1]) - 1
+                source = _dimacs_int(parts[1], lineno) - 1
             else:
-                sink = int(parts[1]) - 1
+                sink = _dimacs_int(parts[1], lineno) - 1
         elif tag == "a":
             if len(parts) != 4:
                 raise InputError(f"line {lineno}: arc line must be 'a <u> <v> <cap>'")
-            triples.append((int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])))
+            u, v, c = (_dimacs_int(x, lineno) for x in parts[1:])
+            triples.append((u - 1, v - 1, c))
         else:
             raise InputError(f"line {lineno}: unknown line tag {tag!r}")
     if n is None:

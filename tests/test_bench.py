@@ -36,6 +36,10 @@ def test_bench_graph_families():
     assert bench_graph("cycle", 12).m == 12
     assert bench_graph("clique", 6).m == 15
     assert bench_graph("grid", 16).n == 16
+    # 128 is not a square: the most nearly square grid is 8 x 16.
+    assert bench_graph("grid", 128).m == 8 * 15 + 7 * 16
+    with pytest.raises(InputError):
+        bench_graph("grid", 127)
     assert bench_graph("gnp", 20, seed=1).n == 20
     with pytest.raises(InputError):
         bench_graph("hypercube", 8)

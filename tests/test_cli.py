@@ -67,6 +67,16 @@ def test_maxflow_dimacs_defaults(tmp_path, capsys):
     assert doc["value"] == 1
 
 
+def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.dimacs"
+    path.write_text("p max 2 1\nn 1 s\nn 2 t\na 1 2 x\n")
+    code = main(["maxflow", "--graph", str(path), "--format", "dimacs"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4:")
+    assert "Traceback" not in err
+
+
 def test_maxflow_requires_endpoints(dumbbell_path, capsys):
     code = main(["maxflow", "--graph", dumbbell_path, "--source", "0"])
     assert code == 2

@@ -78,6 +78,21 @@ def test_verify_refutes_bridge_graph():
     assert check.witness_sparsity == Fraction(1, 3)
 
 
+def test_verify_exact_beyond_int64_products():
+    # cross * phi.denominator reaches 2^71 here, beyond int64.
+    w, phi = 1 << 40, Fraction(1, 1 << 30)
+    cycle = build_graph(4, [(0, 1, w), (1, 2, w), (2, 3, w), (0, 3, w)])
+    check = verify_expander(cycle, DemandVector.uniform(4, w), phi)
+    assert check.ok and check.certified
+    assert check.witness is None
+    heavy = [(u, v, w) for u, v, _ in two_triangles_bridge().edges if (u, v) != (2, 3)]
+    bridged = build_graph(6, heavy + [(2, 3, 1)])
+    check = verify_expander(bridged, DemandVector.uniform(6, w), phi)
+    assert not check.ok and check.certified
+    assert check.witness.members() == [0, 1, 2]
+    assert check.witness_sparsity == Fraction(1, 3 * w)
+
+
 def test_verify_witness_is_sparsest_cut():
     g = rand_graph(8, 4, p=0.5)
     d = DemandVector.degrees(g)

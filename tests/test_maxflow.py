@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cutkit import (
+    ContractViolation,
     FlowMeter,
     InputError,
     VertexSet,
@@ -47,13 +50,18 @@ def test_unknown_engine_rejected():
 
 
 def test_engines_agree_on_random_graphs(dinic, scipy_eng):
-    for seed in range(30):
-        g = rand_graph(9, seed)
-        s, t = st_pair(9, seed)
+    cases = [(rand_graph(9, seed), *st_pair(9, seed)) for seed in range(30)]
+    # Two-vertex and edgeless instances, which the scipy engine answers itself.
+    for g in (build_graph(2, [(0, 1, 7)]), build_graph(2, [])):
+        cases += [(g, 0, 1), (g, 1, 0)]
+    cases.append((build_graph(5, []), 3, 1))
+    for g, s, t in cases:
         a = max_flow(dinic, g, s, t, FlowMeter())
         b = max_flow(scipy_eng, g, s, t, FlowMeter())
-        assert a.value == b.value
-        assert a.min_side == b.min_side
+        assert a == b
+        if g.n == 2 or g.m == 0:
+            assert a.value == g.total_weight
+            assert a.min_side.members() == [s]
 
 
 def test_min_side_matches_enumeration(any_engine):
@@ -77,6 +85,21 @@ def test_scipy_rejects_weights_beyond_int32(scipy_eng):
     w = 1 << 40
     g = build_graph(3, [(0, 1, w), (1, 2, w)])
     with pytest.raises(InputError):
+        max_flow(scipy_eng, g, 0, 2, FlowMeter())
+    with pytest.raises(InputError):
+        max_flow(scipy_eng, build_graph(2, [(0, 1, w)]), 0, 1, FlowMeter())
+
+
+def test_scipy_layout_mismatch_is_contract_violation(scipy_eng, monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+    from scipy.sparse import csr_matrix
+
+    def empty_flow(mat, s, t):
+        return SimpleNamespace(flow=csr_matrix(mat.shape, dtype=mat.dtype), flow_value=0)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", empty_flow)
+    g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ContractViolation):
         max_flow(scipy_eng, g, 0, 2, FlowMeter())
 
 
@@ -147,3 +170,6 @@ def test_dimacs_parse_errors():
         parse_dimacs("p max 3 1\nn 1 s\nn 3 t\nx 0\n")
     with pytest.raises(InputError):
         parse_dimacs("p flow 3 1\n")
+    for bad in ("p max x 1\n", "p max 3 1\nn y s\n", "p max 3 1\na 1 2 x\n"):
+        with pytest.raises(InputError, match="not an integer"):
+            parse_dimacs(bad)
