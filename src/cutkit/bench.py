@@ -1,21 +1,21 @@
 """Flow-call benchmark: the fast driver versus the naive baseline.
 
 Counts are reported two ways. Raw calls is the plain number of max-flow
-invocations. Equivalent calls normalizes an isolating run to its phase-A
-calls plus one, which is fair because the phase-B instances of one run sum
-to at most the size of a single instance; the budget below is stated in
-equivalent calls.
+invocations. Equivalent calls (FlowMeter.equivalent_calls) count one per
+invocation, except that an isolating run's whole phase B counts as one,
+because its instances together are no bigger than a single instance; the
+budget below is stated in equivalent calls.
 """
 
 import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
 from .errors import ContractViolation, InputError
-from .generators import clique_graph, cycle_graph, dumbbell_graph, gnp_graph, grid_graph
+from .generators import GeneratorSpec, generate
 from .graph import WeightedGraph
 from .maxflow import FlowMeter, get_engine
 from .oracles import naive_steiner, stoer_wagner
@@ -24,20 +24,7 @@ from .steiner import AlgoConfig, SteinerInstance, steiner_mincut_det, steiner_mi
 
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
-CSV_COLUMNS = (
-    "family",
-    "n",
-    "m",
-    "method",
-    "weight",
-    "raw_calls",
-    "equivalent_calls",
-    "agg_vertices",
-    "agg_edges",
-    "seconds",
-    "budget",
-    "within_budget",
-)
+DRIVERS = {"det": steiner_mincut_det, "rand": steiner_mincut_rand}
 
 
 def default_bench_config() -> AlgoConfig:
@@ -79,6 +66,9 @@ class BenchRow:
     within_budget: bool | None = None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
+
+
 @dataclass
 class BenchReport:
     engine: str
@@ -88,21 +78,16 @@ class BenchReport:
 
 
 def bench_graph(family: str, n: int, seed: int = 0) -> WeightedGraph:
-    if family == "dumbbell":
-        return dumbbell_graph(n)
-    if family == "cycle":
-        return cycle_graph(n)
-    if family == "clique":
-        return clique_graph(n)
+    if family not in BENCH_FAMILIES:
+        raise InputError(f"unknown bench family {family!r}; choose from {BENCH_FAMILIES}")
+    rows = None
     if family == "grid":
         # The most nearly square grid: rows is n's largest divisor <= isqrt(n).
         rows = next((r for r in range(math.isqrt(n), 1, -1) if n % r == 0), None)
         if rows is None:
             raise InputError(f"grid bench size {n} has no divisor in [2, isqrt(n)]")
-        return grid_graph(rows, n // rows)
-    if family == "gnp":
-        return gnp_graph(n, p=min(1.0, 4.0 / max(n - 1, 1)), seed=seed)
-    raise InputError(f"unknown bench family {family!r}; choose from {BENCH_FAMILIES}")
+    p = min(1.0, 4.0 / max(n - 1, 1))
+    return generate(GeneratorSpec(family, n, seed=seed, p=p, rows=rows))
 
 
 def run_bench(
@@ -127,30 +112,19 @@ def run_bench(
             exact_weights: dict[str, int] = {}
             for method in methods:
                 start = time.perf_counter()
-                budget = None
-                within = None
-                if method == "det":
-                    report = steiner_mincut_det(engine, inst, cfg)
+                meter = FlowMeter()
+                if method in DRIVERS:
+                    report = DRIVERS[method](engine, inst, cfg)
                     meter, weight = report.meter, report.weight
-                    eq = report.equivalent_calls
-                    budget = det_call_budget(len(inst.terminals), cfg)
-                    within = eq <= budget
-                elif method == "rand":
-                    report = steiner_mincut_rand(engine, inst, cfg)
-                    meter, weight = report.meter, report.weight
-                    eq = report.equivalent_calls
                 elif method == "naive":
-                    meter = FlowMeter()
-                    cut = naive_steiner(engine, inst, meter)
-                    weight = cut.weight
-                    eq = meter.call_count
+                    weight = naive_steiner(engine, inst, meter).weight
                 else:
-                    meter = FlowMeter()
                     weight = stoer_wagner(graph).weight
-                    eq = 0
                 seconds = time.perf_counter() - start
                 if method != "rand":
                     exact_weights[method] = weight
+                eq = meter.equivalent_calls
+                budget = det_call_budget(len(inst.terminals), cfg) if method == "det" else None
                 rows.append(
                     BenchRow(
                         family=family,
@@ -164,7 +138,7 @@ def run_bench(
                         agg_edges=meter.aggregate_edges,
                         seconds=round(seconds, 6),
                         budget=budget,
-                        within_budget=within,
+                        within_budget=None if budget is None else eq <= budget,
                     )
                 )
             if len(set(exact_weights.values())) > 1:
@@ -185,24 +159,14 @@ def report_to_json(report: BenchReport) -> dict:
         "engine": report.engine,
         "phi": report.phi,
         "k": report.k,
-        "rows": [
-            {
-                "family": r.family,
-                "n": r.n,
-                "m": r.m,
-                "method": r.method,
-                "weight": r.weight,
-                "raw_calls": r.raw_calls,
-                "equivalent_calls": r.equivalent_calls,
-                "agg_vertices": r.agg_vertices,
-                "agg_edges": r.agg_edges,
-                "seconds": r.seconds,
-                "budget": r.budget,
-                "within_budget": r.within_budget,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
     }
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def report_to_csv(report: BenchReport) -> str:
@@ -210,20 +174,5 @@ def report_to_csv(report: BenchReport) -> str:
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for r in report.rows:
-        writer.writerow(
-            [
-                r.family,
-                r.n,
-                r.m,
-                r.method,
-                r.weight,
-                r.raw_calls,
-                r.equivalent_calls,
-                r.agg_vertices,
-                r.agg_edges,
-                r.seconds,
-                "" if r.budget is None else r.budget,
-                "" if r.within_budget is None else str(r.within_budget).lower(),
-            ]
-        )
+        writer.writerow([_csv_cell(v) for v in astuple(r)])
     return buf.getvalue()

@@ -6,6 +6,7 @@ check fails. JSON payloads all carry a schema field, currently 1.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fractions import Fraction
 from .bench import (
     BENCH_FAMILIES,
     BENCH_METHODS,
+    DRIVERS,
     default_bench_config,
     report_to_csv,
     report_to_json,
@@ -240,16 +242,8 @@ def _solve(args, inst: SteinerInstance) -> int:
     engine = get_engine(args.engine)
     cfg = _config_from(args)
     payload: dict
-    if args.method == "det":
-        report = steiner_mincut_det(engine, inst, cfg)
-        payload = {
-            **_cut_payload(report.cut),
-            "raw_calls": report.meter.call_count,
-            "equivalent_calls": report.equivalent_calls,
-            "fingerprint": report.fingerprint(),
-        }
-    elif args.method == "rand":
-        report = steiner_mincut_rand(engine, inst, cfg)
+    if args.method in DRIVERS:
+        report = DRIVERS[args.method](engine, inst, cfg)
         payload = {
             **_cut_payload(report.cut),
             "raw_calls": report.meter.call_count,
@@ -318,11 +312,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = default_bench_config()
-    if args.phi is not None or args.k is not None:
-        cfg = AlgoConfig(
-            phi=_parse_phi(args.phi) if args.phi is not None else Fraction(1, 4),
-            k=args.k if args.k is not None else 2,
-        )
+    if args.phi is not None:
+        cfg = dataclasses.replace(cfg, phi=_parse_phi(args.phi))
+    if args.k is not None:
+        cfg = dataclasses.replace(cfg, k=args.k)
     report = run_bench(
         families=args.families,
         sizes=args.sizes,

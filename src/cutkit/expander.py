@@ -137,16 +137,6 @@ def _exhaustive_violating(
     return best_mask
 
 
-def _side_stats(graph: WeightedGraph, demands: list[int], mask: int) -> tuple[int, int]:
-    """(crossing weight, demand mass) of the side given by mask."""
-    cross = 0
-    for u, v, w in graph.edges:
-        if ((mask >> u) ^ (mask >> v)) & 1:
-            cross += w
-    d_in = sum(d for v, d in enumerate(demands) if (mask >> v) & 1)
-    return cross, d_in
-
-
 def _heuristic_violating(
     graph: WeightedGraph, demands: list[int], phi: Fraction
 ) -> int | None:
@@ -196,7 +186,8 @@ def _heuristic_violating(
     if best_mask is None:
         return None
     mask = best_mask
-    cross, d_in = _side_stats(graph, demands, mask)
+    cross = cut_weight(graph, VertexSet(n, mask))
+    d_in = sum(d for v, d in enumerate(demands) if (mask >> v) & 1)
     current = Fraction(cross, min(d_in, total - d_in))
     full = (1 << n) - 1
     for _ in range(4 * n):

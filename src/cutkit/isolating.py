@@ -130,7 +130,7 @@ def minimum_isolating_cuts(
         if not side.issubset(comp):
             raise ContractViolation("isolating side escaped its component")
         if side.intersection(terminals).mask != 1 << v:
-            raise ContractViolation("isolating side must meet R in exactly {v}")
+            raise ContractViolation(f"isolating side must meet R in exactly {v}")
         entries[v] = IsolatingCutEntry(v, Cut(side, result.value), comp)
     phase_b = meter.delta(mark_b)
 
@@ -140,5 +140,8 @@ def minimum_isolating_cuts(
         raise ContractViolation("phase B vertex sizes exceed n + |R|")
     if sum(mi for _, mi in phase_b) > 2 * m + r:
         raise ContractViolation("phase B edge sizes exceed 2m + |R|")
+    # Together the phase-B instances are about one instance in size (the
+    # bounds just checked), so the whole phase costs one equivalent call.
+    meter.bundle(mark_b)
 
     return IsolatingCutResult(terminals, entries, list(phase_a), list(phase_b))

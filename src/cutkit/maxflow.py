@@ -30,12 +30,26 @@ class FlowResult:
 
 @dataclass
 class FlowMeter:
-    """Counts max-flow invocations and the size of each solved instance."""
+    """Counts max-flow invocations and the size of each solved instance.
+
+    Equivalent calls are the paper's cost measure: one per invocation,
+    except that the calls of one bundle (an isolating run's whole phase B,
+    whose instances together are no bigger than one) count as one call.
+    """
 
     calls: list[tuple[int, int]] = field(default_factory=list)
+    bundled: int = 0
 
     def record(self, n: int, m: int) -> None:
         self.calls.append((n, m))
+
+    def bundle(self, mark: int) -> None:
+        """Charge the calls made since snapshot() returned mark as one call."""
+        self.bundled += len(self.calls) - mark - 1
+
+    @property
+    def equivalent_calls(self) -> int:
+        return len(self.calls) - self.bundled
 
     @property
     def call_count(self) -> int:
@@ -48,9 +62,6 @@ class FlowMeter:
     @property
     def aggregate_edges(self) -> int:
         return sum(m for _, m in self.calls)
-
-    def merge(self, other: "FlowMeter") -> None:
-        self.calls.extend(other.calls)
 
     def snapshot(self) -> int:
         """Marker for later delta(); returns the current call index."""
@@ -215,7 +226,7 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
     result = engine.solve(graph, s, t)
     meter.record(graph.n, graph.m)
     if t in result.min_side:
-        raise InputError("engine returned sink inside source side")
+        raise ContractViolation("engine returned sink inside source side")
     return result
 
 

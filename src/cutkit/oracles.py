@@ -234,7 +234,7 @@ def naive_isolating(
         res = max_flow(engine, cmap.graph, s_idx, t_idx, meter)
         side = cmap.lift(res.min_side)
         if side.intersection(terminals).mask != 1 << v:
-            raise ContractViolation("isolating side must meet R in exactly {v}")
+            raise ContractViolation(f"isolating side must meet R in exactly {v}")
         entries[v] = IsolatingCutEntry(v, Cut(side, res.value), side)
     calls = meter.delta(mark)
     if len(calls) != len(members):

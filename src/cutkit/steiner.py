@@ -95,13 +95,6 @@ class Estimate:
     guesses: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UnbalancedStats:
-    family_sets: int
-    isolating_runs: int
-    equivalent_calls: int
-
-
 @dataclass
 class RoundTrace:
     u_size: int
@@ -142,13 +135,16 @@ class DecompositionRecord:
 class CutReport:
     cut: Cut
     meter: FlowMeter
-    equivalent_calls: int
     trace: DriverTrace
     decompositions: list[DecompositionRecord] = field(default_factory=list)
 
     @property
     def weight(self) -> int:
         return self.cut.weight
+
+    @property
+    def equivalent_calls(self) -> int:
+        return self.meter.equivalent_calls
 
     def fingerprint(self) -> str:
         """Digest of the cut, call sequence, and accounting; equal runs match."""
@@ -208,13 +204,13 @@ def unbalanced_case(
     pool: VertexSet,
     k: int,
     meter: FlowMeter,
-) -> tuple[Cut, UnbalancedStats]:
+) -> tuple[Cut, int]:
     """Best isolating cut over a family that catches k-unbalanced minimum cuts.
 
     If some minimum Steiner cut keeps at most k pool terminals on one side,
     some family set meets that side in exactly one terminal and the
-    isolating cut for it has exactly the minimum weight. One isolating run
-    counts as its phase-A calls plus one equivalent call for phase B.
+    isolating cut for it has exactly the minimum weight. Returns that cut
+    and the family size, which is the number of isolating runs made.
     """
     if len(pool) < 2:
         raise InputError("pool must have at least two terminals")
@@ -225,8 +221,6 @@ def unbalanced_case(
     members = pool.members()
     family = isolator_family_min2(len(members), min(k, len(members) - 1))
     best: Cut | None = None
-    eq = 0
-    runs = 0
     for fset in family.sets:
         rmask = 0
         for i in fset:
@@ -234,13 +228,11 @@ def unbalanced_case(
         iso = minimum_isolating_cuts(
             engine, inst.graph, VertexSet(inst.graph.n, rmask), meter
         )
-        runs += 1
-        eq += len(iso.phase_a_calls) + 1
         entry = iso.best()
         if best is None or entry.cut.weight < best.weight:
             best = entry.cut
     assert best is not None
-    return best, UnbalancedStats(len(family.sets), runs, eq)
+    return best, len(family.sets)
 
 
 def sparsify_terminals(
@@ -282,22 +274,14 @@ def sparsify_terminals(
 
 def _pairwise_mincut(
     engine, graph: WeightedGraph, pool: VertexSet, meter: FlowMeter
-) -> tuple[Cut, int]:
+) -> Cut:
     """Exact minimum cut separating the pool, via |pool|-1 flows.
 
     Fixing the lowest pool vertex as the source is enough: whenever the
     pool touches both sides of some minimum cut, the source sits on one
     side and some other pool vertex on the other.
     """
-    members = pool.members()
-    s = members[0]
-    best: Cut | None = None
-    for t in members[1:]:
-        res = max_flow(engine, graph, s, t, meter)
-        if best is None or res.value < best.weight:
-            best = Cut(res.min_side, res.value)
-    assert best is not None
-    return best, len(members) - 1
+    return naive_steiner(engine, SteinerInstance(graph, pool), meter)
 
 
 def _check_steiner_cut(cut: Cut, inst: SteinerInstance) -> None:
@@ -323,12 +307,11 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        report = CutReport(Cut(split, 0), meter, 0, trace, records)
+        report = CutReport(Cut(split, 0), meter, trace, records)
         _check_steiner_cut(report.cut, inst)
         return report
 
     k = cfg.k_effective()
-    eq = 0
     best: Cut | None = None
 
     def fold(cut: Cut | None) -> None:
@@ -336,25 +319,21 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
         if cut is not None and (best is None or cut.weight < best.weight):
             best = cut
 
-    unbal_memo: dict[int, tuple[Cut, UnbalancedStats]] = {}
+    unbal_memo: dict[int, tuple[Cut, int]] = {}
     pair_memo: dict[int, Cut] = {}
 
-    def run_unbalanced(pool: VertexSet) -> tuple[Cut, UnbalancedStats]:
-        nonlocal eq
+    def run_unbalanced(pool: VertexSet) -> tuple[Cut, int]:
         hit = unbal_memo.get(pool.mask)
         if hit is None:
             hit = unbalanced_case(engine, inst, pool, k, meter)
             unbal_memo[pool.mask] = hit
-            eq += hit[1].equivalent_calls
         return hit
 
     def run_pairwise(pool: VertexSet) -> Cut:
-        nonlocal eq
         hit = pair_memo.get(pool.mask)
         if hit is None:
-            hit, calls = _pairwise_mincut(engine, graph, pool, meter)
+            hit = _pairwise_mincut(engine, graph, pool, meter)
             pair_memo[pool.mask] = hit
-            eq += calls
         trace.pairwise_sizes.append(len(pool))
         return hit
 
@@ -369,9 +348,9 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
             trace.guess_traces.append(gtrace)
             pool = terminals
             while len(pool) >= k:
-                cut, stats = run_unbalanced(pool)
+                cut, family_sets = run_unbalanced(pool)
                 fold(cut)
-                rtrace = RoundTrace(len(pool), stats.family_sets, cut.weight)
+                rtrace = RoundTrace(len(pool), family_sets, cut.weight)
                 gtrace.rounds.append(rtrace)
                 try:
                     thinned, dec = sparsify_terminals(
@@ -413,13 +392,12 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
                     if idx in resolved or guess >= 2 * best.weight:
                         continue
                     fold(naive_steiner(engine, SteinerInstance(graph, pool), meter))
-                    eq += len(pool) - 1
                     trace.fallback_runs.append((guess, len(pool)))
                     resolved.add(idx)
                     progress = True
 
     assert best is not None
-    report = CutReport(best, meter, eq, trace, records)
+    report = CutReport(best, meter, trace, records)
     _check_steiner_cut(report.cut, inst)
     return report
 
@@ -440,7 +418,7 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        report = CutReport(Cut(split, 0), meter, 0, trace)
+        report = CutReport(Cut(split, 0), meter, trace)
         _check_steiner_cut(report.cut, inst)
         return report
 
@@ -448,7 +426,6 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     reps = cfg.reps_for(graph.n)
     rng = random.Random(cfg.seed)
     scales = len(members).bit_length() - 1
-    eq = 0
     best: Cut | None = None
     seen: set[int] = set()
 
@@ -476,16 +453,14 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
             iso = minimum_isolating_cuts(
                 engine, graph, VertexSet(graph.n, rmask), meter
             )
-            eq += len(iso.phase_a_calls) + 1
             fold(iso.best().cut)
 
     s, t = members[0], members[1]
     res = max_flow(engine, graph, s, t, meter)
-    eq += 1
     fold(Cut(res.min_side, res.value))
 
     assert best is not None
-    report = CutReport(best, meter, eq, trace)
+    report = CutReport(best, meter, trace)
     _check_steiner_cut(report.cut, inst)
     return report
 

@@ -14,6 +14,7 @@ from cutkit import (
     run_bench,
 )
 from cutkit.bench import BENCH_METHODS, CSV_COLUMNS, bench_graph
+from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph, gnp_graph, grid_graph
 
 
 def test_default_bench_config():
@@ -43,6 +44,14 @@ def test_bench_graph_families():
     assert bench_graph("gnp", 20, seed=1).n == 20
     with pytest.raises(InputError):
         bench_graph("hypercube", 8)
+    with pytest.raises(InputError):
+        bench_graph("planted", 8)
+    assert bench_graph("dumbbell", 8) == dumbbell_graph(8)
+    assert bench_graph("cycle", 12) == cycle_graph(12)
+    assert bench_graph("clique", 6) == clique_graph(6)
+    assert bench_graph("grid", 16) == grid_graph(4, 4)
+    assert bench_graph("grid", 128) == grid_graph(8, 16)
+    assert bench_graph("gnp", 20, seed=1) == gnp_graph(20, p=4 / 19, seed=1)
 
 
 def test_run_bench_small():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cutkit import write_edgelist
+from cutkit import FlowResult, write_edgelist
 from cutkit.cli import main
 from cutkit.generators import dumbbell_graph
 
@@ -75,6 +75,17 @@ def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 4:")
     assert "Traceback" not in err
+
+
+def test_maxflow_sink_on_source_side_is_invariant_failure(dumbbell_path, monkeypatch, capsys):
+    class SinkOnSourceSide:
+        def solve(self, graph, s, t):
+            return FlowResult(0, graph.full_set)
+
+    monkeypatch.setattr("cutkit.cli.get_engine", lambda name: SinkOnSourceSide())
+    code = main(["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"])
+    assert code == 3
+    assert capsys.readouterr().err == "invariant failure: engine returned sink inside source side\n"
 
 
 def test_maxflow_requires_endpoints(dumbbell_path, capsys):

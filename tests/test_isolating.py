@@ -1,7 +1,9 @@
 import pytest
 
 from cutkit import (
+    ContractViolation,
     FlowMeter,
+    FlowResult,
     InputError,
     VertexSet,
     bipartition_schedule,
@@ -108,12 +110,16 @@ def test_each_side_inside_own_component(any_engine):
 def test_flow_call_size_bounds(any_engine):
     g = rand_graph(12, 3, p=0.5)
     terminals = rand_terminals(12, 6, 3)
-    res = minimum_isolating_cuts(any_engine, g, terminals, FlowMeter())
+    meter = FlowMeter()
+    res = minimum_isolating_cuts(any_engine, g, terminals, meter)
     n, m, r = g.n, g.m, len(terminals)
     assert sum(c[0] for c in res.phase_b_calls) <= n + r
     assert sum(c[1] for c in res.phase_b_calls) <= 2 * m + r
     assert len(res.phase_a_calls) == (r - 1).bit_length()
     assert len(res.phase_b_calls) == r
+    # The whole of phase B is charged as one equivalent call.
+    assert meter.call_count == res.total_calls
+    assert meter.equivalent_calls == len(res.phase_a_calls) + 1
 
 
 def test_isolated_terminal_gets_zero_cut(any_engine):
@@ -141,3 +147,26 @@ def test_terminal_universe_must_match(dinic):
         minimum_isolating_cuts(dinic, g, VertexSet.from_ids(5, [0, 3]), FlowMeter())
     with pytest.raises(InputError):
         minimum_isolating_cuts(dinic, g, VertexSet.from_ids(4, [2]), FlowMeter())
+
+
+def test_side_check_names_the_vertex(dinic, monkeypatch):
+    g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+    terminals = VertexSet.from_ids(5, [2, 4])
+
+    def flow_returning(side_of):
+        def fake(engine, graph, s, t, meter):
+            return FlowResult(0, side_of(graph, s, t))
+
+        return fake
+
+    # A phase-B side must stay inside its one-terminal component, so the side
+    # that reaches the terminal check is one that misses its own terminal.
+    no_terminal = flow_returning(lambda graph, s, t: VertexSet.empty(graph.n))
+    monkeypatch.setattr("cutkit.isolating.max_flow", no_terminal)
+    with pytest.raises(ContractViolation, match=r"exactly 2$"):
+        minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
+    # The naive oracle's sink is the contracted rest of R: a second terminal.
+    with_sink = flow_returning(lambda graph, s, t: VertexSet.from_ids(graph.n, [s, t]))
+    monkeypatch.setattr("cutkit.oracles.max_flow", with_sink)
+    with pytest.raises(ContractViolation, match=r"exactly 2$"):
+        naive_isolating(dinic, g, terminals)

@@ -113,11 +113,13 @@ def test_meter_snapshot_delta_merge(dinic):
     assert meter.call_count == 2
     assert meter.aggregate_vertices == 6
     assert meter.aggregate_edges == 4
-    other = FlowMeter()
-    other.record(10, 20)
-    meter.merge(other)
-    assert meter.call_count == 3
-    assert meter.aggregate_edges == 24
+    assert meter.equivalent_calls == 2
+    mark = meter.snapshot()
+    for _ in range(3):
+        meter.record(10, 20)
+    meter.bundle(mark)
+    assert meter.call_count == 5
+    assert meter.equivalent_calls == 3
 
 
 def test_min_cut_separating_contracts_sides(any_engine):
