@@ -16,11 +16,17 @@ from fractions import Fraction
 
 from .errors import ContractViolation, InputError
 from .generators import GeneratorSpec, generate
-from .graph import WeightedGraph
+from .graph import Cut, WeightedGraph
 from .maxflow import FlowMeter, get_engine
 from .oracles import naive_steiner, stoer_wagner
 from .splitters import family_size_bound
-from .steiner import AlgoConfig, SteinerInstance, steiner_mincut_det, steiner_mincut_rand
+from .steiner import (
+    AlgoConfig,
+    CutReport,
+    SteinerInstance,
+    steiner_mincut_det,
+    steiner_mincut_rand,
+)
 
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
@@ -90,6 +96,23 @@ def bench_graph(family: str, n: int, seed: int = 0) -> WeightedGraph:
     return generate(GeneratorSpec(family, n, seed=seed, p=p, rows=rows))
 
 
+def run_method(
+    method: str, engine, inst: SteinerInstance, cfg: AlgoConfig
+) -> tuple[Cut, FlowMeter, CutReport | None]:
+    """Solve inst with one of BENCH_METHODS: its cut, meter, and driver report (or None)."""
+    if method in DRIVERS:
+        report = DRIVERS[method](engine, inst, cfg)
+        return report.cut, report.meter, report
+    meter = FlowMeter()
+    if method == "naive":
+        return naive_steiner(engine, inst, meter), meter, None
+    if method != "stoer-wagner":
+        raise InputError(f"unknown method {method!r}; choose from {BENCH_METHODS}")
+    if inst.terminals != inst.graph.full_set:
+        raise InputError("stoer-wagner applies only when every vertex is terminal")
+    return stoer_wagner(inst.graph), meter, None
+
+
 def run_bench(
     families=("dumbbell", "cycle"),
     sizes=(64, 128, 256),
@@ -112,17 +135,10 @@ def run_bench(
             exact_weights: dict[str, int] = {}
             for method in methods:
                 start = time.perf_counter()
-                meter = FlowMeter()
-                if method in DRIVERS:
-                    report = DRIVERS[method](engine, inst, cfg)
-                    meter, weight = report.meter, report.weight
-                elif method == "naive":
-                    weight = naive_steiner(engine, inst, meter).weight
-                else:
-                    weight = stoer_wagner(graph).weight
+                cut, meter, _ = run_method(method, engine, inst, cfg)
                 seconds = time.perf_counter() - start
                 if method != "rand":
-                    exact_weights[method] = weight
+                    exact_weights[method] = cut.weight
                 eq = meter.equivalent_calls
                 budget = det_call_budget(len(inst.terminals), cfg) if method == "det" else None
                 rows.append(
@@ -131,7 +147,7 @@ def run_bench(
                         n=n,
                         m=graph.m,
                         method=method,
-                        weight=weight,
+                        weight=cut.weight,
                         raw_calls=meter.call_count,
                         equivalent_calls=eq,
                         agg_vertices=meter.aggregate_vertices,

@@ -14,11 +14,11 @@ from fractions import Fraction
 from .bench import (
     BENCH_FAMILIES,
     BENCH_METHODS,
-    DRIVERS,
     default_bench_config,
     report_to_csv,
     report_to_json,
     run_bench,
+    run_method,
 )
 from .errors import ContractViolation, DecompositionError, InputError
 from .expander import DemandVector, expander_decompose
@@ -240,25 +240,11 @@ def cmd_steiner(args) -> int:
 
 def _solve(args, inst: SteinerInstance) -> int:
     engine = get_engine(args.engine)
-    cfg = _config_from(args)
-    payload: dict
-    if args.method in DRIVERS:
-        report = DRIVERS[args.method](engine, inst, cfg)
-        payload = {
-            **_cut_payload(report.cut),
-            "raw_calls": report.meter.call_count,
-            "equivalent_calls": report.equivalent_calls,
-            "fingerprint": report.fingerprint(),
-        }
-    elif args.method == "naive":
-        meter = FlowMeter()
-        cut = naive_steiner(engine, inst, meter)
-        payload = {**_cut_payload(cut), "raw_calls": meter.call_count}
-    else:
-        if inst.terminals != inst.graph.full_set:
-            raise InputError("stoer-wagner applies only when every vertex is terminal")
-        cut = stoer_wagner(inst.graph)
-        payload = {**_cut_payload(cut), "raw_calls": 0}
+    cut, meter, report = run_method(args.method, engine, inst, _config_from(args))
+    payload = {**_cut_payload(cut), "raw_calls": meter.call_count}
+    if report is not None:
+        payload["equivalent_calls"] = report.equivalent_calls
+        payload["fingerprint"] = report.fingerprint()
     payload["method"] = args.method
     payload["terminals"] = inst.terminals.members()
     _emit(payload, args.out)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DecompositionError, InputError
+from .errors import ContractViolation, DecompositionError, InputError
 from .graph import (
     MAX_TOTAL_WEIGHT,
     VertexSet,
@@ -214,6 +214,26 @@ def _heuristic_violating(
     return mask if current < phi else None
 
 
+def _violating_cut(
+    graph: WeightedGraph, demands: list[int], phi: Fraction, certify_limit: int
+) -> tuple[int | None, bool]:
+    """Mask of a cut sparser than phi (or None), and whether the search was exact.
+
+    Exhaustive up to certify_limit vertices, the spectral heuristic above; a
+    witness from either is re-checked exactly.
+    """
+    certified = graph.n <= certify_limit
+    search = _exhaustive_violating if certified else _heuristic_violating
+    mask = search(graph, demands, phi)
+    if mask is not None:
+        side = VertexSet(graph.n, mask)
+        d_in = sum(demands[v] for v in side)
+        denom = min(d_in, sum(demands) - d_in)
+        if denom == 0 or cut_weight(graph, side) >= phi * denom:
+            raise ContractViolation("violating-cut witness is not sparser than phi")
+    return mask, certified
+
+
 @dataclass(frozen=True)
 class ExpanderCheck:
     ok: bool
@@ -237,17 +257,11 @@ def verify_expander(
     _check_phi(phi)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
-    if graph.n <= certify_limit:
-        mask = _exhaustive_violating(graph, list(demands.values), phi)
-        if mask is None:
-            return ExpanderCheck(True, True, None, None)
-        side = VertexSet(graph.n, mask)
-        return ExpanderCheck(False, True, side, sparsity(graph, side, demands))
-    mask = _heuristic_violating(graph, list(demands.values), phi)
+    mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit)
     if mask is None:
-        return ExpanderCheck(True, False, None, None)
+        return ExpanderCheck(True, certified, None, None)
     side = VertexSet(graph.n, mask)
-    return ExpanderCheck(False, False, side, sparsity(graph, side, demands))
+    return ExpanderCheck(False, certified, side, sparsity(graph, side, demands))
 
 
 @dataclass
@@ -315,12 +329,7 @@ def expander_decompose(
             continue
         sub, ids = induced_subgraph(graph, cluster)
         aug = augmented_demands(graph, cluster, demands)
-        if sub.n <= certify_limit:
-            mask = _exhaustive_violating(sub, aug, phi)
-            certified = True
-        else:
-            mask = _heuristic_violating(sub, aug, phi)
-            certified = False
+        mask, certified = _violating_cut(sub, aug, phi, certify_limit)
         if mask is None:
             done.append((cluster, certified))
             continue
@@ -334,11 +343,7 @@ def expander_decompose(
     done.sort(key=lambda item: item[0].smallest())
     clusters = tuple(c for c, _ in done)
     certified_flags = tuple(flag for _, flag in done)
-    label = [-1] * n
-    for i, cluster in enumerate(clusters):
-        for v in cluster:
-            label[v] = i
-    inter = sum(w for u, v, w in graph.edges if label[u] != label[v])
+    inter = sum(cut_weight(graph, c) for c in clusters if len(c) < n) // 2
     lg = (max(n, 1) - 1).bit_length()
     budget = Fraction(c_b) * phi * demands.total * lg * lg
     if inter > budget:

@@ -108,14 +108,24 @@ class WeightedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 0:
             raise InputError(f"negative vertex count {n}")
+        self._canonicalize(n, _checked_edges(n, edges))
+        if self._total >= MAX_TOTAL_WEIGHT:
+            raise InputError("total weight exceeds limit 2^62")
+
+    @classmethod
+    def _derived(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
+        """Graph on the edges of an already checked graph, without input checks.
+
+        Merged parallel edges may pass the 2^40 edge limit; the total weight
+        never passes the parent's.
+        """
+        graph = object.__new__(cls)
+        graph._canonicalize(n, edges)
+        return graph
+
+    def _canonicalize(self, n: int, edges: Iterable[tuple[int, int, int]]) -> None:
         merged: dict[tuple[int, int], int] = {}
         for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) has vertex id outside [0, {n})")
-            if w < 0:
-                raise InputError(f"negative weight {w} on edge ({u},{v})")
-            if w > MAX_EDGE_WEIGHT:
-                raise InputError(f"weight {w} exceeds limit 2^40 on edge ({u},{v})")
             if u == v or w == 0:
                 continue
             key = (u, v) if u < v else (v, u)
@@ -124,10 +134,7 @@ class WeightedGraph:
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, w) for (u, v), w in sorted(merged.items())
         )
-        total = sum(w for _, _, w in self.edges)
-        if total >= MAX_TOTAL_WEIGHT:
-            raise InputError("total weight exceeds limit 2^62")
-        self._total = total
+        self._total = sum(w for _, _, w in self.edges)
         self._adj = None
         self._arrays = None
 
@@ -184,6 +191,20 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _checked_edges(
+    n: int, edges: Iterable[tuple[int, int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """The edges of outside input, each checked against the documented limits."""
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u},{v}) has vertex id outside [0, {n})")
+        if w < 0:
+            raise InputError(f"negative weight {w} on edge ({u},{v})")
+        if w > MAX_EDGE_WEIGHT:
+            raise InputError(f"weight {w} exceeds limit 2^40 on edge ({u},{v})")
+        yield u, v, w
 
 
 def build_graph(n: int, edge_triples: Iterable[tuple[int, int, int]]) -> WeightedGraph:
@@ -273,7 +294,7 @@ def contract(graph: WeightedGraph, classes: list[VertexSet]) -> ContractionMap:
     if any(c == -1 for c in mapping):
         missing = [v for v, c in enumerate(mapping) if c == -1]
         raise InputError(f"classes do not cover vertices {missing[:5]}")
-    quotient = WeightedGraph(
+    quotient = WeightedGraph._derived(
         len(classes),
         ((mapping[u], mapping[v], w) for u, v, w in graph.edges),
     )
@@ -298,7 +319,7 @@ def induced_subgraph(
         for u, v, w in graph.edges
         if u in index and v in index
     )
-    return WeightedGraph(len(ids), triples), ids
+    return WeightedGraph._derived(len(ids), triples), ids
 
 
 def components(graph: WeightedGraph) -> list[VertexSet]:

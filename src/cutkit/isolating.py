@@ -2,24 +2,18 @@
 
 Phase A solves one min cut per label bipartition of R (lg|R| full-size
 instances). The union F of those cut boundaries chops the graph into
-components containing at most one terminal each. Phase B then solves one
-small flow per terminal inside its own component with the rest of the graph
-contracted to a sink; those instances sum to at most n+|R| vertices and
-2m+|R| edges, which is what makes the whole thing cheap.
+components containing at most one terminal each. Phase B then makes one
+min_cut_separating call per terminal v, separating v from everything outside
+its component; with that outside merged into one sink each instance is small,
+and together they have at most n+|R| vertices and 2m+|R| edges, which is what
+makes the whole thing cheap.
 """
 
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InputError
-from .graph import (
-    Cut,
-    VertexSet,
-    WeightedGraph,
-    boundary_edges,
-    components_after_removal,
-    contract,
-)
-from .maxflow import FlowMeter, max_flow, min_cut_separating
+from .graph import Cut, VertexSet, WeightedGraph, boundary_edges, components_after_removal
+from .maxflow import FlowMeter, min_cut_separating
 
 
 @dataclass(frozen=True)
@@ -118,20 +112,14 @@ def minimum_isolating_cuts(
     entries: dict[int, IsolatingCutEntry] = {}
     for v in members:
         comp = comp_of[v]
-        rest = comp.complement()
-        classes = [VertexSet(graph.n, 1 << x) for x in comp]
-        classes.append(rest)
-        cmap = contract(graph, classes)
-        comp_members = comp.members()
-        s_idx = comp_members.index(v)
-        t_idx = len(comp_members)
-        result = max_flow(engine, cmap.graph, s_idx, t_idx, meter)
-        side = cmap.lift(result.min_side)
-        if not side.issubset(comp):
+        cut = min_cut_separating(
+            engine, graph, VertexSet(graph.n, 1 << v), comp.complement(), meter
+        )
+        if not cut.side.issubset(comp):
             raise ContractViolation("isolating side escaped its component")
-        if side.intersection(terminals).mask != 1 << v:
+        if cut.side.intersection(terminals).mask != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")
-        entries[v] = IsolatingCutEntry(v, Cut(side, result.value), comp)
+        entries[v] = IsolatingCutEntry(v, cut, comp)
     phase_b = meter.delta(mark_b)
 
     n, m = graph.n, graph.m

@@ -15,6 +15,7 @@ The randomized driver replaces the set family with geometric subsampling
 of the terminals and needs no decomposition at all.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractViolation, DecompositionError, InputError
-from .expander import DemandVector, ExpanderDecomposition, expander_decompose
+from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_decompose
 from .graph import Cut, VertexSet, WeightedGraph, components
 from .isolating import minimum_isolating_cuts
 from .maxflow import FlowMeter, max_flow
@@ -55,17 +56,14 @@ class AlgoConfig:
 
     phi: Fraction = Fraction(1, 16)
     k: int | None = None
-    c_b: int = 1
     rand_reps: int | None = None
     seed: int = 0
     fallback_enabled: bool = True
     estimator: str = "geometric"
-    certify_limit: int = 20
     collect_decompositions: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.phi, Fraction) or not 0 < self.phi <= 1:
-            raise InputError(f"phi must be a Fraction in (0, 1], got {self.phi!r}")
+        _check_phi(self.phi)
         if self.k is not None and self.k < 2:
             raise InputError("k must be at least 2")
         if self.rand_reps is not None and self.rand_reps < 1:
@@ -228,21 +226,12 @@ def unbalanced_case(
         iso = minimum_isolating_cuts(
             engine, inst.graph, VertexSet(inst.graph.n, rmask), meter
         )
-        entry = iso.best()
-        if best is None or entry.cut.weight < best.weight:
-            best = entry.cut
-    assert best is not None
+        best = _lighter(best, iso.best().cut)
     return best, len(family.sets)
 
 
 def sparsify_terminals(
-    graph: WeightedGraph,
-    pool: VertexSet,
-    phi: Fraction,
-    lam_guess: int,
-    *,
-    c_b: int = 1,
-    certify_limit: int = 20,
+    graph: WeightedGraph, pool: VertexSet, phi: Fraction, lam_guess: int
 ) -> tuple[VertexSet, ExpanderDecomposition]:
     """Thin the pool to a few lowest-id representatives per expander cluster.
 
@@ -256,7 +245,7 @@ def sparsify_terminals(
     if lam_guess < 1:
         raise InputError("weight guess must be positive")
     demands = DemandVector.uniform(graph.n, lam_guess, support=pool)
-    dec = expander_decompose(graph, demands, phi, c_b=c_b, certify_limit=certify_limit)
+    dec = expander_decompose(graph, demands, phi)
     small_pick = 1
     large_pick = 1 + (phi.denominator + phi.numerator - 1) // phi.numerator
     num2 = phi.numerator * phi.numerator
@@ -284,12 +273,25 @@ def _pairwise_mincut(
     return naive_steiner(engine, SteinerInstance(graph, pool), meter)
 
 
-def _check_steiner_cut(cut: Cut, inst: SteinerInstance) -> None:
+def _lighter(best: Cut | None, cut: Cut) -> Cut:
+    """The lighter of two cuts; the earlier one (best) wins ties."""
+    return cut if best is None or cut.weight < best.weight else best
+
+
+def _finish(
+    inst: SteinerInstance,
+    cut: Cut,
+    meter: FlowMeter,
+    trace: DriverTrace,
+    records: list[DecompositionRecord] | None = None,
+) -> CutReport:
+    """Report a driver's answer after checking it is a Steiner cut of its weight."""
     inside = cut.side.intersection(inst.terminals)
     if not inside or inside == inst.terminals:
         raise ContractViolation("reported side does not separate the terminals")
     if not cut.verify(inst.graph):
         raise ContractViolation("reported weight does not match the side")
+    return CutReport(cut, meter, trace, records or [])
 
 
 def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = None) -> CutReport:
@@ -307,38 +309,20 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        report = CutReport(Cut(split, 0), meter, trace, records)
-        _check_steiner_cut(report.cut, inst)
-        return report
+        return _finish(inst, Cut(split, 0), meter, trace, records)
 
     k = cfg.k_effective()
     best: Cut | None = None
-
-    def fold(cut: Cut | None) -> None:
-        nonlocal best
-        if cut is not None and (best is None or cut.weight < best.weight):
-            best = cut
-
-    unbal_memo: dict[int, tuple[Cut, int]] = {}
-    pair_memo: dict[int, Cut] = {}
-
-    def run_unbalanced(pool: VertexSet) -> tuple[Cut, int]:
-        hit = unbal_memo.get(pool.mask)
-        if hit is None:
-            hit = unbalanced_case(engine, inst, pool, k, meter)
-            unbal_memo[pool.mask] = hit
-        return hit
+    # Guesses often reach the same pool again; each pool is solved once.
+    run_unbalanced = functools.cache(lambda pool: unbalanced_case(engine, inst, pool, k, meter))
+    pairwise = functools.cache(lambda pool: _pairwise_mincut(engine, graph, pool, meter))
 
     def run_pairwise(pool: VertexSet) -> Cut:
-        hit = pair_memo.get(pool.mask)
-        if hit is None:
-            hit = _pairwise_mincut(engine, graph, pool, meter)
-            pair_memo[pool.mask] = hit
         trace.pairwise_sizes.append(len(pool))
-        return hit
+        return pairwise(pool)
 
     if len(terminals) < k:
-        fold(run_pairwise(terminals))
+        best = run_pairwise(terminals)
     else:
         estimate = approx_mincut_estimate(inst, cfg)
         trace.lambda_guesses = estimate.guesses
@@ -349,57 +333,38 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
             pool = terminals
             while len(pool) >= k:
                 cut, family_sets = run_unbalanced(pool)
-                fold(cut)
+                best = _lighter(best, cut)
                 rtrace = RoundTrace(len(pool), family_sets, cut.weight)
                 gtrace.rounds.append(rtrace)
                 try:
-                    thinned, dec = sparsify_terminals(
-                        graph,
-                        pool,
-                        cfg.phi,
-                        guess,
-                        c_b=cfg.c_b,
-                        certify_limit=cfg.certify_limit,
-                    )
+                    thinned, dec = sparsify_terminals(graph, pool, cfg.phi, guess)
                 except DecompositionError:
                     gtrace.outcome = "decomposition-failed"
-                    dead.append((guess, pool))
-                    break
-                rtrace.cluster_count = len(dec.clusters)
-                rtrace.sparsified_to = len(thinned)
-                if cfg.collect_decompositions:
-                    records.append(DecompositionRecord(guess, pool, thinned, dec))
-                if len(thinned) < 2:
-                    gtrace.outcome = "collapsed"
-                    dead.append((guess, pool))
-                    break
-                if 2 * len(thinned) > len(pool):
-                    gtrace.outcome = "not-halved"
-                    dead.append((guess, pool))
-                    break
-                pool = thinned
+                else:
+                    rtrace.cluster_count = len(dec.clusters)
+                    rtrace.sparsified_to = len(thinned)
+                    if cfg.collect_decompositions:
+                        records.append(DecompositionRecord(guess, pool, thinned, dec))
+                    if len(thinned) >= 2 and 2 * len(thinned) <= len(pool):
+                        pool = thinned
+                        continue
+                    gtrace.outcome = "collapsed" if len(thinned) < 2 else "not-halved"
+                # The guess is abandoned; the fallback may still need its pool.
+                dead.append((guess, pool))
+                break
             else:
-                fold(run_pairwise(pool))
+                best = _lighter(best, run_pairwise(pool))
             gtrace.final_u_size = len(pool)
 
-        if cfg.fallback_enabled and dead:
-            assert best is not None
-            resolved: set[int] = set()
-            progress = True
-            while progress:
-                progress = False
-                for idx, (guess, pool) in enumerate(dead):
-                    if idx in resolved or guess >= 2 * best.weight:
-                        continue
-                    fold(naive_steiner(engine, SteinerInstance(graph, pool), meter))
+        if cfg.fallback_enabled:
+            # best only falls, so a guess skipped here would stay skipped.
+            for guess, pool in dead:
+                if guess < 2 * best.weight:
+                    cut = naive_steiner(engine, SteinerInstance(graph, pool), meter)
+                    best = _lighter(best, cut)
                     trace.fallback_runs.append((guess, len(pool)))
-                    resolved.add(idx)
-                    progress = True
 
-    assert best is not None
-    report = CutReport(best, meter, trace, records)
-    _check_steiner_cut(report.cut, inst)
-    return report
+    return _finish(inst, best, meter, trace, records)
 
 
 def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = None) -> CutReport:
@@ -418,9 +383,7 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        report = CutReport(Cut(split, 0), meter, trace)
-        _check_steiner_cut(report.cut, inst)
-        return report
+        return _finish(inst, Cut(split, 0), meter, trace)
 
     members = terminals.members()
     reps = cfg.reps_for(graph.n)
@@ -428,12 +391,6 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     scales = len(members).bit_length() - 1
     best: Cut | None = None
     seen: set[int] = set()
-
-    def fold(cut: Cut | None) -> None:
-        nonlocal best
-        if cut is not None and (best is None or cut.weight < best.weight):
-            best = cut
-
     for scale in range(scales + 1):
         for rep in range(reps):
             if scale == 0:
@@ -453,16 +410,12 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
             iso = minimum_isolating_cuts(
                 engine, graph, VertexSet(graph.n, rmask), meter
             )
-            fold(iso.best().cut)
+            best = _lighter(best, iso.best().cut)
 
     s, t = members[0], members[1]
     res = max_flow(engine, graph, s, t, meter)
-    fold(Cut(res.min_side, res.value))
-
-    assert best is not None
-    report = CutReport(best, meter, trace)
-    _check_steiner_cut(report.cut, inst)
-    return report
+    best = _lighter(best, Cut(res.min_side, res.value))
+    return _finish(inst, best, meter, trace)
 
 
 def global_mincut_det(engine, graph: WeightedGraph, cfg: AlgoConfig | None = None) -> CutReport:

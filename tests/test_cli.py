@@ -4,7 +4,7 @@ import pytest
 
 from cutkit import FlowResult, write_edgelist
 from cutkit.cli import main
-from cutkit.generators import dumbbell_graph
+from cutkit.generators import cycle_graph, dumbbell_graph
 
 
 @pytest.fixture()
@@ -279,3 +279,30 @@ def test_malformed_graph_is_input_error(tmp_path, capsys):
     path.write_text("p 3 1\n0 1\n")
     code = main(["mincut", "--graph", str(path)])
     assert code == 2
+
+
+def test_drivers_accept_merged_weights_beyond_edge_limit(tmp_path, capsys):
+    path = tmp_path / "heavy.txt"
+    path.write_text("p 3 3\n0 1 1099511627776\n0 1 1099511627776\n1 2 5\n")
+    for method in ("det", "rand"):
+        code, doc = run_json(
+            capsys,
+            ["mincut", "--graph", str(path), "--method", method, "--phi", "1/4", "--k", "2"],
+        )
+        assert code == 0 and doc["weight"] == 5
+    code, doc = run_json(capsys, ["isolating", "--graph", str(path), "--terminals", "0,2"])
+    assert code == 0
+    assert [c["weight"] for c in doc["cuts"]] == [5, 5]
+
+
+def test_expander_decomp_bad_witness_is_invariant_failure(tmp_path, monkeypatch, capsys):
+    # 24 vertices is past the exhaustive limit, so the heuristic runs; a single
+    # vertex of a unit cycle has sparsity 2, which does not violate phi = 1/4.
+    path = tmp_path / "cycle.txt"
+    path.write_text(write_edgelist(cycle_graph(24)))
+    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi: 1)
+    code = main(
+        ["expander-decomp", "--graph", str(path), "--phi", "1/4", "--demand-value", "1"]
+    )
+    assert code == 3
+    assert "not sparser than phi" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cutkit import (
+    ContractViolation,
     DemandVector,
     InputError,
     VertexSet,
@@ -91,6 +92,18 @@ def test_verify_exact_beyond_int64_products():
     assert not check.ok and check.certified
     assert check.witness.members() == [0, 1, 2]
     assert check.witness_sparsity == Fraction(1, 3 * w)
+
+
+def test_verify_rejects_a_witness_that_does_not_violate(monkeypatch):
+    # Past certify_limit the heuristic runs; {0, 1, 2} of the bridged
+    # triangles has sparsity 1/3, which is not below phi = 1/4.
+    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi: 0b111)
+    g = two_triangles_bridge()
+    with pytest.raises(ContractViolation, match="not sparser than phi"):
+        verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 4), certify_limit=4)
+    check = verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 2), certify_limit=4)
+    assert not check.ok and not check.certified
+    assert check.witness_sparsity == Fraction(1, 3)
 
 
 def test_verify_witness_is_sparsest_cut():

@@ -153,3 +153,18 @@ def test_edgelist_errors():
         parse_edgelist("p 3\n")
     with pytest.raises(InputError):
         parse_edgelist("p 3 1\n0 one 2\n")
+
+
+def test_derived_graphs_keep_merged_weights_beyond_edge_limit():
+    # Each input edge is within 2^40; contraction and induction merge them.
+    w = 1 << 40
+    g = build_graph(4, [(0, 2, w), (1, 2, w), (2, 3, 5)])
+    cmap = contract(
+        g, [VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [2]), VertexSet.from_ids(4, [3])]
+    )
+    assert cmap.graph.edges == ((0, 1, 2 * w), (1, 2, 5))
+    heavy = build_graph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
+    sub, _ = induced_subgraph(heavy, VertexSet.from_ids(3, [0, 1]))
+    assert sub.edges == ((0, 1, 2 * w),)
+    with pytest.raises(InputError):
+        build_graph(2, [(0, 1, 2 * w)])

@@ -2,6 +2,7 @@ import pytest
 
 from cutkit import (
     ContractViolation,
+    Cut,
     FlowMeter,
     FlowResult,
     InputError,
@@ -9,6 +10,7 @@ from cutkit import (
     bipartition_schedule,
     build_graph,
     enumerate_cuts,
+    min_cut_separating,
     minimum_isolating_cuts,
     naive_isolating,
 )
@@ -153,20 +155,23 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
     g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     terminals = VertexSet.from_ids(5, [2, 4])
 
-    def flow_returning(side_of):
-        def fake(engine, graph, s, t, meter):
-            return FlowResult(0, side_of(graph, s, t))
+    # Phase A (B holds only terminals) runs for real. A phase-B side must stay
+    # inside its one-terminal component, so the side that reaches the terminal
+    # check is one that misses its own terminal.
+    def drop_source(engine, graph, side_a, side_b, meter):
+        cut = min_cut_separating(engine, graph, side_a, side_b, meter)
+        if side_b.issubset(terminals):
+            return cut
+        return Cut(cut.side.difference(side_a), cut.weight)
 
-        return fake
-
-    # A phase-B side must stay inside its one-terminal component, so the side
-    # that reaches the terminal check is one that misses its own terminal.
-    no_terminal = flow_returning(lambda graph, s, t: VertexSet.empty(graph.n))
-    monkeypatch.setattr("cutkit.isolating.max_flow", no_terminal)
+    monkeypatch.setattr("cutkit.isolating.min_cut_separating", drop_source)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
+
     # The naive oracle's sink is the contracted rest of R: a second terminal.
-    with_sink = flow_returning(lambda graph, s, t: VertexSet.from_ids(graph.n, [s, t]))
+    def with_sink(engine, graph, s, t, meter):
+        return FlowResult(0, VertexSet.from_ids(graph.n, [s, t]))
+
     monkeypatch.setattr("cutkit.oracles.max_flow", with_sink)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         naive_isolating(dinic, g, terminals)

@@ -11,6 +11,7 @@ from cutkit import (
     approx_mincut_estimate,
     build_graph,
     global_mincut_det,
+    minimum_isolating_cuts,
     naive_steiner,
     sparsify_terminals,
     steiner_mincut_det,
@@ -300,3 +301,17 @@ def test_weighted_instances_exact(dinic):
         rnd = steiner_mincut_rand(dinic, inst)
         ref = naive_steiner(dinic, inst)
         assert det.weight == ref.weight == rnd.weight, seed
+
+
+def test_drivers_on_merged_weights_beyond_edge_limit(dinic):
+    # Two parallel 2^40 edges merge into one edge above the per-edge limit;
+    # every graph derived from it must still build.
+    w = 1 << 40
+    g = build_graph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
+    assert stoer_wagner(g).weight == 5
+    inst = SteinerInstance(g, g.full_set)
+    assert steiner_mincut_det(dinic, inst, small_cfg()).weight == 5
+    assert steiner_mincut_rand(dinic, inst, small_cfg()).weight == 5
+    terminals = VertexSet.from_ids(3, [0, 2])
+    iso = minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
+    assert iso.best().cut.weight == 5
