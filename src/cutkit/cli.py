@@ -21,13 +21,13 @@ from .bench import (
     run_method,
 )
 from .errors import ContractViolation, DecompositionError, InputError
-from .expander import DemandVector, expander_decompose
+from .expander import DemandVector, _check_phi, expander_decompose
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import VertexSet, WeightedGraph, parse_edgelist, write_edgelist
 from .isolating import minimum_isolating_cuts
 from .maxflow import ENGINE_NAMES, FlowMeter, get_engine, max_flow, parse_dimacs, write_dimacs
 from .oracles import enumerate_cuts, naive_isolating, naive_steiner, stoer_wagner
-from .splitters import isolator_family, isolator_family_min2, verify_isolator
+from .splitters import EXHAUSTIVE_LIMIT, isolator_family, isolator_family_min2, verify_isolator
 from .steiner import (
     AlgoConfig,
     SteinerInstance,
@@ -82,8 +82,7 @@ def _parse_phi(spec: str) -> Fraction:
         phi = Fraction(spec)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad phi {spec!r}") from exc
-    if not 0 < phi <= 1:
-        raise InputError(f"phi must be in (0, 1], got {phi}")
+    _check_phi(phi)
     return phi
 
 
@@ -184,8 +183,8 @@ def cmd_splitter_gen(args) -> int:
         family = isolator_family(args.n, args.k)
     verified = False
     if args.verify:
-        if args.n > 16:
-            raise InputError("exhaustive verification is limited to n <= 16")
+        if args.n > EXHAUSTIVE_LIMIT:
+            raise InputError(f"exhaustive verification is limited to n <= {EXHAUSTIVE_LIMIT}")
         verify_isolator(family)
         verified = True
     _emit(
@@ -400,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--n", type=int, required=True)
     sg.add_argument("--k", type=int, required=True)
     sg.add_argument("--min2", action="store_true", help="pad singletons to pairs")
-    sg.add_argument("--verify", action="store_true", help="exhaustive check (n <= 16)")
+    sg.add_argument(
+        "--verify", action="store_true", help=f"exhaustive check (n <= {EXHAUSTIVE_LIMIT})"
+    )
     _add_out_arg(sg)
     sg.set_defaults(func=cmd_splitter_gen)
 

@@ -52,7 +52,7 @@ class DemandVector:
 
     @classmethod
     def degrees(cls, graph: WeightedGraph) -> "DemandVector":
-        return cls(tuple(graph.degree_weight(v) for v in range(graph.n)))
+        return cls(tuple(graph.degrees.tolist()))
 
     @property
     def n(self) -> int:
@@ -86,7 +86,7 @@ def sparsity(
 
 def _check_phi(phi: Fraction) -> None:
     if not isinstance(phi, Fraction) or not 0 < phi <= 1:
-        raise InputError(f"phi must be a Fraction in (0, 1], got {phi!r}")
+        raise InputError(f"phi must be a Fraction in (0, 1], got {phi}")
 
 
 def _exhaustive_violating(
@@ -149,10 +149,10 @@ def _heuristic_violating(
     total = sum(demands)
     if total == 0:
         return None
+    us, vs, ws = graph.edge_arrays
     w = np.zeros((n, n), dtype=np.float64)
-    for u, v, wt in graph.edges:
-        w[u, v] = wt
-        w[v, u] = wt
+    w[us, vs] = ws
+    w[vs, us] = ws
     deg = w.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
     lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
@@ -165,6 +165,7 @@ def _heuristic_violating(
             break
     order = np.lexsort((np.arange(n), fiedler))
 
+    adj = graph.adj
     best_mask = None
     best_s: Fraction | None = None
     mask = 0
@@ -172,7 +173,7 @@ def _heuristic_violating(
     cross = 0
     for idx in range(n - 1):
         v = int(order[idx])
-        for x, wt in graph.adj[v]:
+        for x, wt in adj[v]:
             cross += -wt if (mask >> x) & 1 else wt
         mask |= 1 << v
         d_in += demands[v]
@@ -198,7 +199,7 @@ def _heuristic_violating(
             if new_mask == 0 or new_mask == full:
                 continue
             delta = 0
-            for x, wt in graph.adj[v]:
+            for x, wt in adj[v]:
                 delta += -wt if ((mask >> x) & 1) != inside else wt
             new_cross = cross + delta
             new_din = d_in - demands[v] if inside else d_in + demands[v]
@@ -293,11 +294,14 @@ def augmented_demands(
     outside the cluster, so the augmentation satisfies the identity
     sum_v (d_aug(v) - d(v)) == w(E(cluster, rest)).
     """
-    sub, ids = induced_subgraph(graph, cluster)
-    return [
-        demands.values[v] + graph.degree_weight(v) - sub.degree_weight(i)
-        for i, v in enumerate(ids)
-    ]
+    us, vs, ws = graph.edge_arrays
+    inside = cluster.bools()
+    crossing = inside[us] != inside[vs]
+    boundary = np.zeros(graph.n, dtype=np.int64)
+    np.add.at(boundary, us[crossing], ws[crossing])
+    np.add.at(boundary, vs[crossing], ws[crossing])
+    ids = cluster.members()
+    return [demands.values[v] + b for v, b in zip(ids, boundary[ids].tolist())]
 
 
 def expander_decompose(

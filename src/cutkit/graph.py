@@ -1,6 +1,8 @@
 """Core graph types: weighted undirected graphs, vertex sets, cuts, contractions.
 
-Weights are nonnegative integers throughout; all comparisons are exact.
+Weights are nonnegative integers throughout; all comparisons are exact. A graph
+stores its edges only as canonical int64 arrays, a vertex set as a bit mask;
+VertexSet.bools()/from_bools() convert. contract() takes a label per vertex.
 """
 
 from dataclasses import dataclass
@@ -95,85 +97,107 @@ class VertexSet:
             raise InputError("empty vertex set has no smallest member")
         return (self.mask & -self.mask).bit_length() - 1
 
+    def bools(self) -> np.ndarray:
+        """Membership flags: a bool array of length n, True on members."""
+        raw = np.frombuffer(self.mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little").view(bool)
+
+    @classmethod
+    def from_bools(cls, flags: np.ndarray) -> "VertexSet":
+        """The set of indices whose flag is true; inverse of bools()."""
+        packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
+        return cls(len(flags), int.from_bytes(packed.tobytes(), "little"))
+
 
 class WeightedGraph:
     """Undirected graph with integer edge weights.
 
-    Edges are stored canonically: u < v, sorted ascending, parallel edges
-    merged by weight summation, self loops and zero weights dropped.
+    The one stored form of the edges is ``edge_arrays``, a canonical
+    (us, vs, ws) triple of int64 arrays: us < vs, sorted ascending by
+    (u, v), parallel edges merged by weight summation, self loops and zero
+    weights dropped. ``edges``, ``adj`` and ``degrees`` are computed from it
+    on every access, so read each once per function.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_arrays", "_total")
+    __slots__ = ("n", "edge_arrays", "total_weight")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 0:
             raise InputError(f"negative vertex count {n}")
-        self._canonicalize(n, _checked_edges(n, edges))
-        if self._total >= MAX_TOTAL_WEIGHT:
+        triples = list(edges)
+        for u, v, w in triples:
+            # numpy would truncate a float silently when it makes the arrays.
+            if not all(isinstance(x, (int, np.integer)) for x in (u, v, w)):
+                raise InputError(f"edge ({u},{v},{w}) has a non-integer entry")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u},{v}) has vertex id outside [0, {n})")
+            if w < 0:
+                raise InputError(f"negative weight {w} on edge ({u},{v})")
+            if w > MAX_EDGE_WEIGHT:
+                raise InputError(f"weight {w} exceeds limit 2^40 on edge ({u},{v})")
+        # Summed as Python ints, so the int64 sums below cannot overflow.
+        if sum(w for u, v, w in triples if u != v) >= MAX_TOTAL_WEIGHT:
             raise InputError("total weight exceeds limit 2^62")
+        us, vs, ws = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        self._canonicalize(n, us, vs, ws)
 
     @classmethod
-    def _derived(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
+    def _derived(cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> "WeightedGraph":
         """Graph on the edges of an already checked graph, without input checks.
 
         Merged parallel edges may pass the 2^40 edge limit; the total weight
         never passes the parent's.
         """
         graph = object.__new__(cls)
-        graph._canonicalize(n, edges)
+        graph._canonicalize(n, us, vs, ws)
         return graph
 
-    def _canonicalize(self, n: int, edges: Iterable[tuple[int, int, int]]) -> None:
-        merged: dict[tuple[int, int], int] = {}
-        for u, v, w in edges:
-            if u == v or w == 0:
-                continue
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0) + w
+    def _canonicalize(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
+        keep = (us != vs) & (ws != 0)
+        lo = np.minimum(us[keep], vs[keep])
+        hi = np.maximum(us[keep], vs[keep])
+        order = np.lexsort((hi, lo))
+        lo, hi, ws = lo[order], hi[order], ws[keep][order]
+        if ws.size:
+            first = np.ones(ws.size, dtype=bool)
+            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            starts = np.flatnonzero(first)
+            lo, hi, ws = lo[starts], hi[starts], np.add.reduceat(ws, starts)
         self.n = n
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(
-            (u, v, w) for (u, v), w in sorted(merged.items())
-        )
-        self._total = sum(w for _, _, w in self.edges)
-        self._adj = None
-        self._arrays = None
+        self.edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = (lo, hi, ws)
+        self.total_weight = int(ws.sum())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_arrays[2])
 
     @property
-    def total_weight(self) -> int:
-        return self._total
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The canonical edges as (u, v, w) tuples of Python ints."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @property
     def adj(self) -> list[list[tuple[int, int]]]:
         """Adjacency index: adj[u] = [(v, w), ...] ascending by v."""
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
-        return self._adj
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        return adj
 
     @property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(us, vs, ws) int64 arrays for vectorized edge scans."""
-        if self._arrays is None:
-            if self.m:
-                us = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.m)
-                vs = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
-                ws = np.fromiter((e[2] for e in self.edges), dtype=np.int64, count=self.m)
-            else:
-                us = vs = ws = np.zeros(0, dtype=np.int64)
-            self._arrays = (us, vs, ws)
-        return self._arrays
+    def degrees(self) -> np.ndarray:
+        """Weighted degree of every vertex, as an int64 array."""
+        us, vs, ws = self.edge_arrays
+        deg = np.zeros(self.n, dtype=np.int64)
+        np.add.at(deg, us, ws)
+        np.add.at(deg, vs, ws)
+        return deg
 
     def degree_weight(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise InputError(f"vertex id {v} outside [0, {self.n})")
-        return sum(w for _, w in self.adj[v])
+        return int(self.degrees[v])
 
     @property
     def full_set(self) -> VertexSet:
@@ -183,28 +207,14 @@ class WeightedGraph:
         return (
             isinstance(other, WeightedGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and all(map(np.array_equal, self.edge_arrays, other.edge_arrays))
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, *(a.tobytes() for a in self.edge_arrays)))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
-
-
-def _checked_edges(
-    n: int, edges: Iterable[tuple[int, int, int]]
-) -> Iterator[tuple[int, int, int]]:
-    """The edges of outside input, each checked against the documented limits."""
-    for u, v, w in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u},{v}) has vertex id outside [0, {n})")
-        if w < 0:
-            raise InputError(f"negative weight {w} on edge ({u},{v})")
-        if w > MAX_EDGE_WEIGHT:
-            raise InputError(f"weight {w} exceeds limit 2^40 on edge ({u},{v})")
-        yield u, v, w
 
 
 def build_graph(n: int, edge_triples: Iterable[tuple[int, int, int]]) -> WeightedGraph:
@@ -235,70 +245,50 @@ def cut_weight(graph: WeightedGraph, side: VertexSet) -> int:
         raise InputError("vertex set universe does not match graph")
     if not side or not side.complement():
         raise InputError("cut side must be a nonempty proper subset")
-    if graph.m == 0:
-        return 0
     us, vs, ws = graph.edge_arrays
-    bits = np.zeros(graph.n, dtype=np.int64)
-    for v in side:
-        bits[v] = 1
-    crossing = bits[us] != bits[vs]
-    return int(ws[crossing].sum())
+    inside = side.bools()
+    return int(ws[inside[us] != inside[vs]].sum())
 
 
 def boundary_edges(graph: WeightedGraph, side: VertexSet) -> list[tuple[int, int]]:
     """Edges (u, v) with u < v crossing the cut, in canonical order."""
     if side.n != graph.n:
         raise InputError("vertex set universe does not match graph")
-    mask = side.mask
-    return [
-        (u, v)
-        for u, v, _ in graph.edges
-        if ((mask >> u) & 1) != ((mask >> v) & 1)
-    ]
+    us, vs, _ = graph.edge_arrays
+    inside = side.bools()
+    crossing = inside[us] != inside[vs]
+    return list(zip(us[crossing].tolist(), vs[crossing].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionMap:
     """Result of contracting vertex classes: the quotient graph plus the lift."""
 
-    original_n: int
-    mapping: tuple[int, ...]  # original vertex -> contracted vertex id
+    labels: np.ndarray  # original vertex -> contracted vertex id
     graph: WeightedGraph
 
     def lift(self, contracted_side: VertexSet) -> VertexSet:
         """Pull a vertex set of the contracted graph back to original ids."""
         if contracted_side.n != self.graph.n:
             raise InputError("vertex set universe does not match contracted graph")
-        mask = 0
-        cm = contracted_side.mask
-        for v, c in enumerate(self.mapping):
-            if (cm >> c) & 1:
-                mask |= 1 << v
-        return VertexSet(self.original_n, mask)
+        return VertexSet.from_bools(contracted_side.bools()[self.labels])
 
 
-def contract(graph: WeightedGraph, classes: list[VertexSet]) -> ContractionMap:
-    """Contract each class to a single vertex (ids in class-list order).
+def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> ContractionMap:
+    """Contract each class of equal labels to the vertex of that id.
 
-    Classes must partition the vertex set. Parallel edges merge, intra-class
-    edges vanish.
+    labels holds one nonnegative id per vertex; the quotient has max + 1
+    vertices, and an id no vertex carries is an isolated vertex. Parallel
+    edges merge, intra-class edges vanish.
     """
-    mapping = [-1] * graph.n
-    for idx, cls in enumerate(classes):
-        if cls.n != graph.n:
-            raise InputError("class universe does not match graph")
-        for v in cls:
-            if mapping[v] != -1:
-                raise InputError(f"vertex {v} appears in two classes")
-            mapping[v] = idx
-    if any(c == -1 for c in mapping):
-        missing = [v for v, c in enumerate(mapping) if c == -1]
-        raise InputError(f"classes do not cover vertices {missing[:5]}")
-    quotient = WeightedGraph._derived(
-        len(classes),
-        ((mapping[u], mapping[v], w) for u, v, w in graph.edges),
-    )
-    return ContractionMap(graph.n, tuple(mapping), quotient)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (graph.n,):
+        raise InputError(f"need one label per vertex, got {labels.shape} for n={graph.n}")
+    if labels.min(initial=0) < 0:
+        raise InputError("labels must be nonnegative")
+    us, vs, ws = graph.edge_arrays
+    quotient = WeightedGraph._derived(int(labels.max(initial=-1)) + 1, labels[us], labels[vs], ws)
+    return ContractionMap(labels, quotient)
 
 
 def induced_subgraph(
@@ -312,14 +302,12 @@ def induced_subgraph(
         raise InputError("side universe does not match graph")
     if not side:
         raise InputError("cannot induce on an empty set")
-    ids = side.members()
-    index = {v: i for i, v in enumerate(ids)}
-    triples = (
-        (index[u], index[v], w)
-        for u, v, w in graph.edges
-        if u in index and v in index
-    )
-    return WeightedGraph._derived(len(ids), triples), ids
+    us, vs, ws = graph.edge_arrays
+    inside = side.bools()
+    index = np.cumsum(inside) - 1
+    keep = inside[us] & inside[vs]
+    sub = WeightedGraph._derived(len(side), index[us[keep]], index[vs[keep]], ws[keep])
+    return sub, np.flatnonzero(inside).tolist()
 
 
 def components(graph: WeightedGraph) -> list[VertexSet]:
@@ -331,32 +319,33 @@ def components_after_removal(
     graph: WeightedGraph, removed: Iterable[tuple[int, int]]
 ) -> list[VertexSet]:
     """Connected components of the graph with the given edges deleted."""
-    removed_set: set[tuple[int, int]] = set()
-    edge_keys = {(u, v) for u, v, _ in graph.edges}
+    us, vs, _ = graph.edge_arrays
+    kept = np.ones(len(us), dtype=bool)
     for u, v in removed:
-        key = (u, v) if u < v else (v, u)
-        if key not in edge_keys:
+        lo, hi = min(u, v), max(u, v)
+        # Canonical edges are sorted by (u, v): bisect for u, then for v.
+        a, b = np.searchsorted(us, (lo, lo + 1))
+        i = a + np.searchsorted(vs[a:b], hi)
+        if i == b or vs[i] != hi:
             raise InputError(f"edge ({u},{v}) not in graph")
-        removed_set.add(key)
-    seen = [False] * graph.n
-    out: list[VertexSet] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        mask = 0
-        while stack:
-            u = stack.pop()
-            mask |= 1 << u
-            for v, _ in graph.adj[u]:
-                key = (u, v) if u < v else (v, u)
-                if key in removed_set or seen[v]:
-                    continue
-                seen[v] = True
-                stack.append(v)
-        out.append(VertexSet(graph.n, mask))
-    return out
+        kept[i] = False
+    parent = list(range(graph.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in zip(us[kept].tolist(), vs[kept].tolist()):
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    masks: dict[int, int] = {}
+    for v in range(graph.n):
+        r = root(v)
+        masks[r] = masks.get(r, 0) | 1 << v
+    return [VertexSet(graph.n, mask) for mask in masks.values()]
 
 
 def is_connected(graph: WeightedGraph) -> bool:

@@ -166,6 +166,10 @@ class DinicEngine:
 class ScipyEngine:
     """scipy.sparse.csgraph.maximum_flow engine; capacities must fit int32.
 
+    The limit holds per solved instance: contraction merges parallel edges,
+    so a graph whose every edge fits int32 (a star of five 2^30 edges, for
+    one) can still raise InputError here. The dinic engine has no limit.
+
     An edgeless or two-vertex instance costs no SciPy call: its only s-t cut
     is {s}, of value the total edge weight. Any other costs one argsort of
     its 2m arcs into a canonical CSR, one maximum_flow call, and one csgraph
@@ -247,10 +251,12 @@ def min_cut_separating(
         raise InputError("separation sides must be nonempty")
     if not side_a.isdisjoint(side_b):
         raise InputError("separation sides overlap")
-    rest = side_a.complement().difference(side_b)
-    classes = [side_a, side_b]
-    classes.extend(VertexSet(graph.n, 1 << v) for v in rest)
-    cmap = contract(graph, classes)
+    in_a, in_b = side_a.bools(), side_b.bools()
+    # A -> 0, B -> 1, every other vertex its own id from 2 in ascending order.
+    labels = np.cumsum(~(in_a | in_b)) + 1
+    labels[in_a] = 0
+    labels[in_b] = 1
+    cmap = contract(graph, labels)
     result = max_flow(engine, cmap.graph, 0, 1, meter)
     side = cmap.lift(result.min_side)
     return Cut(side, result.value)

@@ -17,16 +17,15 @@ from .maxflow import FlowMeter, max_flow
 
 ENUM_LIMIT = 20
 
-_weights_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_weights_cache: OrderedDict[WeightedGraph, np.ndarray] = OrderedDict()
 _WEIGHTS_CACHE_SIZE = 6
 
 
 def _all_side_weights(graph: WeightedGraph) -> np.ndarray:
     """Cut weight of every subset mask of V, as an int64 array of size 2^n."""
-    key = (graph.n, graph.edges)
-    cached = _weights_cache.get(key)
+    cached = _weights_cache.get(graph)
     if cached is not None:
-        _weights_cache.move_to_end(key)
+        _weights_cache.move_to_end(graph)
         return cached
     if graph.n > ENUM_LIMIT:
         raise InputError(f"enumeration supports n <= {ENUM_LIMIT}")
@@ -35,7 +34,7 @@ def _all_side_weights(graph: WeightedGraph) -> np.ndarray:
     for u, v, w in graph.edges:
         crossing = ((masks >> u) ^ (masks >> v)) & 1
         weights += crossing * w
-    _weights_cache[key] = weights
+    _weights_cache[graph] = weights
     while len(_weights_cache) > _WEIGHTS_CACHE_SIZE:
         _weights_cache.popitem(last=False)
     return weights
@@ -145,10 +144,10 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     if len(comps) > 1:
         return Cut(comps[0], 0)
 
+    us, vs, ws = graph.edge_arrays
     w = np.zeros((n, n), dtype=np.int64)
-    for u, v, wt in graph.edges:
-        w[u, v] = wt
-        w[v, u] = wt
+    w[us, vs] = ws
+    w[vs, us] = ws
     group = [1 << v for v in range(n)]
     active = list(range(n))
     best_mask = 0
@@ -225,13 +224,12 @@ def naive_isolating(
     entries: dict[int, IsolatingCutEntry] = {}
     for v in members:
         rest = terminals.difference(VertexSet(graph.n, 1 << v))
-        keep = graph.full_set.difference(rest)
-        classes = [VertexSet(graph.n, 1 << x) for x in keep]
-        classes.append(rest)
-        cmap = contract(graph, classes)
-        s_idx = keep.members().index(v)
-        t_idx = len(classes) - 1
-        res = max_flow(engine, cmap.graph, s_idx, t_idx, meter)
+        keep = graph.full_set.difference(rest).members()
+        labels = [len(keep)] * graph.n
+        for i, x in enumerate(keep):
+            labels[x] = i
+        cmap = contract(graph, labels)
+        res = max_flow(engine, cmap.graph, labels[v], len(keep), meter)
         side = cmap.lift(res.min_side)
         if side.intersection(terminals).mask != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")

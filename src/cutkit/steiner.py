@@ -189,7 +189,7 @@ def approx_mincut_estimate(inst: SteinerInstance, cfg: AlgoConfig | None = None)
             raise InputError("oracle estimator requires every vertex terminal")
         lam = stoer_wagner(graph).weight
         return Estimate(lam, lam, lam, (lam,))
-    ub = min(graph.degree_weight(v) for v in terminals)
+    ub = int(graph.degrees[terminals.bools()].min())
     guesses = [1]
     while guesses[-1] < ub:
         guesses.append(guesses[-1] * 2)

@@ -175,6 +175,19 @@ def test_mincut_methods_agree(dumbbell_path, capsys):
     assert set(weights.values()) == {1}
 
 
+def test_scipy_rejects_capacities_merged_beyond_int32(tmp_path, capsys):
+    # Each edge fits int32, but contracting the star merges them past it.
+    lines = ["p 6 6"] + [f"0 {v} {1 << 30}" for v in range(1, 6)] + ["1 2 1"]
+    path = tmp_path / "star.graph"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["mincut", "--graph", str(path), "--phi", "1/4", "--k", "2", "--engine"]
+    assert main(argv + ["scipy"]) == 2
+    assert "int32" in capsys.readouterr().err
+    code, doc = run_json(capsys, argv + ["dinic"])
+    assert code == 0
+    assert doc["weight"] == 1 << 30
+
+
 def test_mincut_det_fingerprint_stable(dumbbell_path, capsys):
     _, a = run_json(capsys, ["mincut", "--graph", dumbbell_path])
     _, b = run_json(capsys, ["mincut", "--graph", dumbbell_path])

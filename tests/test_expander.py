@@ -181,6 +181,20 @@ def test_augmentation_identity():
     assert sum(a - b for a, b in zip(aug, base)) == boundary
 
 
+def test_augmented_demands_exact_beyond_float():
+    # The centre's boundary weight is odd and above 2^53, which float64 rounds.
+    leaves = (1 << 13) + 1
+    edges = [(0, v, 1 << 40) for v in range(1, leaves)] + [(0, leaves, 1)]
+    g = build_graph(leaves + 1, edges)
+    d = DemandVector.uniform(g.n, 1)
+    cluster = VertexSet.from_ids(g.n, [0, 1])
+    aug = augmented_demands(g, cluster, d)
+    assert aug == [1 + (1 << 53) + 1 - (1 << 40), 1]
+    assert all(type(a) is int for a in aug)
+    assert sum(aug) - 2 == cut_weight(g, cluster)
+    assert DemandVector.degrees(g).values[0] == (1 << 53) + 1
+
+
 def test_decompose_heuristic_above_limit():
     g = dumbbell_graph(50)
     dec = expander_decompose(g, DemandVector.uniform(50, 1), Fraction(1, 2))

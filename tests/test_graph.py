@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cutkit import (
@@ -16,6 +17,16 @@ from cutkit import (
     parse_edgelist,
     write_edgelist,
 )
+
+# 2^13 edges of the 2^40 limit plus one of weight 1: odd, and above 2^53.
+ODD_BEYOND_FLOAT = (1 << 53) + 1
+
+
+def odd_heavy_star():
+    """Star whose centre has weighted degree ODD_BEYOND_FLOAT."""
+    leaves = (1 << 13) + 1
+    edges = [(0, v, 1 << 40) for v in range(1, leaves)] + [(0, leaves, 1)]
+    return build_graph(leaves + 1, edges)
 
 
 def test_parallel_edges_merge():
@@ -42,6 +53,9 @@ def test_bad_edges_rejected():
         build_graph(2, [(0, 1, -1)])
     with pytest.raises(InputError):
         build_graph(2, [(0, 1, 1 << 41)])
+    for edge in ((0, 1, 1.5), (0, 1.0, 1), (0, 1, "3")):
+        with pytest.raises(InputError):
+            build_graph(2, [edge])
 
 
 def test_adjacency_ascending():
@@ -93,21 +107,33 @@ def test_cut_weight_and_boundary():
 
 def test_contract_merges_and_lifts():
     g = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4)])
-    cmap = contract(
-        g, [VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [2]), VertexSet.from_ids(4, [3])]
-    )
+    cmap = contract(g, [0, 0, 1, 2])
     assert cmap.graph.n == 3
     assert cmap.graph.edges == ((0, 1, 2), (0, 2, 4), (1, 2, 3))
     lifted = cmap.lift(VertexSet.from_ids(3, [0, 2]))
     assert lifted.members() == [0, 1, 3]
 
 
-def test_contract_requires_partition():
+def test_contract_validates_labels():
     g = build_graph(3, [(0, 1, 1)])
-    with pytest.raises(InputError):
-        contract(g, [VertexSet.from_ids(3, [0, 1])])
-    with pytest.raises(InputError):
-        contract(g, [VertexSet.from_ids(3, [0, 1]), VertexSet.from_ids(3, [1, 2])])
+    for labels in ([0, 1], [0, 1, 2, 3], [0, -1, 1]):
+        with pytest.raises(InputError):
+            contract(g, labels)
+    # An id no vertex carries becomes an isolated vertex of the quotient.
+    cmap = contract(g, [0, 3, 3])
+    assert cmap.graph.n == 4
+    assert cmap.graph.edges == ((0, 3, 1),)
+    assert cmap.lift(VertexSet.from_ids(4, [1, 2])) == VertexSet.empty(3)
+
+
+def test_vertex_set_bools_round_trip():
+    for n in (0, 1, 7, 8, 9, 70):
+        for ids in ([], [0], [n - 1], range(0, n, 3), range(n)):
+            s = VertexSet.from_ids(n, [v for v in ids if 0 <= v < n])
+            flags = s.bools()
+            assert flags.dtype == bool and flags.shape == (n,)
+            assert flags.nonzero()[0].tolist() == s.members()
+            assert VertexSet.from_bools(flags) == s
 
 
 def test_components_ordered_by_smallest():
@@ -159,12 +185,29 @@ def test_derived_graphs_keep_merged_weights_beyond_edge_limit():
     # Each input edge is within 2^40; contraction and induction merge them.
     w = 1 << 40
     g = build_graph(4, [(0, 2, w), (1, 2, w), (2, 3, 5)])
-    cmap = contract(
-        g, [VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [2]), VertexSet.from_ids(4, [3])]
-    )
+    cmap = contract(g, [0, 0, 1, 2])
     assert cmap.graph.edges == ((0, 1, 2 * w), (1, 2, 5))
     heavy = build_graph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
     sub, _ = induced_subgraph(heavy, VertexSet.from_ids(3, [0, 1]))
     assert sub.edges == ((0, 1, 2 * w),)
     with pytest.raises(InputError):
         build_graph(2, [(0, 1, 2 * w)])
+    # Merged weights of odd exact sum above 2^53, which float64 cannot hold.
+    odd = ODD_BEYOND_FLOAT
+    star = odd_heavy_star()
+    cmap = contract(star, [0] + [1] * (star.n - 1))
+    assert cmap.graph.edges == ((0, 1, odd),)
+    assert cut_weight(cmap.graph, VertexSet.from_ids(2, [0])) == odd
+    parallel = build_graph(3, [(0, 1, w)] * (1 << 13) + [(0, 1, 1), (1, 2, 5)])
+    sub, _ = induced_subgraph(parallel, VertexSet.from_ids(3, [0, 1]))
+    assert sub.edges == ((0, 1, odd),)
+
+
+def test_degrees_exact_beyond_float():
+    star = odd_heavy_star()
+    degrees = star.degrees
+    assert degrees.dtype == np.int64
+    assert int(degrees[0]) == ODD_BEYOND_FLOAT
+    assert star.degree_weight(0) == ODD_BEYOND_FLOAT
+    assert degrees[1:].tolist() == [1 << 40] * (1 << 13) + [1]
+    assert cut_weight(star, VertexSet.from_ids(star.n, [0])) == ODD_BEYOND_FLOAT

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import cutkit
 
 from cutkit import (
     AlgoConfig,
@@ -315,3 +321,22 @@ def test_drivers_on_merged_weights_beyond_edge_limit(dinic):
     terminals = VertexSet.from_ids(3, [0, 2])
     iso = minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
     assert iso.best().cut.weight == 5
+
+
+def test_dinic_solve_imports_no_scipy():
+    # SciPy costs the Dinic path memory and start-up time it never uses.
+    code = (
+        "import sys\n"
+        "from cutkit import SteinerInstance, VertexSet, get_engine, steiner_mincut_det\n"
+        "from cutkit.generators import gnp_graph\n"
+        "g = gnp_graph(12, 0.4, seed=3)\n"
+        "inst = SteinerInstance(g, VertexSet.from_ids(12, [0, 3, 7, 11]))\n"
+        "steiner_mincut_det(get_engine('dinic'), inst)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cutkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
