@@ -48,16 +48,16 @@ def gnp_graph(
 
 
 def clique_graph(n: int, weight: int = 1) -> WeightedGraph:
-    if n < 2:
-        raise InputError("clique needs at least two vertices")
+    if n < 2 or weight < 1:
+        raise InputError(f"clique needs n >= 2 and weight >= 1, got n={n}, weight={weight}")
     return WeightedGraph(
         n, ((u, v, weight) for u in range(n) for v in range(u + 1, n))
     )
 
 
 def cycle_graph(n: int, weight: int = 1) -> WeightedGraph:
-    if n < 3:
-        raise InputError("cycle needs at least three vertices")
+    if n < 3 or weight < 1:
+        raise InputError(f"cycle needs n >= 3 and weight >= 1, got n={n}, weight={weight}")
     return WeightedGraph(n, ((v, (v + 1) % n, weight) for v in range(n)))
 
 
@@ -67,6 +67,8 @@ def dumbbell_graph(
     """Two equal cliques joined by one bridge edge; the bridge is the min cut."""
     if n < 4 or n % 2:
         raise InputError("dumbbell needs an even vertex count of at least 4")
+    if min(clique_weight, bridge_weight) < 1:
+        raise InputError(f"dumbbell weights must be >= 1, got {clique_weight}, {bridge_weight}")
     half = n // 2
     triples = []
     for base in (0, half):
@@ -78,8 +80,8 @@ def dumbbell_graph(
 
 
 def grid_graph(rows: int, cols: int, weight: int = 1) -> WeightedGraph:
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise InputError("grid needs at least two cells")
+    if rows < 1 or cols < 1 or rows * cols < 2 or weight < 1:
+        raise InputError("grid needs at least two cells and a weight of at least 1")
     triples = []
     for r in range(rows):
         for c in range(cols):
@@ -163,7 +165,7 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         return clique_graph(spec.n, spec.weight)
     if spec.family == "grid":
         rows = spec.rows if spec.rows is not None else 1
-        if spec.n % rows:
-            raise InputError("grid rows must divide n")
+        if rows < 1 or spec.n % rows:
+            raise InputError(f"grid rows must be positive and divide n, got rows={rows}")
         return grid_graph(rows, spec.n // rows, spec.weight)
     raise InputError(f"unknown family {spec.family!r}; choose from {FAMILIES}")

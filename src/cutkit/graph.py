@@ -281,9 +281,13 @@ def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> Contract
     vertices, and an id no vertex carries is an isolated vertex. Parallel
     edges merge, intra-class edges vanish.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (graph.n,):
         raise InputError(f"need one label per vertex, got {labels.shape} for n={graph.n}")
+    # An int64 conversion would truncate a float label silently.
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if labels.min(initial=0) < 0:
         raise InputError("labels must be nonnegative")
     us, vs, ws = graph.edge_arrays
@@ -312,40 +316,41 @@ def induced_subgraph(
 
 def components(graph: WeightedGraph) -> list[VertexSet]:
     """Connected components, ordered by smallest member."""
-    return components_after_removal(graph, ())
+    labels = components_after_removal(graph, np.zeros(graph.m, dtype=bool))
+    # Roots are the vertices labelled themselves; np.unique would import numpy.ma.
+    roots = np.flatnonzero(labels == np.arange(graph.n))
+    return [VertexSet.from_bools(labels == root) for root in roots]
 
 
-def components_after_removal(
-    graph: WeightedGraph, removed: Iterable[tuple[int, int]]
-) -> list[VertexSet]:
-    """Connected components of the graph with the given edges deleted."""
+def components_after_removal(graph: WeightedGraph, removed: np.ndarray) -> np.ndarray:
+    """Component label of every vertex once the flagged edges are deleted.
+
+    removed holds one bool per edge of ``edge_arrays``. A vertex's label is
+    the smallest member of its component, as an int64 array of length n.
+    Hook-and-pointer-jump (Shiloach and Vishkin, J. Algorithms 1982) in
+    NumPy; no SciPy is imported, so the Dinic path stays free of it.
+    """
+    removed = np.asarray(removed, dtype=bool)
+    if removed.shape != (graph.m,):
+        raise InputError(f"need one flag per edge, got {removed.shape} for m={graph.m}")
     us, vs, _ = graph.edge_arrays
-    kept = np.ones(len(us), dtype=bool)
-    for u, v in removed:
-        lo, hi = min(u, v), max(u, v)
-        # Canonical edges are sorted by (u, v): bisect for u, then for v.
-        a, b = np.searchsorted(us, (lo, lo + 1))
-        i = a + np.searchsorted(vs[a:b], hi)
-        if i == b or vs[i] != hi:
-            raise InputError(f"edge ({u},{v}) not in graph")
-        kept[i] = False
-    parent = list(range(graph.n))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in zip(us[kept].tolist(), vs[kept].tolist()):
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    masks: dict[int, int] = {}
-    for v in range(graph.n):
-        r = root(v)
-        masks[r] = masks.get(r, 0) | 1 << v
-    return [VertexSet(graph.n, mask) for mask in masks.values()]
+    us, vs = us[~removed], vs[~removed]
+    # Every label[x] <= x lies in x's component; between rounds each tree is
+    # a star whose root is its smallest member.
+    labels = np.arange(graph.n, dtype=np.int64)
+    while True:
+        lu, lv = labels[us], labels[vs]
+        apart = lu != lv
+        if not apart.any():
+            return labels
+        # An edge inside one star stays inside it; hook larger roots on smaller.
+        us, vs, lu, lv = us[apart], vs[apart], lu[apart], lv[apart]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def is_connected(graph: WeightedGraph) -> bool:

@@ -1,8 +1,10 @@
 """Minimum isolating cuts for a terminal set R in ~lg|R| + |R| flow calls.
 
 Phase A solves one min cut per label bipartition of R (lg|R| full-size
-instances). The union F of those cut boundaries chops the graph into
-components containing at most one terminal each. Phase B then makes one
+instances). The union F of those cut boundaries is one bool mask over the
+graph's edge arrays; deleting F chops the graph into components containing
+at most one terminal each, returned as one label per vertex (the smallest
+member of its component). Phase B then makes one
 min_cut_separating call per terminal v, separating v from everything outside
 its component; with that outside merged into one sink each instance is small,
 and together they have at most n+|R| vertices and 2m+|R| edges, which is what
@@ -11,8 +13,10 @@ makes the whole thing cheap.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractViolation, InputError
-from .graph import Cut, VertexSet, WeightedGraph, boundary_edges, components_after_removal
+from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
 from .maxflow import FlowMeter, min_cut_separating
 
 
@@ -53,24 +57,15 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
     labels are exactly 0..|R|-1.
     """
     members = terminals.members()
-    r = len(members)
-    if r < 2:
+    if len(members) < 2:
         raise InputError("need at least two terminals")
-    bits = (r - 1).bit_length()
     schedule = []
-    for i in range(bits):
-        a_mask = 0
-        b_mask = 0
-        for label, v in enumerate(members):
-            if (label >> i) & 1:
-                b_mask |= 1 << v
-            else:
-                a_mask |= 1 << v
-        if a_mask == 0 or b_mask == 0:
+    for i in range((len(members) - 1).bit_length()):
+        side_b = VertexSet.from_ids(terminals.n, (v for j, v in enumerate(members) if j >> i & 1))
+        side_a = terminals.difference(side_b)
+        if not side_a or not side_b:
             raise ContractViolation("bipartition side empty despite dense labels")
-        schedule.append(
-            (VertexSet(terminals.n, a_mask), VertexSet(terminals.n, b_mask))
-        )
+        schedule.append((side_a, side_b))
     return schedule
 
 
@@ -84,34 +79,31 @@ def minimum_isolating_cuts(
     if terminals.n != graph.n:
         raise InputError("terminal universe does not match graph")
     members = terminals.members()
-    if len(members) < 2:
-        raise InputError("need at least two terminals")
 
     mark_a = meter.snapshot()
-    schedule = bipartition_schedule(terminals)
-    cut_edges: set[tuple[int, int]] = set()
+    schedule = bipartition_schedule(terminals)  # raises on fewer than two terminals
+    us, vs, _ = graph.edge_arrays
+    removed = np.zeros(graph.m, dtype=bool)
     for side_a, side_b in schedule:
-        cut = min_cut_separating(engine, graph, side_a, side_b, meter)
-        cut_edges.update(boundary_edges(graph, cut.side))
+        inside = min_cut_separating(engine, graph, side_a, side_b, meter).side.bools()
+        removed |= inside[us] != inside[vs]
     phase_a = meter.delta(mark_a)
     if len(phase_a) != len(schedule):
         raise ContractViolation("phase A must meter exactly ceil(lg|R|) calls")
 
-    comps = components_after_removal(graph, cut_edges)
-    comp_of: dict[int, VertexSet] = {}
-    for comp in comps:
-        inside = [v for v in members if v in comp]
-        if len(inside) > 1:
-            raise ContractViolation(
-                f"component holds terminals {inside}; phase A cuts must separate R"
-            )
-        if inside:
-            comp_of[inside[0]] = comp
+    labels = components_after_removal(graph, removed)
+    held = labels[members].tolist()
+    if len(set(held)) < len(held):
+        first = min(label for label in held if held.count(label) > 1)
+        shared = [v for v, label in zip(members, held) if label == first]
+        raise ContractViolation(
+            f"component holds terminals {shared}; phase A cuts must separate R"
+        )
 
     mark_b = meter.snapshot()
     entries: dict[int, IsolatingCutEntry] = {}
-    for v in members:
-        comp = comp_of[v]
+    for v, label in zip(members, held):
+        comp = VertexSet.from_bools(labels == label)
         cut = min_cut_separating(
             engine, graph, VertexSet(graph.n, 1 << v), comp.complement(), meter
         )

@@ -45,6 +45,16 @@ def test_gen_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_gen_bad_parameters_are_input_errors(capsys):
+    for argv in (
+        ["--family", "grid", "--n", "10", "--rows", "0"],
+        ["--family", "dumbbell", "--n", "8", "--weight", "0"],
+        ["--family", "cycle", "--n", "5", "--weight", "0"],
+    ):
+        assert main(["gen", *argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_maxflow_on_edgelist(dumbbell_path, capsys):
     code, doc = run_json(
         capsys,

@@ -116,3 +116,25 @@ def test_generate_rejects_unknown_family():
     with pytest.raises(InputError):
         generate(GeneratorSpec("grid", 10, rows=3))
     assert set(FAMILIES) == {"gnp", "planted", "dumbbell", "cycle", "clique", "grid"}
+
+
+def test_generators_reject_weights_below_one():
+    for weight in (0, -2):
+        for build in (
+            lambda: clique_graph(4, weight),
+            lambda: cycle_graph(5, weight),
+            lambda: dumbbell_graph(8, clique_weight=weight),
+            lambda: dumbbell_graph(8, bridge_weight=weight),
+            lambda: grid_graph(2, 3, weight),
+        ):
+            with pytest.raises(InputError):
+                build()
+        for family in ("clique", "cycle", "dumbbell", "grid"):
+            with pytest.raises(InputError):
+                generate(GeneratorSpec(family, 8, weight=weight, rows=2))
+
+
+def test_generate_grid_rejects_rows_below_one():
+    for rows in (0, -1):
+        with pytest.raises(InputError):
+            generate(GeneratorSpec("grid", 10, rows=rows))

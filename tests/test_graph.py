@@ -116,9 +116,10 @@ def test_contract_merges_and_lifts():
 
 def test_contract_validates_labels():
     g = build_graph(3, [(0, 1, 1)])
-    for labels in ([0, 1], [0, 1, 2, 3], [0, -1, 1]):
+    for labels in ([0, 1], [0, 1, 2, 3], [0, -1, 1], [0.5, 1.7, 2.2], [0, 1.0, 2]):
         with pytest.raises(InputError):
             contract(g, labels)
+    assert contract(g, np.array([0, 1, 1], dtype=np.int32)).graph.n == 2
     # An id no vertex carries becomes an isolated vertex of the quotient.
     cmap = contract(g, [0, 3, 3])
     assert cmap.graph.n == 4
@@ -145,10 +146,46 @@ def test_components_ordered_by_smallest():
 
 def test_components_after_removal():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    comps = components_after_removal(g, [(2, 1)])
-    assert [c.members() for c in comps] == [[0, 1], [2, 3]]
-    with pytest.raises(InputError):
-        components_after_removal(g, [(0, 3)])
+    labels = components_after_removal(g, np.array([False, True, False]))
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, 0, 2, 2]
+    assert components_after_removal(g, [True] * 3).tolist() == [0, 1, 2, 3]
+    for removed in ([False, True], [False] * 4, [[False] * 3]):
+        with pytest.raises(InputError):
+            components_after_removal(g, removed)
+
+
+def test_components_after_removal_matches_scipy():
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(20260)
+    for trial in range(300):
+        n = trial % 41
+        m = int(rng.integers(0, 3 * n + 1)) if trial % 7 else 0
+        ends = rng.integers(0, max(n, 1), size=(m, 2)).tolist()
+        g = build_graph(n, [(u, v, 1) for u, v in ends])
+        if trial % 5 == 0:
+            removed = np.ones(g.m, dtype=bool)
+        else:
+            removed = rng.random(g.m) < rng.random()
+        labels = components_after_removal(g, removed)
+        us, vs, _ = g.edge_arrays
+        kept = ~removed
+        adjacency = coo_matrix(
+            (np.ones(int(kept.sum())), (us[kept], vs[kept])), shape=(n, n)
+        )
+        _, ref = connected_components(adjacency, directed=False)
+        assert labels.shape == (n,)
+        for v in range(n):
+            members = np.flatnonzero(ref == ref[v])
+            assert np.array_equal(np.flatnonzero(labels == labels[v]), members)
+            assert labels[v] == members[0]
+    # A long path in random vertex order is one component labelled 0.
+    order = rng.permutation(20000).tolist()
+    path = build_graph(20000, [(u, v, 1) for u, v in zip(order, order[1:])])
+    labels = components_after_removal(path, np.zeros(path.m, dtype=bool))
+    assert not labels.any()
 
 
 def test_induced_subgraph():
