@@ -8,10 +8,21 @@ the weight to the rest of the whole graph, so earlier cut edges show up as
 demand in later rounds.
 
 Clusters of at most EXHAUSTIVE_LIMIT vertices are certified by enumerating
-every cut exactly; larger clusters fall back to a deterministic spectral
-sweep plus single-vertex local moves and are flagged as uncertified.
+every cut exactly; the cut-weight and demand tables over all 2^n masks are
+built by subset doubling in O(2^n) element operations. Larger clusters fall
+back to a deterministic spectral sweep plus single-vertex local moves and
+are flagged as uncertified.
+
+Scaling every demand by g > 0 scales every sparsity the spectral search
+compares by 1/g, so it picks the same cut; only the final test against phi
+depends on the scale. The search therefore runs on demands divided by their
+gcd and is memoized in a dict keyed on (cluster graph, reduced demands).
+The caller owns the dict: the Steiner driver keeps one per run, so a
+cluster that recurs along its guess ladder is searched once, and every
+other entry point uses a fresh one.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,18 +105,33 @@ def _exhaustive_violating(
 ) -> int | None:
     """Mask of the exact sparsest violating cut, or None if none exists.
 
-    Candidate masks are preselected by float ratio with slack, then compared
-    with exact rationals; ties go to fewer vertices, then lower member ids.
+    The cut-weight and demand tables are built by subset doubling: for
+    S within {0..v-1}, cross[S + v] = cross[S] + deg(v) - 2 w(v, S), and
+    w(v, .) is itself doubled out of row v of the weight matrix, so the
+    whole build is O(2^n) element operations. Candidate masks are
+    preselected by float ratio with slack, then compared with exact
+    rationals; ties go to fewer vertices, then lower member ids.
     """
     n = graph.n
-    masks = np.arange(1 << n, dtype=np.int64)
+    us, vs, ws = graph.edge_arrays
+    weight = np.zeros((n, n), dtype=np.int64)
+    weight[us, vs] = ws
+    weight[vs, us] = ws
+    deg = weight.sum(axis=1)
     cross = np.zeros(1 << n, dtype=np.int64)
-    for u, v, w in graph.edges:
-        cross += (((masks >> u) ^ (masks >> v)) & 1) * w
     dsum = np.zeros(1 << n, dtype=np.int64)
-    for v, d in enumerate(demands):
-        if d:
-            dsum += ((masks >> v) & 1) * d
+    to_v = np.zeros(1 << max(n - 1, 0), dtype=np.int64)
+    for v in range(n):
+        half = 1 << v
+        # to_v[S] = w(v, S) for S within {0..v-1}, doubled one bit at a time.
+        for u in range(v):
+            low = 1 << u
+            np.add(to_v[:low], weight[v, u], out=to_v[low : 2 * low])
+        # cross[S] and deg(v) are each at most the total weight, below 2^62,
+        # so their int64 sum stays below 2^63; so does 2 w(v, S) <= 2 deg(v).
+        np.add(cross[:half], deg[v], out=cross[half : 2 * half])
+        cross[half : 2 * half] -= 2 * to_v[:half]
+        np.add(dsum[:half], demands[v], out=dsum[half : 2 * half])
     total = sum(demands)
     mindem = np.minimum(dsum, total - dsum)
     num, den = phi.numerator, phi.denominator
@@ -137,18 +163,20 @@ def _exhaustive_violating(
     return best_mask
 
 
-def _heuristic_violating(
-    graph: WeightedGraph, demands: list[int], phi: Fraction
-) -> int | None:
+def _spectral_search(
+    graph: WeightedGraph, demands: tuple[int, ...]
+) -> tuple[int, int, int] | None:
     """Spectral sweep plus first-improvement vertex moves; may miss cuts.
 
-    Floats appear only in the vertex ordering; every sparsity that decides
-    anything is computed with exact integers.
+    Returns (mask, cross, denominator) of the sparsest cut found, whose
+    sparsity is cross / denominator, or None when no sweep cut has positive
+    demand on both sides. Floats appear only in the vertex ordering; every
+    sparsity that decides anything is compared as an exact rational, so
+    scaling all demands by g returns the same mask and cross with the
+    denominator scaled by g.
     """
     n = graph.n
     total = sum(demands)
-    if total == 0:
-        return None
     us, vs, ws = graph.edge_arrays
     w = np.zeros((n, n), dtype=np.float64)
     w[us, vs] = ws
@@ -212,20 +240,50 @@ def _heuristic_violating(
                 improved = True
         if not improved:
             break
-    return mask if current < phi else None
+    return mask, cross, min(d_in, total - d_in)
+
+
+def _heuristic_violating(
+    graph: WeightedGraph, demands: list[int], phi: Fraction, memo: dict
+) -> int | None:
+    """Mask of the spectral search's cut if it is sparser than phi, else None.
+
+    The search runs on the demands divided by their gcd g and is memoized
+    in memo under (graph, reduced demands): its every comparison is
+    invariant under scaling, so only the test cross / (denominator * g) <
+    phi depends on g. Each entry holds three ints or None.
+    """
+    scale = math.gcd(*demands)
+    if scale == 0:
+        return None
+    key = (graph, tuple(d // scale for d in demands))
+    if key not in memo:
+        memo[key] = _spectral_search(graph, key[1])
+    found = memo[key]
+    if found is None:
+        return None
+    mask, cross, denom = found
+    return mask if Fraction(cross, denom * scale) < phi else None
 
 
 def _violating_cut(
-    graph: WeightedGraph, demands: list[int], phi: Fraction, certify_limit: int
+    graph: WeightedGraph,
+    demands: list[int],
+    phi: Fraction,
+    certify_limit: int,
+    memo: dict,
 ) -> tuple[int | None, bool]:
     """Mask of a cut sparser than phi (or None), and whether the search was exact.
 
-    Exhaustive up to certify_limit vertices, the spectral heuristic above; a
-    witness from either is re-checked exactly.
+    Exhaustive up to certify_limit vertices, in O(2^n) table work; above it
+    the spectral heuristic, whose scale-free search is looked up in memo
+    (see _heuristic_violating). A witness from either is re-checked exactly.
     """
     certified = graph.n <= certify_limit
-    search = _exhaustive_violating if certified else _heuristic_violating
-    mask = search(graph, demands, phi)
+    if certified:
+        mask = _exhaustive_violating(graph, demands, phi)
+    else:
+        mask = _heuristic_violating(graph, demands, phi, memo)
     if mask is not None:
         side = VertexSet(graph.n, mask)
         d_in = sum(demands[v] for v in side)
@@ -248,17 +306,21 @@ def verify_expander(
     demands: DemandVector,
     phi: Fraction,
     certify_limit: int = EXHAUSTIVE_LIMIT,
+    memo: dict | None = None,
 ) -> ExpanderCheck:
     """Check whether every cut of the graph has sparsity at least phi.
 
     Exhaustive (and therefore a certificate) up to certify_limit vertices;
     above that the spectral heuristic only ever refutes, so ok=True with
-    certified=False is advisory.
+    certified=False is advisory. memo is the spectral search memo; a fresh
+    one is used when none is given.
     """
     _check_phi(phi)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
-    mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit)
+    if memo is None:
+        memo = {}
+    mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit, memo)
     if mask is None:
         return ExpanderCheck(True, certified, None, None)
     side = VertexSet(graph.n, mask)
@@ -310,17 +372,23 @@ def expander_decompose(
     phi: Fraction,
     c_b: int = 1,
     certify_limit: int = EXHAUSTIVE_LIMIT,
+    memo: dict | None = None,
 ) -> ExpanderDecomposition:
     """Partition V into clusters with no (detected) cut sparser than phi.
 
-    Raises DecompositionError if the split count passes 4n or the final
-    inter-cluster weight exceeds c_b * phi * d(V) * ceil(lg n)^2.
+    memo is the spectral search memo. Callers that decompose the same
+    graph under demands differing only in scale share one; a fresh one is
+    used when none is given. Raises DecompositionError if the split count
+    passes 4n or the final inter-cluster weight exceeds
+    c_b * phi * d(V) * ceil(lg n)^2.
     """
     _check_phi(phi)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
     if c_b < 1:
         raise InputError("budget constant must be at least 1")
+    if memo is None:
+        memo = {}
     n = graph.n
     cap = 4 * n
     splits = 0
@@ -333,7 +401,7 @@ def expander_decompose(
             continue
         sub, ids = induced_subgraph(graph, cluster)
         aug = augmented_demands(graph, cluster, demands)
-        mask, certified = _violating_cut(sub, aug, phi, certify_limit)
+        mask, certified = _violating_cut(sub, aug, phi, certify_limit, memo)
         if mask is None:
             done.append((cluster, certified))
             continue

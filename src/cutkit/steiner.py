@@ -231,7 +231,11 @@ def unbalanced_case(
 
 
 def sparsify_terminals(
-    graph: WeightedGraph, pool: VertexSet, phi: Fraction, lam_guess: int
+    graph: WeightedGraph,
+    pool: VertexSet,
+    phi: Fraction,
+    lam_guess: int,
+    memo: dict | None = None,
 ) -> tuple[VertexSet, ExpanderDecomposition]:
     """Thin the pool to a few lowest-id representatives per expander cluster.
 
@@ -239,13 +243,15 @@ def sparsify_terminals(
     most 1/phi^2 pool terminals keep one representative, larger ones keep
     ceil(1 + 1/phi). When lam_guess is at least the true minimum weight,
     the kept set still touches both sides of some minimum Steiner cut.
+    memo is handed to expander_decompose; sharing one across guesses lets
+    each cluster's spectral search run once for the whole ladder.
     """
     if len(pool) < 2:
         raise InputError("pool must have at least two terminals")
     if lam_guess < 1:
         raise InputError("weight guess must be positive")
     demands = DemandVector.uniform(graph.n, lam_guess, support=pool)
-    dec = expander_decompose(graph, demands, phi)
+    dec = expander_decompose(graph, demands, phi, memo=memo)
     small_pick = 1
     large_pick = 1 + (phi.denominator + phi.numerator - 1) // phi.numerator
     num2 = phi.numerator * phi.numerator
@@ -316,6 +322,9 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     # Guesses often reach the same pool again; each pool is solved once.
     run_unbalanced = functools.cache(lambda pool: unbalanced_case(engine, inst, pool, k, meter))
     pairwise = functools.cache(lambda pool: _pairwise_mincut(engine, graph, pool, meter))
+    # Guesses that decompose the same pool differ only in demand scale, so
+    # one memo runs each cluster's spectral search once for the whole ladder.
+    spectral_memo: dict = {}
 
     def run_pairwise(pool: VertexSet) -> Cut:
         trace.pairwise_sizes.append(len(pool))
@@ -337,7 +346,9 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
                 rtrace = RoundTrace(len(pool), family_sets, cut.weight)
                 gtrace.rounds.append(rtrace)
                 try:
-                    thinned, dec = sparsify_terminals(graph, pool, cfg.phi, guess)
+                    thinned, dec = sparsify_terminals(
+                        graph, pool, cfg.phi, guess, spectral_memo
+                    )
                 except DecompositionError:
                     gtrace.outcome = "decomposition-failed"
                 else:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cutkit
 from cutkit import FlowResult, write_edgelist
 from cutkit.cli import main
 from cutkit.generators import cycle_graph, dumbbell_graph
@@ -27,6 +32,19 @@ def test_gen_writes_edgelist(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "p 5 5"
     assert len(lines) == 6
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cutkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "cutkit", "gen", "--family", "cycle", "--n", "6"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "p 6 6"
 
 
 def test_gen_stdout_dimacs(capsys):
@@ -323,7 +341,7 @@ def test_expander_decomp_bad_witness_is_invariant_failure(tmp_path, monkeypatch,
     # vertex of a unit cycle has sparsity 2, which does not violate phi = 1/4.
     path = tmp_path / "cycle.txt"
     path.write_text(write_edgelist(cycle_graph(24)))
-    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi: 1)
+    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi, memo: 1)
     code = main(
         ["expander-decomp", "--graph", str(path), "--phi", "1/4", "--demand-value", "1"]
     )

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,21 @@ from cutkit import (
     ContractViolation,
     DemandVector,
     InputError,
+    SteinerInstance,
     VertexSet,
+    approx_mincut_estimate,
     augmented_demands,
     build_graph,
     clusters_cut_by,
     cut_weight,
     expander_decompose,
     induced_subgraph,
+    sparsify_terminals,
     sparsity,
     split_terminal_sum,
     verify_expander,
 )
+from cutkit.expander import _exhaustive_violating
 from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
 
 from helpers import rand_graph
@@ -97,7 +102,7 @@ def test_verify_exact_beyond_int64_products():
 def test_verify_rejects_a_witness_that_does_not_violate(monkeypatch):
     # Past certify_limit the heuristic runs; {0, 1, 2} of the bridged
     # triangles has sparsity 1/3, which is not below phi = 1/4.
-    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi: 0b111)
+    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi, memo: 0b111)
     g = two_triangles_bridge()
     with pytest.raises(ContractViolation, match="not sparser than phi"):
         verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 4), certify_limit=4)
@@ -240,3 +245,92 @@ def test_cluster_cut_helpers():
     terminals = VertexSet.from_ids(6, [0, 1, 3, 4, 5])
     assert split_terminal_sum(clusters, terminals, side) == 1
     assert split_terminal_sum(clusters, terminals, VertexSet.from_ids(6, [5])) == 0
+
+
+def sparsest_violating_by_mask(graph, demands, phi):
+    """Per-mask reference for _exhaustive_violating, in Python ints throughout."""
+    n, total = graph.n, sum(demands)
+    best_key, best_mask = None, None
+    for mask in range(1, (1 << n) - 1):
+        side = VertexSet(n, mask)
+        d_in = sum(demands[v] for v in side)
+        denom = min(d_in, total - d_in)
+        cross = cut_weight(graph, side)
+        if denom == 0 or cross >= phi * denom:
+            continue
+        key = (Fraction(cross, denom), mask.bit_count(), side.members())
+        if best_key is None or key < best_key:
+            best_key, best_mask = key, mask
+    return best_mask
+
+
+def test_exhaustive_doubling_matches_per_mask_reference():
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        w_max = 1 << rng.choice((0, 3, 20, 40))
+        p = rng.random()
+        edges = [
+            (u, v, rng.randint(1, w_max))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        g = build_graph(n, edges)
+        d_max = 1 << rng.choice((0, 4, 30))
+        demands = [rng.choice((0, rng.randint(1, d_max))) for _ in range(n)]
+        den = rng.randint(1, 1 << rng.choice((2, 30, 62)))
+        phi = Fraction(rng.randint(1, den), den)
+        expected = sparsest_violating_by_mask(g, demands, phi)
+        found_mask = _exhaustive_violating(g, demands, phi)
+        assert found_mask == expected, (n, edges, demands, phi)
+        found += expected is not None
+    # Both answers must be well represented, or the comparison shows little.
+    assert 40 <= found <= 160
+
+
+def decomposition_fields(dec):
+    return dec.clusters, dec.certified, dec.splits, dec.inter_weight
+
+
+def test_shared_memo_matches_fresh_memo_on_every_guess():
+    rng = random.Random(11)
+    for seed in range(3):
+        n = rng.randint(21, 48)
+        g = rand_graph(n, seed, p=rng.choice((0.1, 0.2)))
+        pool = VertexSet.from_ids(n, rng.sample(range(n), rng.randint(2, n)))
+        phi = Fraction(1, rng.choice((2, 4, 16)))
+        memo: dict = {}
+        for k in range(41):
+            demands = DemandVector.uniform(n, 1 << k, support=pool)
+            shared = expander_decompose(g, demands, phi, memo=memo)
+            fresh = expander_decompose(g, demands, phi)
+            assert decomposition_fields(shared) == decomposition_fields(fresh), (seed, k)
+        assert memo
+
+
+def test_one_memo_entry_answers_both_ways():
+    # The bridge of a 24-vertex dumbbell has sparsity 6 / (12 * lam) under
+    # uniform demand lam: not below 1/4 at lam = 1, below it at lam = 4.
+    g = dumbbell_graph(24, bridge_weight=6)
+    memo: dict = {}
+    small = verify_expander(g, DemandVector.uniform(24, 1), Fraction(1, 4), memo=memo)
+    assert small.ok and not small.certified
+    large = verify_expander(g, DemandVector.uniform(24, 4), Fraction(1, 4), memo=memo)
+    assert not large.ok
+    assert large.witness_sparsity == Fraction(1, 8)
+    assert len(memo) == 1
+
+
+def test_guess_ladder_without_split_searches_once():
+    # In K24 at phi = 1/4 no cut is sparse below lam = 48, past the ladder's top.
+    g = clique_graph(24)
+    inst = SteinerInstance(g, g.full_set)
+    memo: dict = {}
+    guesses = approx_mincut_estimate(inst).guesses
+    assert len(guesses) > 1
+    for guess in guesses:
+        _, dec = sparsify_terminals(g, g.full_set, Fraction(1, 4), guess, memo)
+        assert dec.splits == 0
+    assert len(memo) == 1

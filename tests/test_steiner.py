@@ -291,6 +291,15 @@ def test_global_matches_stoer_wagner(dinic):
         global_mincut_det(dinic, build_graph(1, []))
 
 
+def test_dumbbell_40_with_20_cliques_matches_stoer_wagner(scipy_eng):
+    # Each half is K20, right at the exhaustive limit, so every decomposition
+    # certifies both 20-cliques by exhaustive search.
+    g = dumbbell_graph(40)
+    report = global_mincut_det(scipy_eng, g, small_cfg())
+    assert report.weight == stoer_wagner(g).weight
+    assert report.cut.verify(g)
+
+
 def test_global_small_k_on_structured(dinic):
     for g in (dumbbell_graph(12), cycle_graph(9), dumbbell_graph(8, bridge_weight=2)):
         report = global_mincut_det(dinic, g, small_cfg())
