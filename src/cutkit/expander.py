@@ -16,10 +16,13 @@ are flagged as uncertified.
 Scaling every demand by g > 0 scales every sparsity the spectral search
 compares by 1/g, so it picks the same cut; only the final test against phi
 depends on the scale. The search therefore runs on demands divided by their
-gcd and is memoized in a dict keyed on (cluster graph, reduced demands).
+gcd and is memoized in a dict keyed on the cluster's vertex count, the
+bytes of its edge arrays and the reduced demands, so each entry keeps
+about 24 bytes per cluster edge alive for as long as the dict lives.
 The caller owns the dict: the Steiner driver keeps one per run, so a
-cluster that recurs along its guess ladder is searched once, and every
-other entry point uses a fresh one.
+cluster that recurs along its guess ladder is searched once;
+expander_decompose uses a fresh one when given none, and verify_expander
+always does.
 """
 
 import math
@@ -249,16 +252,20 @@ def _heuristic_violating(
     """Mask of the spectral search's cut if it is sparser than phi, else None.
 
     The search runs on the demands divided by their gcd g and is memoized
-    in memo under (graph, reduced demands): its every comparison is
-    invariant under scaling, so only the test cross / (denominator * g) <
-    phi depends on g. Each entry holds three ints or None.
+    in memo: its every comparison is invariant under scaling, so only the
+    test cross / (denominator * g) < phi depends on g. The key is the
+    graph's vertex count, the bytes of its three edge arrays and the
+    reduced demands, so an entry keeps about 24 bytes per cluster edge
+    and the demand tuple alive, but no graph or array; the value is three
+    ints or None.
     """
     scale = math.gcd(*demands)
     if scale == 0:
         return None
-    key = (graph, tuple(d // scale for d in demands))
+    reduced = tuple(d // scale for d in demands)
+    key = (graph.n, *(a.tobytes() for a in graph.edge_arrays), reduced)
     if key not in memo:
-        memo[key] = _spectral_search(graph, key[1])
+        memo[key] = _spectral_search(graph, reduced)
     found = memo[key]
     if found is None:
         return None
@@ -306,21 +313,17 @@ def verify_expander(
     demands: DemandVector,
     phi: Fraction,
     certify_limit: int = EXHAUSTIVE_LIMIT,
-    memo: dict | None = None,
 ) -> ExpanderCheck:
     """Check whether every cut of the graph has sparsity at least phi.
 
     Exhaustive (and therefore a certificate) up to certify_limit vertices;
     above that the spectral heuristic only ever refutes, so ok=True with
-    certified=False is advisory. memo is the spectral search memo; a fresh
-    one is used when none is given.
+    certified=False is advisory.
     """
     _check_phi(phi)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
-    if memo is None:
-        memo = {}
-    mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit, memo)
+    mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit, {})
     if mask is None:
         return ExpanderCheck(True, certified, None, None)
     side = VertexSet(graph.n, mask)

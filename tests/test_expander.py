@@ -313,13 +313,17 @@ def test_shared_memo_matches_fresh_memo_on_every_guess():
 def test_one_memo_entry_answers_both_ways():
     # The bridge of a 24-vertex dumbbell has sparsity 6 / (12 * lam) under
     # uniform demand lam: not below 1/4 at lam = 1, below it at lam = 4.
+    # The two 12-vertex halves are searched exhaustively, not memoized.
     g = dumbbell_graph(24, bridge_weight=6)
     memo: dict = {}
-    small = verify_expander(g, DemandVector.uniform(24, 1), Fraction(1, 4), memo=memo)
-    assert small.ok and not small.certified
-    large = verify_expander(g, DemandVector.uniform(24, 4), Fraction(1, 4), memo=memo)
-    assert not large.ok
-    assert large.witness_sparsity == Fraction(1, 8)
+    small = expander_decompose(g, DemandVector.uniform(24, 1), Fraction(1, 4), memo=memo)
+    assert small.splits == 0 and small.certified == (False,)
+    large = expander_decompose(g, DemandVector.uniform(24, 4), Fraction(1, 4), memo=memo)
+    assert large.splits == 1 and large.inter_weight == 6
+    assert large.clusters == (
+        VertexSet.from_ids(24, range(12)),
+        VertexSet.from_ids(24, range(12, 24)),
+    )
     assert len(memo) == 1
 
 
