@@ -103,6 +103,14 @@ def _check_phi(phi: Fraction) -> None:
         raise InputError(f"phi must be a Fraction in (0, 1], got {phi}")
 
 
+def _check_certify_limit(certify_limit: int) -> None:
+    # Past EXHAUSTIVE_LIMIT the exact tables would hold 2^certify_limit entries.
+    if not 0 <= certify_limit <= EXHAUSTIVE_LIMIT:
+        raise InputError(
+            f"certify_limit must be in [0, {EXHAUSTIVE_LIMIT}], got {certify_limit}"
+        )
+
+
 def _exhaustive_violating(
     graph: WeightedGraph, demands: list[int], phi: Fraction
 ) -> int | None:
@@ -285,7 +293,10 @@ def _violating_cut(
     Exhaustive up to certify_limit vertices, in O(2^n) table work; above it
     the spectral heuristic, whose scale-free search is looked up in memo
     (see _heuristic_violating). A witness from either is re-checked exactly.
+    A graph of at most one vertex has no proper cut, so none violates.
     """
+    if graph.n <= 1:
+        return None, True
     certified = graph.n <= certify_limit
     if certified:
         mask = _exhaustive_violating(graph, demands, phi)
@@ -318,9 +329,11 @@ def verify_expander(
 
     Exhaustive (and therefore a certificate) up to certify_limit vertices;
     above that the spectral heuristic only ever refutes, so ok=True with
-    certified=False is advisory.
+    certified=False is advisory. certify_limit must lie in
+    [0, EXHAUSTIVE_LIMIT].
     """
     _check_phi(phi)
+    _check_certify_limit(certify_limit)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
     mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit, {})
@@ -383,9 +396,11 @@ def expander_decompose(
     graph under demands differing only in scale share one; a fresh one is
     used when none is given. Raises DecompositionError if the split count
     passes 4n or the final inter-cluster weight exceeds
-    c_b * phi * d(V) * ceil(lg n)^2.
+    c_b * phi * d(V) * ceil(lg n)^2. certify_limit must lie in
+    [0, EXHAUSTIVE_LIMIT].
     """
     _check_phi(phi)
+    _check_certify_limit(certify_limit)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
     if c_b < 1:

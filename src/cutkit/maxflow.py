@@ -1,15 +1,23 @@
 """Exact s-t maximum flow / minimum cut with call metering.
 
-The default engine is a pure-Python Dinic working on arbitrary Python
-integers; a call runs O(n^2 m) interpreted steps at worst. The scipy engine
-needs int32 capacities; a call costs about 0.3 ms of fixed SciPy overhead
-plus the same algorithm compiled. Both are deterministic and return identical
-results: the flow value and the inclusion-minimal minimum cut side (the
-residual-reachable set of s), which for an edgeless or two-vertex instance
-is {s}; the scipy engine answers those without calling SciPy.
+Both engines are deterministic and return identical results: the flow value
+and the inclusion-minimal minimum cut side, the set of vertices reachable
+from s in the final residual graph.
+
+- Shared base case: both answer an edgeless or two-vertex instance in
+  closed form (``_closed_form``); its only minimal side is {s}, of value
+  the total edge weight.
+- ``DinicEngine`` (the default) is pure Python on Python-int capacities, so
+  it is exact at any weight; a call runs O(n^2 m) interpreted steps at
+  worst. Edge i of ``graph.edge_arrays`` is arc 2i (u->v) and arc 2i+1
+  (v->u), so a ^ 1 is the reverse arc, and one stable argsort of the arc
+  tails gives every vertex its arc list. The side is the set of vertices
+  that the final, failing BFS reaches.
+- ``ScipyEngine`` needs int32 capacities; a call costs about 0.3 ms of fixed
+  SciPy overhead plus the same algorithm compiled. Its side comes from a
+  csgraph BFS over the arcs with positive residual capacity.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,96 +79,101 @@ class FlowMeter:
         return self.calls[mark:]
 
 
-class DinicEngine:
-    """Blocking-flow max flow on adjacency arrays; exact for any int weights.
+def _closed_form(graph: WeightedGraph, s: int) -> FlowResult | None:
+    """The answer of an edgeless or two-vertex instance, else None.
 
-    Undirected edges become paired arcs (u->v, v->u) each carrying the edge
-    weight, so a unit-weight input graph yields a unit-capacity instance.
+    Such an instance has {s} as its only minimal s-t cut side, of value the
+    total edge weight, so neither engine runs a flow on it.
+    """
+    if graph.m == 0 or graph.n == 2:
+        return FlowResult(graph.total_weight, VertexSet(graph.n, 1 << s))
+    return None
+
+
+class DinicEngine:
+    """Blocking-flow max flow on flat arc lists; exact for any int weights.
+
+    Edge i of ``graph.edge_arrays`` becomes arc 2i (u->v) and arc 2i+1
+    (v->u), each with the edge weight as capacity, so a ^ 1 is the reverse
+    of arc a; ``to`` and ``cap`` are Python-int lists, exact past 2^53. One
+    stable argsort of the tails gives each vertex its arcs in id order.
+
+    A phase is a BFS from s that stops once t has a level (every vertex
+    nearer s has one by then), then an iterative blocking flow: a path
+    stack, a current-arc index per vertex, and a vertex with no admissible
+    arc left pruned for the rest of the phase. Nothing recurses, so a long
+    path cannot exhaust the stack. The BFS that fails to reach t runs to
+    the end; the vertices it reaches are the returned side. Edgeless and
+    two-vertex instances get the shared closed form.
     """
 
     name = "dinic"
 
     def solve(self, graph: WeightedGraph, s: int, t: int) -> FlowResult:
+        trivial = _closed_form(graph, s)
+        if trivial is not None:
+            return trivial
         n = graph.n
-        to: list[int] = []
-        cap: list[int] = []
-        first = [-1] * n
-        nxt: list[int] = []
+        us, vs, ws = graph.edge_arrays
+        tails = np.stack([us, vs], axis=1).ravel()
+        to = np.stack([vs, us], axis=1).ravel().tolist()
+        cap = np.repeat(ws, 2).tolist()
+        order = np.argsort(tails, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+        arcs = [order[b:e] for b, e in zip([0] + ends, ends)]
 
-        def add_arc(u: int, v: int, c: int) -> None:
-            to.append(v)
-            cap.append(c)
-            nxt.append(first[u])
-            first[u] = len(to) - 1
-
-        for u, v, w in graph.edges:
-            add_arc(u, v, w)
-            add_arc(v, u, w)
-
-        level = [-1] * n
-        it = [0] * n
         total = 0
         while True:
-            for i in range(n):
-                level[i] = -1
+            level = [-1] * n
             level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                a = first[u]
-                while a != -1:
+            queue = [s]
+            for u in queue:
+                nxt = level[u] + 1
+                for a in arcs[u]:
                     v = to[a]
-                    if cap[a] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-                    a = nxt[a]
+                    if level[v] < 0 and cap[a]:
+                        level[v] = nxt
+                        queue.append(v)
+                if level[t] >= 0:
+                    break
             if level[t] < 0:
                 break
-            for i in range(n):
-                it[i] = first[i]
-            # blocking flow: walk the level graph with a current-arc pointer
+            it = [0] * n
             path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    pushed = min(cap[a] for a in path)
+                    pushed = min([cap[a] for a in path])
                     total += pushed
                     for a in path:
                         cap[a] -= pushed
                         cap[a ^ 1] += pushed
-                    k = next(i for i, a in enumerate(path) if cap[a] == 0)
+                    k = next(i for i, a in enumerate(path) if not cap[a])
                     del path[k:]
-                    u = s if not path else to[path[-1]]
+                    u = to[path[-1]] if path else s
                     continue
-                a = it[u]
-                while a != -1 and not (cap[a] > 0 and level[to[a]] == level[u] + 1):
-                    a = nxt[a]
-                it[u] = a
-                if a != -1:
+                out = arcs[u]
+                i = it[u]
+                nxt = level[u] + 1
+                while i < len(out):
+                    a = out[i]
+                    if cap[a] and level[to[a]] == nxt:
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(out):
                     path.append(a)
                     u = to[a]
-                elif u == s:
-                    break
+                elif path:
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
                 else:
-                    last = path.pop()
-                    u = to[last ^ 1]
-                    it[u] = nxt[last]
+                    break
 
-        reach_mask = 1 << s
-        q = deque([s])
-        seen = [False] * n
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            a = first[u]
-            while a != -1:
-                v = to[a]
-                if cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    reach_mask |= 1 << v
-                    q.append(v)
-                a = nxt[a]
-        return FlowResult(total, VertexSet(n, reach_mask))
+        mask = 0
+        for v in queue:
+            mask |= 1 << v
+        return FlowResult(total, VertexSet(n, mask))
 
 
 class ScipyEngine:
@@ -170,10 +183,10 @@ class ScipyEngine:
     so a graph whose every edge fits int32 (a star of five 2^30 edges, for
     one) can still raise InputError here. The dinic engine has no limit.
 
-    An edgeless or two-vertex instance costs no SciPy call: its only s-t cut
-    is {s}, of value the total edge weight. Any other costs one argsort of
-    its 2m arcs into a canonical CSR, one maximum_flow call, and one csgraph
-    BFS over the arcs with positive residual capacity.
+    An edgeless or two-vertex instance costs no SciPy call: it gets the
+    shared closed form, once its capacities pass the int32 check. Any other
+    costs one argsort of its 2m arcs into a canonical CSR, one maximum_flow
+    call, and one csgraph BFS over the arcs with positive residual capacity.
     """
 
     name = "scipy"
@@ -183,8 +196,9 @@ class ScipyEngine:
         us, vs, ws = graph.edge_arrays
         if graph.m and int(ws.max()) >= INT32_LIMIT:
             raise InputError("capacity exceeds int32 range; use the dinic engine")
-        if graph.m == 0 or n == 2:
-            return FlowResult(graph.total_weight, VertexSet(n, 1 << s))
+        trivial = _closed_form(graph, s)
+        if trivial is not None:
+            return trivial
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order, maximum_flow
         # Arcs are all (v, u), then all (u, v), over the sorted edges u < v, so

@@ -22,7 +22,7 @@ from cutkit import (
     split_terminal_sum,
     verify_expander,
 )
-from cutkit.expander import _exhaustive_violating
+from cutkit.expander import EXHAUSTIVE_LIMIT, ExpanderCheck, _exhaustive_violating
 from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
 
 from helpers import rand_graph
@@ -136,6 +136,27 @@ def test_phi_validation():
         verify_expander(g, d, Fraction(3, 2))
     with pytest.raises(InputError):
         verify_expander(g, d, 0.5)
+
+
+def test_graphs_without_a_proper_cut_verify_at_any_limit():
+    for n in (0, 1):
+        for limit in (0, 1, EXHAUSTIVE_LIMIT):
+            check = verify_expander(
+                build_graph(n, []), DemandVector.uniform(n, 1), Fraction(1, 2), certify_limit=limit
+            )
+            assert check == ExpanderCheck(True, True, None, None)
+
+
+def test_certify_limit_validation():
+    g = clique_graph(4)
+    d = DemandVector.degrees(g)
+    for bad in (-1, EXHAUSTIVE_LIMIT + 1, 25):
+        with pytest.raises(InputError, match="certify_limit"):
+            verify_expander(g, d, Fraction(1, 2), certify_limit=bad)
+        with pytest.raises(InputError, match="certify_limit"):
+            expander_decompose(g, d, Fraction(1, 2), certify_limit=bad)
+    assert verify_expander(g, d, Fraction(1, 2), certify_limit=0).ok
+    assert expander_decompose(g, d, Fraction(1, 2), certify_limit=EXHAUSTIVE_LIMIT).splits == 0
 
 
 def test_decompose_splits_dumbbell():

@@ -1,18 +1,26 @@
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from cutkit import (
+    AlgoConfig,
     ContractViolation,
+    DinicEngine,
     FlowMeter,
     InputError,
+    ScipyEngine,
+    SteinerInstance,
     VertexSet,
     build_graph,
     enumerate_cuts,
     get_engine,
+    gnp_graph,
     max_flow,
     min_cut_separating,
     parse_dimacs,
+    steiner_mincut_det,
     write_dimacs,
 )
 
@@ -79,6 +87,60 @@ def test_dinic_handles_huge_weights(dinic):
     g = build_graph(3, [(0, 1, w), (1, 2, w)])
     res = max_flow(dinic, g, 0, 2, FlowMeter())
     assert res.value == w
+
+
+def test_dinic_long_weighted_path_is_exact(dinic):
+    # 5,000 vertices in a row: a recursive search would pass Python's depth limit.
+    n, k = 5000, 3217
+    rng = random.Random(5000)
+    weights = [rng.randint((1 << 39) + 1, 1 << 40) for _ in range(n - 1)]
+    weights[k] = 1 << 39
+    g = build_graph(n, [(i, i + 1, w) for i, w in enumerate(weights)])
+    res = max_flow(dinic, g, 0, n - 1, FlowMeter())
+    assert res.value == 1 << 39
+    assert res.min_side.members() == list(range(k + 1))
+
+
+def test_dinic_matches_enumeration_past_2_to_53(dinic):
+    big = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        triples = [
+            (u, v, rng.randint(1, 1 << 40))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.4
+        ]
+        # 2^13 + 1 parallel copies of 2^40 merge to more than 2^53.
+        u, v = rng.sample(range(n), 2)
+        triples += [(u, v, 1 << 40)] * ((1 << 13) + rng.randint(1, 4))
+        g = build_graph(n, triples)
+        big += int(g.edge_arrays[2].max()) > 1 << 53
+        s, t = st_pair(n, seed)
+        res = max_flow(dinic, g, s, t, FlowMeter())
+        best = enumerate_cuts(g, source=s, sink=t)
+        assert res.value == best.weight
+        assert res.min_side == best.side
+    assert big == 40
+
+
+def test_engines_agree_on_every_flow_of_a_driver_run():
+    class Recording(ScipyEngine):
+        def __init__(self):
+            self.seen = []
+
+        def solve(self, graph, s, t):
+            self.seen.append((graph, s, t))
+            return super().solve(graph, s, t)
+
+    g = gnp_graph(48, 0.15, seed=3, w_min=1 << 20, w_max=1 << 21)
+    recorder = Recording()
+    steiner_mincut_det(recorder, SteinerInstance(g, g.full_set), AlgoConfig(phi=Fraction(1, 4), k=2))
+    flows = [(h, s, t) for h, s, t in recorder.seen if h.m and h.n > 2]
+    assert len(flows) > 100
+    for h, s, t in recorder.seen:
+        assert DinicEngine().solve(h, s, t) == ScipyEngine().solve(h, s, t)
 
 
 def test_scipy_rejects_weights_beyond_int32(scipy_eng):
