@@ -104,10 +104,6 @@ def _config_from(args) -> AlgoConfig:
         kwargs["seed"] = args.seed
     if getattr(args, "reps", None) is not None:
         kwargs["rand_reps"] = args.reps
-    if getattr(args, "no_fallback", False):
-        kwargs["fallback_enabled"] = False
-    if getattr(args, "estimator", None) is not None:
-        kwargs["estimator"] = args.estimator
     return AlgoConfig(**kwargs)
 
 
@@ -210,7 +206,7 @@ def cmd_expander_decomp(args) -> int:
     else:
         support = _parse_ids(args.demand_support, graph.n)
     demands = DemandVector.uniform(graph.n, args.demand_value, support)
-    dec = expander_decompose(graph, demands, phi, c_b=args.c_b)
+    dec = expander_decompose(graph, demands, phi)
     _emit(
         {
             "phi": str(phi),
@@ -343,17 +339,6 @@ def _add_config_args(sub) -> None:
     sub.add_argument("--k", type=int, default=None, help="unbalance threshold override")
     sub.add_argument("--seed", type=int, default=None, help="seed for the randomized driver")
     sub.add_argument("--reps", type=int, default=None, help="sampling repetitions per scale")
-    sub.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="disable the naive fallback for abandoned weight guesses",
-    )
-    sub.add_argument(
-        "--estimator",
-        choices=("geometric", "oracle"),
-        default=None,
-        help="weight estimator feeding the guess ladder",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma separated vertex ids, or 'all'",
     )
-    ed.add_argument("--c-b", type=int, default=1, help="inter-cluster budget constant")
     _add_out_arg(ed)
     ed.set_defaults(func=cmd_expander_decomp)
 

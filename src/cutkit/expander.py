@@ -111,6 +111,18 @@ def _check_certify_limit(certify_limit: int) -> None:
         )
 
 
+def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
+    """Dense symmetric int64 matrix of edge weights, zero on the diagonal.
+
+    Every entry and every row sum is at most the total weight, below 2^62.
+    """
+    us, vs, ws = graph.edge_arrays
+    weight = np.zeros((graph.n, graph.n), dtype=np.int64)
+    weight[us, vs] = ws
+    weight[vs, us] = ws
+    return weight
+
+
 def _exhaustive_violating(
     graph: WeightedGraph, demands: list[int], phi: Fraction
 ) -> int | None:
@@ -124,10 +136,7 @@ def _exhaustive_violating(
     rationals; ties go to fewer vertices, then lower member ids.
     """
     n = graph.n
-    us, vs, ws = graph.edge_arrays
-    weight = np.zeros((n, n), dtype=np.int64)
-    weight[us, vs] = ws
-    weight[vs, us] = ws
+    weight = _weight_matrix(graph)
     deg = weight.sum(axis=1)
     cross = np.zeros(1 << n, dtype=np.int64)
     dsum = np.zeros(1 << n, dtype=np.int64)
@@ -185,15 +194,17 @@ def _spectral_search(
     sparsity that decides anything is compared as an exact rational, so
     scaling all demands by g returns the same mask and cross with the
     denominator scaled by g.
+
+    Cut weights move by gain[x] = deg(x) - 2 w(x, S), kept as an int64
+    vector: v joining S raises the cut weight by gain[v] and v leaving
+    lowers it by gain[v], and either move shifts gain by -/+ 2 weight[v].
+    |gain[x]| <= deg(x) < 2^62, so every value stays exact.
     """
     n = graph.n
     total = sum(demands)
-    us, vs, ws = graph.edge_arrays
-    w = np.zeros((n, n), dtype=np.float64)
-    w[us, vs] = ws
-    w[vs, us] = ws
-    deg = w.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
+    weight = _weight_matrix(graph)
+    w = weight.astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(w.sum(axis=1), 1.0))
     lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
     _, vecs = np.linalg.eigh(lap)
     fiedler = vecs[:, 1]
@@ -202,18 +213,18 @@ def _spectral_search(
             if x < 0:
                 fiedler = -fiedler
             break
-    order = np.lexsort((np.arange(n), fiedler))
+    order = np.lexsort((np.arange(n), fiedler)).tolist()
 
-    adj = graph.adj
-    best_mask = None
+    deg = weight.sum(axis=1)
+    gain = deg.copy()
+    best = None
     best_s: Fraction | None = None
     mask = 0
     d_in = 0
     cross = 0
-    for idx in range(n - 1):
-        v = int(order[idx])
-        for x, wt in adj[v]:
-            cross += -wt if (mask >> x) & 1 else wt
+    for v in order[:-1]:
+        cross += int(gain[v])
+        gain -= 2 * weight[v]
         mask |= 1 << v
         d_in += demands[v]
         denom = min(d_in, total - d_in)
@@ -221,14 +232,13 @@ def _spectral_search(
             s = Fraction(cross, denom)
             if best_s is None or s < best_s:
                 best_s = s
-                best_mask = mask
+                best = (mask, cross, d_in)
 
-    if best_mask is None:
+    if best is None:
         return None
-    mask = best_mask
-    cross = cut_weight(graph, VertexSet(n, mask))
-    d_in = sum(d for v, d in enumerate(demands) if (mask >> v) & 1)
-    current = Fraction(cross, min(d_in, total - d_in))
+    mask, cross, d_in = best
+    current = best_s
+    gain = deg - 2 * weight[:, VertexSet(n, mask).bools()].sum(axis=1)
     full = (1 << n) - 1
     for _ in range(4 * n):
         improved = False
@@ -237,17 +247,18 @@ def _spectral_search(
             new_mask = mask ^ (1 << v)
             if new_mask == 0 or new_mask == full:
                 continue
-            delta = 0
-            for x, wt in adj[v]:
-                delta += -wt if ((mask >> x) & 1) != inside else wt
-            new_cross = cross + delta
             new_din = d_in - demands[v] if inside else d_in + demands[v]
             denom = min(new_din, total - new_din)
             if denom <= 0:
                 continue
+            new_cross = cross - int(gain[v]) if inside else cross + int(gain[v])
             s = Fraction(new_cross, denom)
             if s < current:
                 mask, cross, d_in, current = new_mask, new_cross, new_din, s
+                if inside:
+                    gain += 2 * weight[v]
+                else:
+                    gain -= 2 * weight[v]
                 improved = True
         if not improved:
             break
@@ -386,7 +397,6 @@ def expander_decompose(
     graph: WeightedGraph,
     demands: DemandVector,
     phi: Fraction,
-    c_b: int = 1,
     certify_limit: int = EXHAUSTIVE_LIMIT,
     memo: dict | None = None,
 ) -> ExpanderDecomposition:
@@ -395,16 +405,14 @@ def expander_decompose(
     memo is the spectral search memo. Callers that decompose the same
     graph under demands differing only in scale share one; a fresh one is
     used when none is given. Raises DecompositionError if the split count
-    passes 4n or the final inter-cluster weight exceeds
-    c_b * phi * d(V) * ceil(lg n)^2. certify_limit must lie in
+    passes 4n or the final inter-cluster weight exceeds the budget
+    phi * d(V) * ceil(lg n)^2. certify_limit must lie in
     [0, EXHAUSTIVE_LIMIT].
     """
     _check_phi(phi)
     _check_certify_limit(certify_limit)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
-    if c_b < 1:
-        raise InputError("budget constant must be at least 1")
     if memo is None:
         memo = {}
     n = graph.n
@@ -435,7 +443,7 @@ def expander_decompose(
     certified_flags = tuple(flag for _, flag in done)
     inter = sum(cut_weight(graph, c) for c in clusters if len(c) < n) // 2
     lg = (max(n, 1) - 1).bit_length()
-    budget = Fraction(c_b) * phi * demands.total * lg * lg
+    budget = phi * demands.total * lg * lg
     if inter > budget:
         raise DecompositionError(
             f"inter-cluster weight {inter} exceeds budget {budget}"

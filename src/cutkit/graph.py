@@ -115,7 +115,7 @@ class WeightedGraph:
     The one stored form of the edges is ``edge_arrays``, a canonical
     (us, vs, ws) triple of int64 arrays: us < vs, sorted ascending by
     (u, v), parallel edges merged by weight summation, self loops and zero
-    weights dropped. ``edges``, ``adj`` and ``degrees`` are computed from it
+    weights dropped. ``edges`` and ``degrees`` are computed from it
     on every access, so read each once per function.
     """
 
@@ -175,15 +175,6 @@ class WeightedGraph:
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """The canonical edges as (u, v, w) tuples of Python ints."""
         return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
-
-    @property
-    def adj(self) -> list[list[tuple[int, int]]]:
-        """Adjacency index: adj[u] = [(v, w), ...] ascending by v."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
     @property
     def degrees(self) -> np.ndarray:

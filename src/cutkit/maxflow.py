@@ -52,8 +52,14 @@ class FlowMeter:
         self.calls.append((n, m))
 
     def bundle(self, mark: int) -> None:
-        """Charge the calls made since snapshot() returned mark as one call."""
-        self.bundled += len(self.calls) - mark - 1
+        """Charge the calls made since snapshot() returned mark as one call.
+
+        Bundling zero or one call changes nothing; mark must lie in
+        [0, call_count].
+        """
+        if not 0 <= mark <= len(self.calls):
+            raise InputError(f"bundle mark {mark} outside [0, {len(self.calls)}]")
+        self.bundled += max(len(self.calls) - mark - 1, 0)
 
     @property
     def equivalent_calls(self) -> int:
@@ -294,8 +300,14 @@ def _dimacs_int(token: str, lineno: int) -> int:
 
 
 def parse_dimacs(text: str) -> tuple[WeightedGraph, int, int]:
-    n = None
-    source = sink = None
+    """Graph, source and sink of a DIMACS max-flow file.
+
+    The one ``p`` line comes first, each of ``n <id> s`` and ``n <id> t``
+    appears once, and the header's arc count must equal the number of
+    ``a`` lines; anything else raises InputError.
+    """
+    n = m = None
+    ends = {"s": None, "t": None}
     triples: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -304,28 +316,33 @@ def parse_dimacs(text: str) -> tuple[WeightedGraph, int, int]:
         parts = line.split()
         tag = parts[0]
         if tag == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: duplicate 'p' line")
             if len(parts) != 4 or parts[1] != "max":
                 raise InputError(f"line {lineno}: header must be 'p max <n> <m>'")
-            n = _dimacs_int(parts[2], lineno)
+            n, m = (_dimacs_int(x, lineno) for x in parts[2:])
+        elif tag not in ("n", "a"):
+            raise InputError(f"line {lineno}: unknown line tag {tag!r}")
+        elif n is None:
+            raise InputError(f"line {lineno}: {tag!r} line before the 'p' line")
         elif tag == "n":
-            if len(parts) != 3 or parts[2] not in ("s", "t"):
+            if len(parts) != 3 or parts[2] not in ends:
                 raise InputError(f"line {lineno}: node line must be 'n <id> s|t'")
-            if parts[2] == "s":
-                source = _dimacs_int(parts[1], lineno) - 1
-            else:
-                sink = _dimacs_int(parts[1], lineno) - 1
-        elif tag == "a":
+            if ends[parts[2]] is not None:
+                raise InputError(f"line {lineno}: duplicate 'n <id> {parts[2]}' line")
+            ends[parts[2]] = _dimacs_int(parts[1], lineno) - 1
+        else:
             if len(parts) != 4:
                 raise InputError(f"line {lineno}: arc line must be 'a <u> <v> <cap>'")
             u, v, c = (_dimacs_int(x, lineno) for x in parts[1:])
             triples.append((u - 1, v - 1, c))
-        else:
-            raise InputError(f"line {lineno}: unknown line tag {tag!r}")
     if n is None:
         raise InputError("missing 'p max' header")
-    if source is None or sink is None:
+    if m != len(triples):
+        raise InputError(f"header declares {m} arcs, found {len(triples)}")
+    if ends["s"] is None or ends["t"] is None:
         raise InputError("missing source or sink designation")
-    return WeightedGraph(n, triples), source, sink
+    return WeightedGraph(n, triples), ends["s"], ends["t"]
 
 
 def write_dimacs(graph: WeightedGraph, s: int, t: int) -> str:

@@ -27,7 +27,7 @@ from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_
 from .graph import Cut, VertexSet, WeightedGraph, components
 from .isolating import minimum_isolating_cuts
 from .maxflow import FlowMeter, max_flow
-from .oracles import naive_steiner, stoer_wagner
+from .oracles import naive_steiner
 from .splitters import isolator_family_min2
 
 
@@ -49,17 +49,17 @@ class AlgoConfig:
 
     phi is the expansion parameter; k defaults to the smallest unbalance
     threshold that makes the two driver cases exhaustive, ceil((1+1/phi)^3).
-    Overriding k below that threshold trades the worst-case guarantee for
-    speed and is only safe together with the fallback. rand_reps defaults
-    to ceil(4*lg n) per sampling scale.
+    Overriding k below that threshold drops the worst-case flow bound but
+    not exactness: the deterministic driver's fallback repairs every guess
+    it abandons, so its answer is exact at any phi and k. rand_reps
+    defaults to ceil(4*lg n) per sampling scale. collect_decompositions
+    keeps every decomposition the deterministic driver makes on its report.
     """
 
     phi: Fraction = Fraction(1, 16)
     k: int | None = None
     rand_reps: int | None = None
     seed: int = 0
-    fallback_enabled: bool = True
-    estimator: str = "geometric"
     collect_decompositions: bool = False
 
     def __post_init__(self):
@@ -68,8 +68,6 @@ class AlgoConfig:
             raise InputError("k must be at least 2")
         if self.rand_reps is not None and self.rand_reps < 1:
             raise InputError("rand_reps must be positive")
-        if self.estimator not in ("geometric", "oracle"):
-            raise InputError(f"unknown estimator {self.estimator!r}")
 
     def k_effective(self) -> int:
         if self.k is not None:
@@ -172,23 +170,17 @@ def _terminal_split_component(
     raise ContractViolation("terminal missing from every component")
 
 
-def approx_mincut_estimate(inst: SteinerInstance, cfg: AlgoConfig | None = None) -> Estimate:
+def approx_mincut_estimate(inst: SteinerInstance) -> Estimate:
     """Flow-free bracket of the minimum Steiner cut weight, plus guesses.
 
-    The geometric estimator brackets with [1, min terminal degree] and
-    returns the power-of-two ladder covering that range; some ladder entry
-    is within a factor two above the true weight. The oracle estimator is
-    exact but only applies when every vertex is a terminal.
+    Brackets with [1, min terminal degree] and returns the power-of-two
+    ladder covering that range, so some ladder entry is within a factor
+    two above the true weight. A graph whose terminals span several
+    components has weight 0 and an empty ladder.
     """
-    cfg = cfg or AlgoConfig()
     graph, terminals = inst.graph, inst.terminals
     if _terminal_split_component(graph, terminals) is not None:
         return Estimate(0, 0, 0, ())
-    if cfg.estimator == "oracle":
-        if terminals != graph.full_set:
-            raise InputError("oracle estimator requires every vertex terminal")
-        lam = stoer_wagner(graph).weight
-        return Estimate(lam, lam, lam, (lam,))
     ub = int(graph.degrees[terminals.bools()].min())
     guesses = [1]
     while guesses[-1] < ub:
@@ -333,7 +325,7 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     if len(terminals) < k:
         best = run_pairwise(terminals)
     else:
-        estimate = approx_mincut_estimate(inst, cfg)
+        estimate = approx_mincut_estimate(inst)
         trace.lambda_guesses = estimate.guesses
         dead: list[tuple[int, VertexSet]] = []
         for guess in estimate.guesses:
@@ -367,13 +359,12 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
                 best = _lighter(best, run_pairwise(pool))
             gtrace.final_u_size = len(pool)
 
-        if cfg.fallback_enabled:
-            # best only falls, so a guess skipped here would stay skipped.
-            for guess, pool in dead:
-                if guess < 2 * best.weight:
-                    cut = naive_steiner(engine, SteinerInstance(graph, pool), meter)
-                    best = _lighter(best, cut)
-                    trace.fallback_runs.append((guess, len(pool)))
+        # best only falls, so a guess skipped here would stay skipped.
+        for guess, pool in dead:
+            if guess < 2 * best.weight:
+                cut = naive_steiner(engine, SteinerInstance(graph, pool), meter)
+                best = _lighter(best, cut)
+                trace.fallback_runs.append((guess, len(pool)))
 
     return _finish(inst, best, meter, trace, records)
 

@@ -103,6 +103,10 @@ def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 4:")
     assert "Traceback" not in err
+    path.write_text("p max 2 1\np max 5 1\nn 1 s\nn 2 t\na 1 2 3\n")
+    code = main(["maxflow", "--graph", str(path), "--format", "dimacs"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: duplicate 'p' line\n"
 
 
 def test_maxflow_sink_on_source_side_is_invariant_failure(dumbbell_path, monkeypatch, capsys):

@@ -22,8 +22,14 @@ from cutkit import (
     split_terminal_sum,
     verify_expander,
 )
-from cutkit.expander import EXHAUSTIVE_LIMIT, ExpanderCheck, _exhaustive_violating
+from cutkit.expander import (
+    EXHAUSTIVE_LIMIT,
+    ExpanderCheck,
+    _exhaustive_violating,
+    _spectral_search,
+)
 from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
+from cutkit.graph import contract
 
 from helpers import rand_graph
 
@@ -237,11 +243,9 @@ def test_decompose_heuristic_above_limit():
 def test_decompose_budget_formula_and_validation():
     g = dumbbell_graph(10)
     d = DemandVector.uniform(10, 1)
-    dec = expander_decompose(g, d, Fraction(1, 2), c_b=2)
+    dec = expander_decompose(g, d, Fraction(1, 2))
     lg = 9 .bit_length()
-    assert dec.budget == 2 * Fraction(1, 2) * d.total * lg * lg
-    with pytest.raises(InputError):
-        expander_decompose(g, d, Fraction(1, 2), c_b=0)
+    assert dec.budget == Fraction(1, 2) * d.total * lg * lg
     with pytest.raises(InputError):
         expander_decompose(g, DemandVector.uniform(9, 1), Fraction(1, 2))
 
@@ -309,6 +313,61 @@ def test_exhaustive_doubling_matches_per_mask_reference():
         found += expected is not None
     # Both answers must be well represented, or the comparison shows little.
     assert 40 <= found <= 160
+
+
+def heavy_quotient(groups: int, extra: int, rng: random.Random):
+    """Contract `groups` blocks of 91 vertices, joined block to block by edges
+    just under 2^40, so every merged block-to-block weight passes 2^53."""
+    size = 91
+    n = groups * size + extra
+    edges = [
+        (a * size + i, b * size + j, (1 << 40) - rng.randint(0, 1 << 20))
+        for a in range(groups)
+        for b in range(a + 1, groups)
+        for i in range(size)
+        for j in range(size)
+    ]
+    edges += [(rng.randrange(n), groups * size + x, rng.randint(1, 1 << 40)) for x in range(extra)]
+    labels = [v // size for v in range(groups * size)] + list(range(groups, groups + extra))
+    return contract(build_graph(n, edges), labels).graph
+
+
+def test_spectral_search_triples_are_exact():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(2, 40)
+        w_max = 1 << rng.choice((0, 3, 20, 40))
+        p = rng.random()
+        edges = [
+            (u, v, rng.randint(1, w_max))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        d_max = 1 << rng.choice((0, 4, 30))
+        demands = tuple(rng.choice((0, rng.randint(1, d_max))) for _ in range(n))
+        cases.append((build_graph(n, edges), demands))
+    for groups in (2, 3, 4):
+        for extra in (0, 2, 5):
+            g = heavy_quotient(groups, extra, rng)
+            assert int(g.edge_arrays[2].max()) > 1 << 53
+            cases.append((g, tuple(rng.randint(1, 1 << 30) for _ in range(g.n))))
+    found = heavy = 0
+    for g, demands in cases:
+        result = _spectral_search(g, demands)
+        if result is None:
+            continue
+        mask, cross, denominator = result
+        side = VertexSet(g.n, mask)
+        assert type(cross) is int and cross == cut_weight(g, side), (g.n, demands)
+        d_in = sum(demands[v] for v in side)
+        assert denominator == min(d_in, sum(demands) - d_in) > 0
+        found += 1
+        heavy += cross > 1 << 53
+    # Most searches must return a cut, and the block-only quotients' cuts
+    # must carry merged weights past 2^53.
+    assert found >= 120 and heavy >= 3
 
 
 def decomposition_fields(dec):

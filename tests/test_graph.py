@@ -58,9 +58,8 @@ def test_bad_edges_rejected():
             build_graph(2, [edge])
 
 
-def test_adjacency_ascending():
+def test_degree_weight():
     g = build_graph(4, [(0, 3, 1), (0, 1, 2), (0, 2, 3)])
-    assert g.adj[0] == [(1, 2), (2, 3), (3, 1)]
     assert g.degree_weight(0) == 6
     assert g.degree_weight(3) == 1
 

@@ -182,6 +182,22 @@ def test_meter_snapshot_delta_merge(dinic):
     meter.bundle(mark)
     assert meter.call_count == 5
     assert meter.equivalent_calls == 3
+    # Bundling zero or one call changes nothing.
+    empty = FlowMeter()
+    empty.bundle(empty.snapshot())
+    assert (empty.call_count, empty.equivalent_calls) == (0, 0)
+    mark = meter.snapshot()
+    meter.bundle(mark)
+    meter.record(10, 20)
+    meter.bundle(mark)
+    assert (meter.call_count, meter.equivalent_calls) == (6, 4)
+    # A mark outside [0, call_count] is refused and changes nothing.
+    one = FlowMeter()
+    one.record(1, 0)
+    for bad in (-1, 2, 5):
+        with pytest.raises(InputError):
+            one.bundle(bad)
+    assert (one.call_count, one.equivalent_calls) == (1, 1)
 
 
 def test_min_cut_separating_contracts_sides(any_engine):
@@ -234,6 +250,18 @@ def test_dimacs_parse_errors():
         parse_dimacs("p max 3 1\nn 1 s\nn 3 t\nx 0\n")
     with pytest.raises(InputError):
         parse_dimacs("p flow 3 1\n")
+    faults = {
+        "duplicate 'p' line": "p max 3 1\np max 5 1\nn 1 s\nn 3 t\na 1 2 3\n",
+        "not an integer": "p max 3 foo\nn 1 s\nn 3 t\na 1 2 3\n",
+        "declares 7 arcs, found 1": "p max 3 7\nn 1 s\nn 3 t\na 1 2 3\n",
+        "'n' line before": "n 1 s\np max 3 1\nn 3 t\na 1 2 3\n",
+        "'a' line before": "a 1 2 3\np max 3 1\nn 1 s\nn 3 t\n",
+        "duplicate 'n <id> s'": "p max 3 1\nn 1 s\nn 2 s\nn 3 t\na 1 2 3\n",
+        "duplicate 'n <id> t'": "p max 3 1\nn 1 s\nn 3 t\nn 2 t\na 1 2 3\n",
+    }
+    for message, bad in faults.items():
+        with pytest.raises(InputError, match=message):
+            parse_dimacs(bad)
     for bad in ("p max x 1\n", "p max 3 1\nn y s\n", "p max 3 1\na 1 2 x\n"):
         with pytest.raises(InputError, match="not an integer"):
             parse_dimacs(bad)
