@@ -15,3 +15,9 @@ class ContractViolation(CutkitError, RuntimeError):
 
 class DecompositionError(CutkitError, RuntimeError):
     """Expander decomposition could not produce a valid certified partition."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise InputError unless value is an int; a bool does not count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an int, got {value!r}")

@@ -1,45 +1,25 @@
-"""Deterministic splitter families and the isolator set families built on them.
+"""Deterministic isolator set families built from residue classes.
 
-A (n, k)-splitter family is a set of functions on [n] such that every
-k-subset of [n] is mapped injectively by at least one function. We use
-residue maps f_p(x) = x mod p over a pool of small primes p >= k.
-
-Counting argument for the pool size: f_p fails on a k-subset S only if p
-divides some difference x - y of distinct elements of S. The product of all
-C(k, 2) such differences is below n^C(k,2) <= 2^(C(k,2) * ceil(lg n)), so at
-most C(k, 2) * ceil(lg n) distinct primes divide it. A pool of one more
-prime than that always contains a prime with no collision on S. As a safety
-net the property is checked exhaustively for every n <= 16; a failure there
-raises rather than returning a family without the guarantee.
+The residue maps x -> x mod p over a pool of small primes p >= k form a
+(n, k)-splitter family: every k-subset S of [n] is mapped injectively by one
+of them, so each class of that map meets S in at most one element. Counting
+argument for the pool size: x mod p fails on S only if p divides some
+difference x - y of distinct elements of S. The product of all C(k, 2) such
+differences is below 2^(C(k,2) * ceil(lg n)), so at most C(k, 2) * ceil(lg n)
+distinct primes divide it, and a pool of one more prime always contains one
+with no collision on S. As a safety net every family on at most
+EXHAUSTIVE_LIMIT elements is checked exhaustively when it is built; a
+failure there raises rather than returning a family without the guarantee.
 """
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation, InputError, require_int
 from .graph import VertexSet
 
 EXHAUSTIVE_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class SplitterFunction:
-    """One hash in the family: x -> x mod prime, or constant 0 for k = 1."""
-
-    n: int
-    k: int
-    prime: int | None
-
-    def __call__(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise InputError(f"argument {x} outside universe of size {self.n}")
-        if self.prime is None:
-            return 0
-        return x % self.prime
-
-    @property
-    def range_size(self) -> int:
-        return 1 if self.prime is None else self.prime
 
 
 def _primes_from(start: int, count: int) -> list[int]:
@@ -61,37 +41,28 @@ def _pool_size(n: int, k: int) -> int:
     return k * (k - 1) // 2 * log_term + 1
 
 
-def splitter_family(n: int, k: int) -> list[SplitterFunction]:
-    """Residue functions on [n], at least one injective on every k-subset."""
-    if n < 1:
-        raise InputError("universe must be nonempty")
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k == 1:
-        return [SplitterFunction(n, 1, None)]
-    fns = [SplitterFunction(n, k, p) for p in _primes_from(k, _pool_size(n, k))]
-    if n <= EXHAUSTIVE_LIMIT:
-        bad = _find_unsplit_subset(n, k, fns)
-        if bad is not None:
-            raise ContractViolation(
-                f"splitter family for n={n}, k={k} misses subset {bad}"
-            )
-    return fns
+def _check_args(n: int, k: int, min2: bool) -> None:
+    """Both ints, 1 <= k <= n, and k < n for min2 so k partners exist."""
+    require_int("n", n)
+    require_int("k", k)
+    if not 1 <= k <= n - min2:
+        raise InputError(f"need 1 <= k <= {'n - 1' if min2 else 'n'}, got k={k}, n={n}")
 
 
-def _find_unsplit_subset(
-    n: int, k: int, fns: list[SplitterFunction]
-) -> tuple[int, ...] | None:
-    """First k-subset of [n] no function splits injectively, if any."""
-    tables = [[f(x) for x in range(n)] for f in fns]
-    for subset in itertools.combinations(range(n), k):
-        for table in tables:
-            values = [table[x] for x in subset]
-            if len(set(values)) == k:
-                break
-        else:
-            return subset
-    return None
+def _cells(n: int, k: int) -> Iterator[int]:
+    """Residue-class masks on [n] for every level k' <= k, in family order.
+
+    Level one is the whole universe. Level k' >= 2 has, for each prime p in
+    its pool, the classes {x : x mod p = j} for j < min(p, n). A set S with
+    1 <= |S| <= k meets some class of level |S| in exactly one element.
+    """
+    yield (1 << n) - 1
+    for kp in range(2, k + 1):
+        for p in _primes_from(kp, _pool_size(n, kp)):
+            classes = [0] * min(p, n)
+            for x in range(n):
+                classes[x % p] |= 1 << x
+            yield from classes
 
 
 @dataclass(frozen=True)
@@ -128,49 +99,38 @@ class SetFamily:
 
 
 def family_size_bound(n: int, k: int, min2: bool = False) -> int:
-    """Cap on the family size, computable without building the sets.
+    """Cap on the family size: one set per residue class, k per class for min2."""
+    _check_args(n, k, min2)
+    cells = sum(1 for _ in _cells(n, k))
+    return cells * k if min2 else cells
 
-    Each residue function x -> x mod p contributes at most min(p, n)
-    nonempty preimage cells; level one contributes the whole universe.
-    The min2 variant replaces each cell with at most k padded sets.
-    """
-    base = 0
-    for kp in range(1, k + 1):
-        if kp == 1:
-            base += 1
+
+def _build(n: int, k: int, min2: bool) -> SetFamily:
+    _check_args(n, k, min2)
+    masks: dict[int, None] = {}  # insertion-ordered set of distinct masks
+    cells = 0
+    for mask in _cells(n, k):
+        cells += 1
+        if min2 and mask.bit_count() == 1:
+            partners = [y for y in range(k + 1) if 1 << y != mask][:k]
+            masks.update(dict.fromkeys(mask | 1 << y for y in partners))
         else:
-            base += sum(min(p, n) for p in _primes_from(kp, _pool_size(n, kp)))
-    return base * k if min2 else base
+            masks[mask] = None
+    family = SetFamily(
+        universe=n,
+        k=k,
+        sets=tuple(VertexSet(n, m) for m in masks),
+        size_bound=cells * k if min2 else cells,
+        variant="isolator_min2" if min2 else "isolator",
+    )
+    if n <= EXHAUSTIVE_LIMIT:
+        verify_isolator(family)
+    return family
 
 
 def isolator_family(n: int, k: int) -> SetFamily:
-    """Preimage sets of splitter families for every level k' <= k.
-
-    If 1 <= |S| <= k, the level k' = |S| has a function injective on S, and
-    each of its preimage cells meets S in exactly one element.
-    """
-    if n < 1:
-        raise InputError("universe must be nonempty")
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    seen: dict[int, VertexSet] = {}
-    for kp in range(1, k + 1):
-        for fn in splitter_family(n, kp):
-            cells: dict[int, int] = {}
-            for x in range(n):
-                cells.setdefault(fn(x), 0)
-                cells[fn(x)] |= 1 << x
-            for j in sorted(cells):
-                mask = cells[j]
-                if mask and mask not in seen:
-                    seen[mask] = VertexSet(n, mask)
-    return SetFamily(
-        universe=n,
-        k=k,
-        sets=tuple(seen.values()),
-        size_bound=family_size_bound(n, k),
-        variant="isolator",
-    )
+    """Distinct residue classes of every level k' <= k, in first-seen order."""
+    return _build(n, k, min2=False)
 
 
 def isolator_family_min2(n: int, k: int) -> SetFamily:
@@ -181,48 +141,29 @@ def isolator_family_min2(n: int, k: int) -> SetFamily:
     of those pairs, so some replacement still meets S exactly in x. Needs
     k < n so that k distinct partners exist.
     """
-    if not 1 <= k < n:
-        raise InputError(f"padding needs 1 <= k < n, got k={k}, n={n}")
-    base = isolator_family(n, k)
-    seen: dict[int, VertexSet] = {}
-    for s in base.sets:
-        if len(s) >= 2:
-            if s.mask not in seen:
-                seen[s.mask] = s
-            continue
-        x = s.smallest()
-        partners = [y for y in range(n) if y != x][:k]
-        for y in partners:
-            mask = (1 << x) | (1 << y)
-            if mask not in seen:
-                seen[mask] = VertexSet(n, mask)
-    return SetFamily(
-        universe=n,
-        k=k,
-        sets=tuple(seen.values()),
-        size_bound=family_size_bound(n, k, min2=True),
-        variant="isolator_min2",
-    )
+    return _build(n, k, min2=True)
 
 
-def verify_isolator(family: SetFamily, k: int | None = None) -> None:
+def verify_isolator(family: SetFamily) -> None:
     """Exhaustively check the isolation guarantee; raises on any miss.
 
     Cost grows as C(n, k), so keep this to small universes.
     """
-    kk = family.k if k is None else k
-    n = family.universe
     masks = [s.mask for s in family.sets]
-    min2 = family.variant == "isolator_min2"
-    for size in range(1, kk + 1):
-        for subset in itertools.combinations(range(n), size):
-            smask = 0
-            for x in subset:
-                smask |= 1 << x
-            for mask in masks:
-                if (mask & smask).bit_count() == 1 and (not min2 or mask.bit_count() >= 2):
+    if family.variant == "isolator_min2":
+        masks = [m for m in masks if m.bit_count() >= 2]
+    bits = [1 << x for x in range(family.universe)]
+    # Consecutive subsets share most elements, so the set that isolated the
+    # last one usually isolates the next and is tried first.
+    hit = 0
+    for size in range(1, family.k + 1):
+        for subset in itertools.combinations(bits, size):
+            smask = sum(subset)
+            if (hit & smask).bit_count() == 1:
+                continue
+            for hit in masks:
+                if (hit & smask).bit_count() == 1:
                     break
             else:
-                raise ContractViolation(
-                    f"no family set isolates one element of {subset}"
-                )
+                ids = tuple(b.bit_length() - 1 for b in subset)
+                raise ContractViolation(f"no family set isolates one element of {ids}")

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ContractViolation, DecompositionError, InputError
+from .errors import ContractViolation, DecompositionError, InputError, require_int
 from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_decompose
 from .graph import Cut, VertexSet, WeightedGraph, components
 from .isolating import minimum_isolating_cuts
@@ -64,10 +64,14 @@ class AlgoConfig:
 
     def __post_init__(self):
         _check_phi(self.phi)
-        if self.k is not None and self.k < 2:
-            raise InputError("k must be at least 2")
-        if self.rand_reps is not None and self.rand_reps < 1:
-            raise InputError("rand_reps must be positive")
+        if self.k is not None:
+            require_int("k", self.k)
+            if self.k < 2:
+                raise InputError("k must be at least 2")
+        if self.rand_reps is not None:
+            require_int("rand_reps", self.rand_reps)
+            if self.rand_reps < 1:
+                raise InputError("rand_reps must be positive")
 
     def k_effective(self) -> int:
         if self.k is not None:

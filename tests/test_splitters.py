@@ -10,53 +10,109 @@ from cutkit import (
     family_size_bound,
     isolator_family,
     isolator_family_min2,
-    splitter_family,
+    splitters,
     verify_isolator,
 )
 
 
-def is_injective_on(fn, subset):
-    return len({fn(x) for x in subset}) == len(subset)
+def isolates(family, subset):
+    smask = sum(1 << x for x in subset)
+    return any((r.mask & smask).bit_count() == 1 for r in family)
 
 
-def test_k1_family_is_single_constant():
-    fns = splitter_family(7, 1)
-    assert len(fns) == 1
-    assert [fns[0](x) for x in range(7)] == [0] * 7
-    assert fns[0].range_size == 1
-
-
-def test_function_range_and_domain():
-    fns = splitter_family(10, 3)
-    for fn in fns:
-        assert fn.range_size == fn.prime >= 3
-        for x in range(10):
-            assert 0 <= fn(x) < fn.range_size
-    with pytest.raises(InputError):
-        fns[0](10)
-    with pytest.raises(InputError):
-        fns[0](-1)
+def test_k1_family_is_single_universe():
+    fam = isolator_family(7, 1)
+    assert [r.members() for r in fam] == [list(range(7))]
+    assert fam.size_bound == 1
 
 
 def test_every_pair_split_n8():
-    fns = splitter_family(8, 2)
+    fam = isolator_family(8, 2)
     for pair in itertools.combinations(range(8), 2):
-        assert any(is_injective_on(fn, pair) for fn in fns), pair
+        assert isolates(fam, pair), pair
 
 
 def test_every_triple_split_n16():
-    fns = splitter_family(16, 3)
+    fam = isolator_family(16, 3)
     for triple in itertools.combinations(range(16), 3):
-        assert any(is_injective_on(fn, triple) for fn in fns), triple
+        assert isolates(fam, triple), triple
 
 
 def test_family_arguments_validated():
-    with pytest.raises(InputError):
-        splitter_family(0, 1)
-    with pytest.raises(InputError):
-        splitter_family(5, 6)
-    with pytest.raises(InputError):
-        splitter_family(5, 0)
+    bad = [
+        (isolator_family, 0, 1),
+        (isolator_family, 5, 6),
+        (isolator_family, 5, 0),
+        (isolator_family, 10, 2.0),
+        (isolator_family, 10.0, 2),
+        (isolator_family_min2, 10, True),
+        (isolator_family_min2, 4, 4),
+        (family_size_bound, 4, 9),
+        (family_size_bound, 5, 0),
+        (family_size_bound, 0, 1),
+    ]
+    for build, n, k in bad:
+        with pytest.raises(InputError):
+            build(n, k)
+
+
+def first_primes_from(start, count):
+    primes = []
+    p = max(start, 2)
+    while len(primes) < count:
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+def reference_cells(n, k):
+    """The universe, then the residue classes mod each prime of every level's pool."""
+    cells = [list(range(n))]
+    log_term = max(1, (max(n, 2) - 1).bit_length())
+    for kp in range(2, k + 1):
+        for p in first_primes_from(kp, kp * (kp - 1) // 2 * log_term + 1):
+            cells += [list(range(j, n, p)) for j in range(min(p, n))]
+    return cells
+
+
+def reference_family(n, k, min2):
+    sets = []
+    for cell in reference_cells(n, k):
+        if min2 and len(cell) == 1:
+            x = cell[0]
+            padded = [sorted((x, y)) for y in [y for y in range(n) if y != x][:k]]
+        else:
+            padded = [cell]
+        sets += [s for s in padded if s not in sets]
+    return sets, len(reference_cells(n, k)) * (k if min2 else 1)
+
+
+def test_families_match_residue_reference():
+    cases = [(n, k) for n in range(1, 41) for k in range(1, min(n, 5) + 1)]
+    for n, k in cases + [(256, 2), (320, 2)]:
+        for build, min2 in ((isolator_family, False), (isolator_family_min2, True)):
+            if min2 and k == n:
+                continue
+            fam = build(n, k)
+            sets, bound = reference_family(n, k, min2)
+            assert [r.members() for r in fam] == sets, (n, k, min2)
+            assert fam.size_bound == bound == family_size_bound(n, k, min2=min2)
+
+
+def test_builder_safety_net_fires(monkeypatch):
+    full = splitters._cells
+    # (8, 1) has one cell, the universe; drop it.
+    monkeypatch.setattr(splitters, "_cells", lambda n, k: list(full(n, k))[1:])
+    with pytest.raises(ContractViolation):
+        isolator_family_min2(8, 1)
+    # No single cell of (8, 2) is essential, so keep only the universe and
+    # the classes mod 2: the pair {0, 2} then meets every set in 0 or 2.
+    monkeypatch.setattr(splitters, "_cells", lambda n, k: list(full(n, k))[:3])
+    with pytest.raises(ContractViolation):
+        isolator_family_min2(8, 2)
+    with pytest.raises(ContractViolation):
+        isolator_family(8, 2)
 
 
 def test_isolator_covers_all_small_subsets():

@@ -60,6 +60,9 @@ def test_config_validation():
         AlgoConfig(k=1)
     with pytest.raises(InputError):
         AlgoConfig(rand_reps=0)
+    for bad in ({"k": 3.0}, {"k": True}, {"rand_reps": 1.5}, {"rand_reps": True}):
+        with pytest.raises(InputError):
+            AlgoConfig(phi=Fraction(1, 4), **bad)
 
 
 def test_readme_config_table_lists_every_field():
