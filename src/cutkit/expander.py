@@ -103,14 +103,6 @@ def _check_phi(phi: Fraction) -> None:
         raise InputError(f"phi must be a Fraction in (0, 1], got {phi}")
 
 
-def _check_certify_limit(certify_limit: int) -> None:
-    # Past EXHAUSTIVE_LIMIT the exact tables would hold 2^certify_limit entries.
-    if not 0 <= certify_limit <= EXHAUSTIVE_LIMIT:
-        raise InputError(
-            f"certify_limit must be in [0, {EXHAUSTIVE_LIMIT}], got {certify_limit}"
-        )
-
-
 def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
     """Dense symmetric int64 matrix of edge weights, zero on the diagonal.
 
@@ -296,19 +288,18 @@ def _violating_cut(
     graph: WeightedGraph,
     demands: list[int],
     phi: Fraction,
-    certify_limit: int,
     memo: dict,
 ) -> tuple[int | None, bool]:
     """Mask of a cut sparser than phi (or None), and whether the search was exact.
 
-    Exhaustive up to certify_limit vertices, in O(2^n) table work; above it
+    Exhaustive up to EXHAUSTIVE_LIMIT vertices, in O(2^n) table work; above it
     the spectral heuristic, whose scale-free search is looked up in memo
     (see _heuristic_violating). A witness from either is re-checked exactly.
     A graph of at most one vertex has no proper cut, so none violates.
     """
     if graph.n <= 1:
         return None, True
-    certified = graph.n <= certify_limit
+    certified = graph.n <= EXHAUSTIVE_LIMIT
     if certified:
         mask = _exhaustive_violating(graph, demands, phi)
     else:
@@ -334,20 +325,17 @@ def verify_expander(
     graph: WeightedGraph,
     demands: DemandVector,
     phi: Fraction,
-    certify_limit: int = EXHAUSTIVE_LIMIT,
 ) -> ExpanderCheck:
     """Check whether every cut of the graph has sparsity at least phi.
 
-    Exhaustive (and therefore a certificate) up to certify_limit vertices;
-    above that the spectral heuristic only ever refutes, so ok=True with
-    certified=False is advisory. certify_limit must lie in
-    [0, EXHAUSTIVE_LIMIT].
+    Exhaustive (and therefore a certificate) up to EXHAUSTIVE_LIMIT
+    vertices; above that the spectral heuristic only ever refutes, so
+    ok=True with certified=False is advisory.
     """
     _check_phi(phi)
-    _check_certify_limit(certify_limit)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
-    mask, certified = _violating_cut(graph, list(demands.values), phi, certify_limit, {})
+    mask, certified = _violating_cut(graph, list(demands.values), phi, {})
     if mask is None:
         return ExpanderCheck(True, certified, None, None)
     side = VertexSet(graph.n, mask)
@@ -397,7 +385,6 @@ def expander_decompose(
     graph: WeightedGraph,
     demands: DemandVector,
     phi: Fraction,
-    certify_limit: int = EXHAUSTIVE_LIMIT,
     memo: dict | None = None,
 ) -> ExpanderDecomposition:
     """Partition V into clusters with no (detected) cut sparser than phi.
@@ -406,11 +393,9 @@ def expander_decompose(
     graph under demands differing only in scale share one; a fresh one is
     used when none is given. Raises DecompositionError if the split count
     passes 4n or the final inter-cluster weight exceeds the budget
-    phi * d(V) * ceil(lg n)^2. certify_limit must lie in
-    [0, EXHAUSTIVE_LIMIT].
+    phi * d(V) * ceil(lg n)^2.
     """
     _check_phi(phi)
-    _check_certify_limit(certify_limit)
     if demands.n != graph.n:
         raise InputError("demand vector length must match graph")
     if memo is None:
@@ -427,7 +412,7 @@ def expander_decompose(
             continue
         sub, ids = induced_subgraph(graph, cluster)
         aug = augmented_demands(graph, cluster, demands)
-        mask, certified = _violating_cut(sub, aug, phi, certify_limit, memo)
+        mask, certified = _violating_cut(sub, aug, phi, memo)
         if mask is None:
             done.append((cluster, certified))
             continue

@@ -80,7 +80,7 @@ def minimum_isolating_cuts(
         raise InputError("terminal universe does not match graph")
     members = terminals.members()
 
-    mark_a = meter.snapshot()
+    mark_a = meter.call_count
     schedule = bipartition_schedule(terminals)  # raises on fewer than two terminals
     us, vs, _ = graph.edge_arrays
     removed = np.zeros(graph.m, dtype=bool)
@@ -100,7 +100,7 @@ def minimum_isolating_cuts(
             f"component holds terminals {shared}; phase A cuts must separate R"
         )
 
-    mark_b = meter.snapshot()
+    mark_b = meter.call_count
     entries: dict[int, IsolatingCutEntry] = {}
     for v, label in zip(members, held):
         comp = VertexSet.from_bools(labels == label)

@@ -52,7 +52,7 @@ class FlowMeter:
         self.calls.append((n, m))
 
     def bundle(self, mark: int) -> None:
-        """Charge the calls made since snapshot() returned mark as one call.
+        """Charge the calls made since call_count was mark as one call.
 
         Bundling zero or one call changes nothing; mark must lie in
         [0, call_count].
@@ -76,10 +76,6 @@ class FlowMeter:
     @property
     def aggregate_edges(self) -> int:
         return sum(m for _, m in self.calls)
-
-    def snapshot(self) -> int:
-        """Marker for later delta(); returns the current call index."""
-        return len(self.calls)
 
     def delta(self, mark: int) -> list[tuple[int, int]]:
         return self.calls[mark:]

@@ -220,7 +220,7 @@ def naive_isolating(
     members = terminals.members()
     if len(members) < 2:
         raise InputError("need at least two terminals")
-    mark = meter.snapshot()
+    mark = meter.call_count
     entries: dict[int, IsolatingCutEntry] = {}
     for v in members:
         rest = terminals.difference(VertexSet(graph.n, 1 << v))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ContractViolation, DecompositionError, InputError, require_int
 from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_decompose
-from .graph import Cut, VertexSet, WeightedGraph, components
+from .graph import MAX_TOTAL_WEIGHT, Cut, VertexSet, WeightedGraph, components
 from .isolating import minimum_isolating_cuts
 from .maxflow import FlowMeter, max_flow
 from .oracles import naive_steiner
@@ -52,15 +52,13 @@ class AlgoConfig:
     Overriding k below that threshold drops the worst-case flow bound but
     not exactness: the deterministic driver's fallback repairs every guess
     it abandons, so its answer is exact at any phi and k. rand_reps
-    defaults to ceil(4*lg n) per sampling scale. collect_decompositions
-    keeps every decomposition the deterministic driver makes on its report.
+    defaults to ceil(4*lg n) per sampling scale.
     """
 
     phi: Fraction = Fraction(1, 16)
     k: int | None = None
     rand_reps: int | None = None
     seed: int = 0
-    collect_decompositions: bool = False
 
     def __post_init__(self):
         _check_phi(self.phi)
@@ -83,16 +81,6 @@ class AlgoConfig:
         if self.rand_reps is not None:
             return self.rand_reps
         return max(1, math.ceil(4 * math.log2(max(n, 2))))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Cut weight estimate: a value, its certified range, and guess ladder."""
-
-    value: int
-    lo: int
-    hi: int
-    guesses: tuple[int, ...]
 
 
 @dataclass
@@ -124,19 +112,10 @@ class DriverTrace:
 
 
 @dataclass
-class DecompositionRecord:
-    lambda_guess: int
-    pool_before: VertexSet
-    pool_after: VertexSet
-    decomposition: ExpanderDecomposition
-
-
-@dataclass
 class CutReport:
     cut: Cut
     meter: FlowMeter
     trace: DriverTrace
-    decompositions: list[DecompositionRecord] = field(default_factory=list)
 
     @property
     def weight(self) -> int:
@@ -174,22 +153,14 @@ def _terminal_split_component(
     raise ContractViolation("terminal missing from every component")
 
 
-def approx_mincut_estimate(inst: SteinerInstance) -> Estimate:
-    """Flow-free bracket of the minimum Steiner cut weight, plus guesses.
+def _guess_ladder(graph: WeightedGraph, terminals: VertexSet) -> tuple[int, ...]:
+    """Powers of two from 1 to the first at or above the least terminal degree.
 
-    Brackets with [1, min terminal degree] and returns the power-of-two
-    ladder covering that range, so some ladder entry is within a factor
-    two above the true weight. A graph whose terminals span several
-    components has weight 0 and an empty ladder.
+    For terminals that share a component the minimum Steiner cut weighs
+    between 1 and that degree, so some guess is within a factor two above it.
     """
-    graph, terminals = inst.graph, inst.terminals
-    if _terminal_split_component(graph, terminals) is not None:
-        return Estimate(0, 0, 0, ())
     ub = int(graph.degrees[terminals.bools()].min())
-    guesses = [1]
-    while guesses[-1] < ub:
-        guesses.append(guesses[-1] * 2)
-    return Estimate(ub, 1, ub, tuple(guesses))
+    return tuple(1 << i for i in range((ub - 1).bit_length() + 1))
 
 
 def unbalanced_case(
@@ -240,12 +211,16 @@ def sparsify_terminals(
     ceil(1 + 1/phi). When lam_guess is at least the true minimum weight,
     the kept set still touches both sides of some minimum Steiner cut.
     memo is handed to expander_decompose; sharing one across guesses lets
-    each cluster's spectral search run once for the whole ladder.
+    each cluster's spectral search run once for the whole ladder. A total
+    demand lam_guess * |pool| past the exactness limit raises
+    DecompositionError, so the driver abandons that guess.
     """
     if len(pool) < 2:
         raise InputError("pool must have at least two terminals")
     if lam_guess < 1:
         raise InputError("weight guess must be positive")
+    if lam_guess * len(pool) > MAX_TOTAL_WEIGHT:
+        raise DecompositionError("total demand of the guess passes the exactness limit")
     demands = DemandVector.uniform(graph.n, lam_guess, support=pool)
     dec = expander_decompose(graph, demands, phi, memo=memo)
     small_pick = 1
@@ -285,7 +260,6 @@ def _finish(
     cut: Cut,
     meter: FlowMeter,
     trace: DriverTrace,
-    records: list[DecompositionRecord] | None = None,
 ) -> CutReport:
     """Report a driver's answer after checking it is a Steiner cut of its weight."""
     inside = cut.side.intersection(inst.terminals)
@@ -293,7 +267,7 @@ def _finish(
         raise ContractViolation("reported side does not separate the terminals")
     if not cut.verify(inst.graph):
         raise ContractViolation("reported weight does not match the side")
-    return CutReport(cut, meter, trace, records or [])
+    return CutReport(cut, meter, trace)
 
 
 def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = None) -> CutReport:
@@ -306,12 +280,11 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     graph, terminals = inst.graph, inst.terminals
     meter = FlowMeter()
     trace = DriverTrace(method="det")
-    records: list[DecompositionRecord] = []
 
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        return _finish(inst, Cut(split, 0), meter, trace, records)
+        return _finish(inst, Cut(split, 0), meter, trace)
 
     k = cfg.k_effective()
     best: Cut | None = None
@@ -329,10 +302,9 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     if len(terminals) < k:
         best = run_pairwise(terminals)
     else:
-        estimate = approx_mincut_estimate(inst)
-        trace.lambda_guesses = estimate.guesses
+        trace.lambda_guesses = _guess_ladder(graph, terminals)
         dead: list[tuple[int, VertexSet]] = []
-        for guess in estimate.guesses:
+        for guess in trace.lambda_guesses:
             gtrace = GuessTrace(lambda_guess=guess)
             trace.guess_traces.append(gtrace)
             pool = terminals
@@ -350,8 +322,6 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
                 else:
                     rtrace.cluster_count = len(dec.clusters)
                     rtrace.sparsified_to = len(thinned)
-                    if cfg.collect_decompositions:
-                        records.append(DecompositionRecord(guess, pool, thinned, dec))
                     if len(thinned) >= 2 and 2 * len(thinned) <= len(pool):
                         pool = thinned
                         continue
@@ -370,7 +340,7 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
                 best = _lighter(best, cut)
                 trace.fallback_runs.append((guess, len(pool)))
 
-    return _finish(inst, best, meter, trace, records)
+    return _finish(inst, best, meter, trace)
 
 
 def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = None) -> CutReport:

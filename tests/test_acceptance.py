@@ -30,6 +30,7 @@ from cutkit import (
     steiner_mincut_rand,
     stoer_wagner,
 )
+from cutkit import steiner
 from cutkit.bench import det_call_budget, default_bench_config, run_bench
 from cutkit.expander import (
     DemandVector,
@@ -442,9 +443,7 @@ def test_expander_decomposition_certification():
             for cluster in dec.clusters:
                 sub, ids = induced_subgraph(graph, cluster)
                 aug = augmented_demands(graph, cluster, demands)
-                check = verify_expander(
-                    sub, DemandVector(tuple(aug)), dec.phi, certify_limit=20
-                )
+                check = verify_expander(sub, DemandVector(tuple(aug)), dec.phi)
                 if not (check.ok and check.certified):
                     failures.append(f"case {idx}: cluster fails certification")
                 base = sum(demands.values[v] for v in ids)
@@ -473,8 +472,19 @@ def _two_clique_bridge(half):
     return WeightedGraph(2 * half, triples)
 
 
-def test_min_cut_cluster_invariants():
+def test_min_cut_cluster_invariants(monkeypatch):
     engine = get_engine("dinic")
+    # Each decomposition the driver keeps, as (guess, pool, thinned pool,
+    # decomposition), recorded by wrapping the sparsify step from outside.
+    records = []
+    sparsify = steiner.sparsify_terminals
+
+    def recording_sparsify(graph, pool, phi, guess, memo=None):
+        thinned, dec = sparsify(graph, pool, phi, guess, memo)
+        records.append((guess, pool, thinned, dec))
+        return thinned, dec
+
+    monkeypatch.setattr(steiner, "sparsify_terminals", recording_sparsify)
 
     def body(failures):
         phis = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 1)]
@@ -502,20 +512,22 @@ def test_min_cut_cluster_invariants():
             lam, sides = enumerate_min_cut_sides(graph)
             if lam == 0:
                 return
+            records.clear()
             report = steiner_mincut_det(engine, SteinerInstance(graph, graph.full_set), cfg)
             if report.weight != lam:
                 failures.append(f"instance {idx}: driver weight {report.weight} != {lam}")
                 return
             threshold = math.ceil((1 + 1 / phi) ** 3)
-            for rec in report.decompositions:
-                clusters = rec.decomposition.clusters
-                pool = rec.pool_before
+            for guess, pool, after, dec in records:
+                clusters = dec.clusters
+                if not after.issubset(pool):
+                    failures.append(f"instance {idx}: sparsified pool leaves its pool")
                 for side in sides:
                     # both sides of every minimum cut cross few clusters,
                     # whatever the demand guess was
                     if Fraction(clusters_cut_by(clusters, side)) > 1 + 1 / phi:
                         failures.append(f"instance {idx}: cluster-crossing bound broken")
-                if rec.lambda_guess < lam:
+                if guess < lam:
                     # the split-terminal and hitting guarantees presuppose
                     # per-terminal demand at least the true cut weight
                     continue
@@ -527,7 +539,6 @@ def test_min_cut_cluster_invariants():
                     in_rest = len(pool) - in_side
                     if min(in_side, in_rest) >= threshold:
                         hit_counter[0] += 1
-                        after = rec.pool_after
                         if not (after.intersection(side) and after.difference(side)):
                             failures.append(
                                 f"instance {idx}: sparsified pool misses a witness side"
@@ -536,7 +547,7 @@ def test_min_cut_cluster_invariants():
         hits = [0]
         for idx, graph in enumerate(instances):
             phi = phis[idx % 3]
-            cfg = AlgoConfig(phi=phi, k=2, collect_decompositions=True)
+            cfg = AlgoConfig(phi=phi, k=2)
             audit(idx, graph, phi, cfg, hits)
 
         # two well-separated cliques guarantee a balanced pool, so the
@@ -544,7 +555,7 @@ def test_min_cut_cluster_invariants():
         forced = [0]
         for half in (9, 10):
             graph = _two_clique_bridge(half)
-            cfg = AlgoConfig(phi=Fraction(1), collect_decompositions=True)
+            cfg = AlgoConfig(phi=Fraction(1))
             audit(f"bridge-{half}", graph, Fraction(1), cfg, forced)
         if forced[0] == 0:
             failures.append("hitting clause never exercised on balanced instances")

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,20 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_readme_quickstart_commands_run(tmp_path, monkeypatch, capsys):
+    # Every command of README's command-line quickstart, in order, in one
+    # directory: a flag or subcommand the docs keep after it is gone fails here.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("```sh", lines.index("## Quickstart (command line)")) + 1
+    commands = lines[start : lines.index("```", start)]
+    assert commands and all(c.startswith("cutkit ") for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+        capsys.readouterr()
 
 
 def test_gen_writes_edgelist(tmp_path, capsys):
@@ -145,20 +160,24 @@ def test_isolating_fast_and_naive_agree(dumbbell_path, capsys):
 
 
 def test_splitter_gen_verified(capsys):
-    code, doc = run_json(
-        capsys, ["splitter-gen", "--n", "8", "--k", "2", "--min2", "--verify"]
-    )
-    assert code == 0
-    assert doc["variant"] == "isolator_min2"
-    assert doc["verified"] is True
+    # Families on at most 16 elements are checked exhaustively when built.
+    for extra, variant in (([], "isolator"), (["--min2"], "isolator_min2")):
+        code, doc = run_json(capsys, ["splitter-gen", "--n", "8", "--k", "2", *extra])
+        assert code == 0
+        assert doc["variant"] == variant
+        assert doc["verified"] is True
     assert doc["set_count"] == len(doc["sets"])
     assert doc["set_count"] <= doc["size_bound"]
     assert all(len(s) >= 2 for s in doc["sets"])
 
 
 def test_splitter_gen_verify_size_guard(capsys):
-    code = main(["splitter-gen", "--n", "30", "--k", "2", "--verify"])
-    assert code == 2
+    # Past 16 elements a family is built without the exhaustive check.
+    code, doc = run_json(capsys, ["splitter-gen", "--n", "17", "--k", "2"])
+    assert code == 0
+    assert doc["verified"] is False
+    code, doc = run_json(capsys, ["splitter-gen", "--n", "16", "--k", "2"])
+    assert doc["verified"] is True
 
 
 def test_expander_decomp_output(dumbbell_path, capsys):

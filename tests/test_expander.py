@@ -8,9 +8,7 @@ from cutkit import (
     ContractViolation,
     DemandVector,
     InputError,
-    SteinerInstance,
     VertexSet,
-    approx_mincut_estimate,
     augmented_demands,
     build_graph,
     clusters_cut_by,
@@ -30,6 +28,7 @@ from cutkit.expander import (
 )
 from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
 from cutkit.graph import contract
+from cutkit.steiner import _guess_ladder
 
 from helpers import rand_graph
 
@@ -106,13 +105,14 @@ def test_verify_exact_beyond_int64_products():
 
 
 def test_verify_rejects_a_witness_that_does_not_violate(monkeypatch):
-    # Past certify_limit the heuristic runs; {0, 1, 2} of the bridged
+    # Past EXHAUSTIVE_LIMIT the heuristic runs; {0, 1, 2} of the bridged
     # triangles has sparsity 1/3, which is not below phi = 1/4.
+    monkeypatch.setattr("cutkit.expander.EXHAUSTIVE_LIMIT", 4)
     monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi, memo: 0b111)
     g = two_triangles_bridge()
     with pytest.raises(ContractViolation, match="not sparser than phi"):
-        verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 4), certify_limit=4)
-    check = verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 2), certify_limit=4)
+        verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 4))
+    check = verify_expander(g, DemandVector.uniform(6, 1), Fraction(1, 2))
     assert not check.ok and not check.certified
     assert check.witness_sparsity == Fraction(1, 3)
 
@@ -144,25 +144,12 @@ def test_phi_validation():
         verify_expander(g, d, 0.5)
 
 
-def test_graphs_without_a_proper_cut_verify_at_any_limit():
-    for n in (0, 1):
-        for limit in (0, 1, EXHAUSTIVE_LIMIT):
-            check = verify_expander(
-                build_graph(n, []), DemandVector.uniform(n, 1), Fraction(1, 2), certify_limit=limit
-            )
+def test_graphs_without_a_proper_cut_verify_at_any_limit(monkeypatch):
+    for limit in (0, 1, EXHAUSTIVE_LIMIT):
+        monkeypatch.setattr("cutkit.expander.EXHAUSTIVE_LIMIT", limit)
+        for n in (0, 1):
+            check = verify_expander(build_graph(n, []), DemandVector.uniform(n, 1), Fraction(1, 2))
             assert check == ExpanderCheck(True, True, None, None)
-
-
-def test_certify_limit_validation():
-    g = clique_graph(4)
-    d = DemandVector.degrees(g)
-    for bad in (-1, EXHAUSTIVE_LIMIT + 1, 25):
-        with pytest.raises(InputError, match="certify_limit"):
-            verify_expander(g, d, Fraction(1, 2), certify_limit=bad)
-        with pytest.raises(InputError, match="certify_limit"):
-            expander_decompose(g, d, Fraction(1, 2), certify_limit=bad)
-    assert verify_expander(g, d, Fraction(1, 2), certify_limit=0).ok
-    assert expander_decompose(g, d, Fraction(1, 2), certify_limit=EXHAUSTIVE_LIMIT).splits == 0
 
 
 def test_decompose_splits_dumbbell():
@@ -410,9 +397,8 @@ def test_one_memo_entry_answers_both_ways():
 def test_guess_ladder_without_split_searches_once():
     # In K24 at phi = 1/4 no cut is sparse below lam = 48, past the ladder's top.
     g = clique_graph(24)
-    inst = SteinerInstance(g, g.full_set)
     memo: dict = {}
-    guesses = approx_mincut_estimate(inst).guesses
+    guesses = _guess_ladder(g, g.full_set)
     assert len(guesses) > 1
     for guess in guesses:
         _, dec = sparsify_terminals(g, g.full_set, Fraction(1, 4), guess, memo)

@@ -169,14 +169,14 @@ def test_meter_snapshot_delta_merge(dinic):
     g = build_graph(3, [(0, 1, 2), (1, 2, 3)])
     meter = FlowMeter()
     max_flow(dinic, g, 0, 2, meter)
-    mark = meter.snapshot()
+    mark = meter.call_count
     max_flow(dinic, g, 0, 1, meter)
     assert meter.delta(mark) == [(3, 2)]
     assert meter.call_count == 2
     assert meter.aggregate_vertices == 6
     assert meter.aggregate_edges == 4
     assert meter.equivalent_calls == 2
-    mark = meter.snapshot()
+    mark = meter.call_count
     for _ in range(3):
         meter.record(10, 20)
     meter.bundle(mark)
@@ -184,9 +184,9 @@ def test_meter_snapshot_delta_merge(dinic):
     assert meter.equivalent_calls == 3
     # Bundling zero or one call changes nothing.
     empty = FlowMeter()
-    empty.bundle(empty.snapshot())
+    empty.bundle(empty.call_count)
     assert (empty.call_count, empty.equivalent_calls) == (0, 0)
-    mark = meter.snapshot()
+    mark = meter.call_count
     meter.bundle(mark)
     meter.record(10, 20)
     meter.bundle(mark)

@@ -11,11 +11,11 @@ import cutkit
 
 from cutkit import (
     AlgoConfig,
+    DecompositionError,
     FlowMeter,
     InputError,
     SteinerInstance,
     VertexSet,
-    approx_mincut_estimate,
     build_graph,
     global_mincut_det,
     minimum_isolating_cuts,
@@ -27,6 +27,7 @@ from cutkit import (
     unbalanced_case,
 )
 from cutkit.generators import cycle_graph, dumbbell_graph, gnp_graph
+from cutkit.steiner import _guess_ladder
 
 from helpers import rand_graph, rand_terminals
 
@@ -77,22 +78,18 @@ def test_readme_config_table_lists_every_field():
     assert names == [f.name for f in dataclasses.fields(AlgoConfig)]
 
 
-def test_estimate_geometric_ladder():
+def test_guess_ladder_reaches_least_terminal_degree(dinic):
+    # Powers of two from 1 to the first at or above the least terminal degree.
     g = dumbbell_graph(6)
-    est = approx_mincut_estimate(SteinerInstance(g, g.full_set))
-    assert (est.value, est.lo, est.hi) == (2, 1, 2)
-    assert est.guesses == (1, 2)
+    report = steiner_mincut_det(dinic, SteinerInstance(g, g.full_set), small_cfg())
+    assert report.trace.lambda_guesses == (1, 2)
     heavy = dumbbell_graph(8, clique_weight=5, bridge_weight=2)
-    est = approx_mincut_estimate(SteinerInstance(heavy, heavy.full_set))
-    assert est.hi == min(heavy.degree_weight(v) for v in range(8))
-    assert est.guesses[0] == 1
-    assert est.guesses[-1] >= est.hi
-
-
-def test_estimate_disconnected_terminals():
-    g = build_graph(4, [(0, 1, 2), (2, 3, 2)])
-    est = approx_mincut_estimate(SteinerInstance(g, VertexSet.from_ids(4, [0, 3])))
-    assert est == type(est)(0, 0, 0, ())
+    least = min(heavy.degree_weight(v) for v in range(8))
+    report = steiner_mincut_det(dinic, SteinerInstance(heavy, heavy.full_set), small_cfg())
+    ladder = report.trace.lambda_guesses
+    assert ladder == tuple(1 << i for i in range(len(ladder)))
+    assert ladder[-2] < least <= ladder[-1]
+    assert _guess_ladder(build_graph(2, [(0, 1, 1)]), VertexSet.full(2)) == (1,)
 
 
 def test_unbalanced_case_star(dinic):
@@ -213,22 +210,6 @@ def test_det_memoizes_repeated_pools(dinic):
     assert report.meter.call_count < 2 * total_round0_eq + 60
 
 
-def test_det_collect_decompositions(dinic):
-    g = dumbbell_graph(8)
-    inst = SteinerInstance(g, g.full_set)
-    plain = steiner_mincut_det(dinic, inst, small_cfg())
-    assert plain.decompositions == []
-    rich = steiner_mincut_det(dinic, inst, small_cfg(collect_decompositions=True))
-    assert rich.decompositions
-    for rec in rich.decompositions:
-        assert rec.pool_after.issubset(rec.pool_before)
-        covered = VertexSet.empty(8)
-        for cluster in rec.decomposition.clusters:
-            covered = covered.union(cluster)
-        assert covered == g.full_set
-    assert rich.fingerprint() == plain.fingerprint()
-
-
 def test_det_zero_cut_disconnected(dinic):
     g = build_graph(6, [(0, 1, 2), (1, 2, 1), (3, 4, 2), (4, 5, 1)])
     t = VertexSet.from_ids(6, [0, 4])
@@ -237,6 +218,7 @@ def test_det_zero_cut_disconnected(dinic):
     assert report.trace.zero_cut
     assert report.meter.call_count == 0
     assert report.cut.side.members() == [0, 1, 2]
+    assert report.trace.lambda_guesses == ()
 
 
 def test_det_fingerprint_stable(dinic):
@@ -327,6 +309,23 @@ def test_drivers_on_merged_weights_beyond_edge_limit(dinic):
     terminals = VertexSet.from_ids(3, [0, 2])
     iso = minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
     assert iso.best().cut.weight == 5
+
+
+def test_det_heavy_triangle_abandons_guess_past_demand_limit(dinic):
+    # 2^19 + 1 parallel 2^40 edges per pair: each triangle edge weighs
+    # 2^59 + 2^40 and the total stays below 2^62. The ladder's top guess,
+    # 2^61, on a pool of 3 asks for demand 3 * 2^61 > 2^62, so that guess
+    # fails its decomposition instead of the driver raising.
+    w = 1 << 40
+    copies = (1 << 19) + 1
+    g = build_graph(3, [(0, 1, w), (1, 2, w), (0, 2, w)] * copies)
+    assert g.total_weight == 3 * ((1 << 59) + w) < 1 << 62
+    report = steiner_mincut_det(dinic, SteinerInstance(g, g.full_set), small_cfg())
+    assert report.weight == stoer_wagner(g).weight == 2 * ((1 << 59) + w)
+    outcomes = [t.outcome for t in report.trace.guess_traces]
+    assert outcomes == ["collapsed"] * 61 + ["decomposition-failed"]
+    with pytest.raises(DecompositionError):
+        sparsify_terminals(g, g.full_set, Fraction(1, 4), 1 << 61)
 
 
 def test_dinic_solve_imports_no_scipy():
