@@ -28,6 +28,7 @@ from .steiner import (
     steiner_mincut_rand,
 )
 
+SCHEMA = 1
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
 DRIVERS = {"det": steiner_mincut_det, "rand": steiner_mincut_rand}
@@ -84,6 +85,12 @@ class BenchReport:
 
 
 def bench_graph(family: str, n: int, seed: int = 0) -> WeightedGraph:
+    """The bench instance of a family at size n.
+
+    gnp graphs have expected degree ln n + 2, i.e. p = (ln n + 2) / (n - 1)
+    capped at 1: just past the connectivity threshold ln n, so a connected
+    sample turns up within a few tries at every size.
+    """
     if family not in BENCH_FAMILIES:
         raise InputError(f"unknown bench family {family!r}; choose from {BENCH_FAMILIES}")
     rows = None
@@ -92,7 +99,7 @@ def bench_graph(family: str, n: int, seed: int = 0) -> WeightedGraph:
         rows = next((r for r in range(math.isqrt(n), 1, -1) if n % r == 0), None)
         if rows is None:
             raise InputError(f"grid bench size {n} has no divisor in [2, isqrt(n)]")
-    p = min(1.0, 4.0 / max(n - 1, 1))
+    p = min(1.0, (math.log(max(n, 1)) + 2) / max(n - 1, 1))
     return generate(GeneratorSpec(family, n, seed=seed, p=p, rows=rows))
 
 
@@ -171,7 +178,7 @@ def run_bench(
 
 def report_to_json(report: BenchReport) -> dict:
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "engine": report.engine,
         "phi": report.phi,
         "k": report.k,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for bad input (including unreadable files and
 malformed arguments), 3 when an internal invariant or decomposition budget
-check fails. JSON payloads all carry a schema field, currently 1.
+check fails. JSON payloads all carry a schema field, bench.SCHEMA.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from fractions import Fraction
 from .bench import (
     BENCH_FAMILIES,
     BENCH_METHODS,
+    SCHEMA,
     default_bench_config,
     report_to_csv,
     report_to_json,
@@ -26,16 +27,9 @@ from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import VertexSet, WeightedGraph, parse_edgelist, write_edgelist
 from .isolating import minimum_isolating_cuts
 from .maxflow import ENGINE_NAMES, FlowMeter, get_engine, max_flow, parse_dimacs, write_dimacs
-from .oracles import enumerate_cuts, naive_isolating, naive_steiner, stoer_wagner
+from .oracles import enumerate_cuts, naive_isolating
 from .splitters import EXHAUSTIVE_LIMIT, isolator_family, isolator_family_min2
-from .steiner import (
-    AlgoConfig,
-    SteinerInstance,
-    steiner_mincut_det,
-    steiner_mincut_rand,
-)
-
-SCHEMA = 1
+from .steiner import AlgoConfig, SteinerInstance
 
 
 def _read_text(path: str) -> str:
@@ -55,16 +49,12 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _read_graph_full(args) -> tuple[WeightedGraph, int | None, int | None]:
+def _read_graph(args) -> tuple[WeightedGraph, int | None, int | None]:
     """Graph plus the source/sink designations when the format carries them."""
     text = _read_text(args.graph)
     if args.format == "dimacs":
         return parse_dimacs(text)
     return parse_edgelist(text), None, None
-
-
-def _read_graph(args) -> WeightedGraph:
-    return _read_graph_full(args)[0]
 
 
 def _parse_ids(spec: str, n: int) -> VertexSet:
@@ -75,6 +65,12 @@ def _parse_ids(spec: str, n: int) -> VertexSet:
     if not ids:
         raise InputError("vertex list is empty")
     return VertexSet.from_ids(n, ids)
+
+
+def _terminals(args, graph: WeightedGraph) -> VertexSet:
+    """The --terminals ids when the subcommand has that flag and it is set, else all of V."""
+    spec = getattr(args, "terminals", None)
+    return graph.full_set if spec is None else _parse_ids(spec, graph.n)
 
 
 def _parse_phi(spec: str) -> Fraction:
@@ -94,17 +90,14 @@ def _cut_payload(cut) -> dict:
     return {"weight": cut.weight, "side": cut.side.members()}
 
 
-def _config_from(args) -> AlgoConfig:
-    kwargs = {}
-    if getattr(args, "phi", None) is not None:
-        kwargs["phi"] = _parse_phi(args.phi)
-    if getattr(args, "k", None) is not None:
-        kwargs["k"] = args.k
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "reps", None) is not None:
-        kwargs["rand_reps"] = args.reps
-    return AlgoConfig(**kwargs)
+def _config_from(args, base: AlgoConfig) -> AlgoConfig:
+    """base with every config flag the subcommand has and the user set swapped in."""
+    flags = {"phi": "phi", "k": "k", "seed": "seed", "rand_reps": "reps"}
+    kwargs = {f: getattr(args, flag, None) for f, flag in flags.items()}
+    kwargs = {f: v for f, v in kwargs.items() if v is not None}
+    if "phi" in kwargs:
+        kwargs["phi"] = _parse_phi(kwargs["phi"])
+    return dataclasses.replace(base, **kwargs)
 
 
 def cmd_gen(args) -> int:
@@ -129,7 +122,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_maxflow(args) -> int:
-    graph, file_s, file_t = _read_graph_full(args)
+    graph, file_s, file_t = _read_graph(args)
     source = args.source if args.source is not None else file_s
     sink = args.sink if args.sink is not None else file_t
     if source is None or sink is None:
@@ -149,7 +142,7 @@ def cmd_maxflow(args) -> int:
 
 
 def cmd_isolating(args) -> int:
-    graph = _read_graph(args)
+    graph = _read_graph(args)[0]
     terminals = _parse_ids(args.terminals, graph.n)
     engine = get_engine(args.engine)
     meter = FlowMeter()
@@ -194,7 +187,7 @@ def cmd_splitter_gen(args) -> int:
 
 
 def cmd_expander_decomp(args) -> int:
-    graph = _read_graph(args)
+    graph = _read_graph(args)[0]
     phi = _parse_phi(args.phi)
     if args.demand_support == "all":
         support = None
@@ -216,21 +209,11 @@ def cmd_expander_decomp(args) -> int:
     return 0
 
 
-def cmd_mincut(args) -> int:
-    graph = _read_graph(args)
-    inst = SteinerInstance(graph, graph.full_set)
-    return _solve(args, inst)
-
-
-def cmd_steiner(args) -> int:
-    graph = _read_graph(args)
-    inst = SteinerInstance(graph, _parse_ids(args.terminals, graph.n))
-    return _solve(args, inst)
-
-
-def _solve(args, inst: SteinerInstance) -> int:
+def cmd_solve(args) -> int:
+    graph = _read_graph(args)[0]
+    inst = SteinerInstance(graph, _terminals(args, graph))
     engine = get_engine(args.engine)
-    cut, meter, report = run_method(args.method, engine, inst, _config_from(args))
+    cut, meter, report = run_method(args.method, engine, inst, _config_from(args, AlgoConfig()))
     payload = {**_cut_payload(cut), "raw_calls": meter.call_count}
     if report is not None:
         payload["equivalent_calls"] = report.equivalent_calls
@@ -242,63 +225,42 @@ def _solve(args, inst: SteinerInstance) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = _read_graph(args)
+    graph = _read_graph(args)[0]
+    inst = SteinerInstance(graph, _terminals(args, graph))
     engine = get_engine(args.engine)
-    if args.terminals is not None:
-        terminals = _parse_ids(args.terminals, graph.n)
-    else:
-        terminals = graph.full_set
-    inst = SteinerInstance(graph, terminals)
-    checks: list[dict] = []
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+    def weight_of(method: str) -> int:
+        return run_method(method, engine, inst, AlgoConfig())[0].weight
 
-    det = steiner_mincut_det(engine, inst)
-    rand = steiner_mincut_rand(engine, inst)
-    naive = naive_steiner(engine, inst)
-    check(
-        "det-matches-naive",
-        det.weight == naive.weight,
-        f"det={det.weight} naive={naive.weight}",
-    )
-    check(
-        "rand-matches-naive",
-        rand.weight == naive.weight,
-        f"rand={rand.weight} naive={naive.weight}",
-    )
-    if terminals == graph.full_set and graph.n >= 2:
-        sw = stoer_wagner(graph)
-        check(
-            "det-matches-contraction",
-            det.weight == sw.weight,
-            f"det={det.weight} contraction={sw.weight}",
-        )
+    weight = {m: weight_of(m) for m in ("det", "rand", "naive")}
+    pairs = [("det", "naive"), ("rand", "naive")]
+    if inst.terminals == graph.full_set:
+        weight["contraction"] = weight_of("stoer-wagner")
+        pairs.append(("det", "contraction"))
     if graph.n <= 12:
-        enum = enumerate_cuts(graph, terminals=terminals)
-        check(
-            "det-matches-enumeration",
-            det.weight == enum.weight,
-            f"det={det.weight} enumeration={enum.weight}",
-        )
+        weight["enumeration"] = enumerate_cuts(graph, terminals=inst.terminals).weight
+        pairs.append(("det", "enumeration"))
+    checks = [
+        {
+            "name": f"{a}-matches-{b}",
+            "ok": weight[a] == weight[b],
+            "detail": f"{a}={weight[a]} {b}={weight[b]}",
+        }
+        for a, b in pairs
+    ]
     all_ok = all(c["ok"] for c in checks)
     _emit({"checks": checks, "all_ok": all_ok}, args.out)
     return 0 if all_ok else 3
 
 
 def cmd_bench(args) -> int:
-    cfg = default_bench_config()
-    if args.phi is not None:
-        cfg = dataclasses.replace(cfg, phi=_parse_phi(args.phi))
-    if args.k is not None:
-        cfg = dataclasses.replace(cfg, k=args.k)
     report = run_bench(
         families=args.families,
         sizes=args.sizes,
         methods=args.methods,
         engine_name=args.engine,
-        cfg=cfg,
-        seed=args.seed,
+        cfg=_config_from(args, default_bench_config()),
+        seed=args.graph_seed,
     )
     if args.csv is not None:
         _write_text(args.csv, report_to_csv(report))
@@ -396,24 +358,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = subs.add_parser("mincut", help="global minimum cut (terminals = all)")
     _add_graph_args(mc)
-    mc.add_argument(
-        "--method",
-        choices=("det", "rand", "naive", "stoer-wagner"),
-        default="det",
-    )
+    mc.add_argument("--method", choices=BENCH_METHODS, default="det")
     _add_engine_arg(mc)
     _add_config_args(mc)
     _add_out_arg(mc)
-    mc.set_defaults(func=cmd_mincut)
+    mc.set_defaults(func=cmd_solve)
 
     st = subs.add_parser("steiner", help="minimum cut separating given terminals")
     _add_graph_args(st)
     st.add_argument("--terminals", required=True, help="comma separated vertex ids")
-    st.add_argument("--method", choices=("det", "rand", "naive"), default="det")
+    st.add_argument(
+        "--method", choices=[m for m in BENCH_METHODS if m != "stoer-wagner"], default="det"
+    )
     _add_engine_arg(st)
     _add_config_args(st)
     _add_out_arg(st)
-    st.set_defaults(func=cmd_steiner)
+    st.set_defaults(func=cmd_solve)
 
     ver = subs.add_parser("verify", help="cross-check the solvers on one instance")
     _add_graph_args(ver)
@@ -429,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--engine", choices=ENGINE_NAMES, default="scipy")
     be.add_argument("--phi", default=None)
     be.add_argument("--k", type=int, default=None)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument(
+        "--seed", dest="graph_seed", type=int, default=0, help="seed for the generated graphs"
+    )
     be.add_argument("--csv", default=None, help="also write rows as CSV to this path")
     _add_out_arg(be)
     be.set_defaults(func=cmd_bench)

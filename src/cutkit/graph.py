@@ -362,10 +362,10 @@ def parse_edgelist(text: str) -> WeightedGraph:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
+        parts = line.split()
+        if parts[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate header")
-            parts = line.split()
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: header must be 'p <n> <m>'")
             try:
@@ -375,7 +375,6 @@ def parse_edgelist(text: str) -> WeightedGraph:
             continue
         if n is None:
             raise InputError(f"line {lineno}: edge before header")
-        parts = line.split()
         if len(parts) != 3:
             raise InputError(f"line {lineno}: edge must be 'u v w'")
         try:

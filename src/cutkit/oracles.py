@@ -6,8 +6,6 @@ naive flow-per-terminal baselines. None of it shares cut-extraction logic
 with the production algorithms.
 """
 
-from collections import OrderedDict
-
 import numpy as np
 
 from .errors import ContractViolation, InputError
@@ -17,16 +15,9 @@ from .maxflow import FlowMeter, max_flow
 
 ENUM_LIMIT = 20
 
-_weights_cache: OrderedDict[WeightedGraph, np.ndarray] = OrderedDict()
-_WEIGHTS_CACHE_SIZE = 6
-
 
 def _all_side_weights(graph: WeightedGraph) -> np.ndarray:
     """Cut weight of every subset mask of V, as an int64 array of size 2^n."""
-    cached = _weights_cache.get(graph)
-    if cached is not None:
-        _weights_cache.move_to_end(graph)
-        return cached
     if graph.n > ENUM_LIMIT:
         raise InputError(f"enumeration supports n <= {ENUM_LIMIT}")
     masks = np.arange(1 << graph.n, dtype=np.int64)
@@ -34,9 +25,6 @@ def _all_side_weights(graph: WeightedGraph) -> np.ndarray:
     for u, v, w in graph.edges:
         crossing = ((masks >> u) ^ (masks >> v)) & 1
         weights += crossing * w
-    _weights_cache[graph] = weights
-    while len(_weights_cache) > _WEIGHTS_CACHE_SIZE:
-        _weights_cache.popitem(last=False)
     return weights
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -51,7 +52,7 @@ def test_bench_graph_families():
     assert bench_graph("clique", 6) == clique_graph(6)
     assert bench_graph("grid", 16) == grid_graph(4, 4)
     assert bench_graph("grid", 128) == grid_graph(8, 16)
-    assert bench_graph("gnp", 20, seed=1) == gnp_graph(20, p=4 / 19, seed=1)
+    assert bench_graph("gnp", 20, seed=1) == gnp_graph(20, p=(math.log(20) + 2) / 19, seed=1)
 
 
 def test_run_bench_small():

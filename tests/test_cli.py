@@ -3,12 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import cutkit
-from cutkit import FlowResult, write_edgelist
+from cutkit import Cut, FlowResult, default_bench_config, run_bench, write_edgelist
 from cutkit.cli import main
 from cutkit.generators import cycle_graph, dumbbell_graph
 
@@ -304,6 +306,43 @@ def test_verify_with_terminals(dumbbell_path, capsys):
     )
     assert code == 0
     assert doc["all_ok"] is True
+
+
+def test_verify_exits_3_when_methods_disagree(dumbbell_path, monkeypatch, capsys):
+    real_rand = cutkit.bench.DRIVERS["rand"]
+
+    def heavier_rand(engine, inst, cfg):
+        report = real_rand(engine, inst, cfg)
+        return SimpleNamespace(cut=Cut(report.cut.side, report.cut.weight + 1), meter=report.meter)
+
+    monkeypatch.setitem(cutkit.bench.DRIVERS, "rand", heavier_rand)
+    code, doc = run_json(capsys, ["verify", "--graph", dumbbell_path])
+    assert code == 3
+    assert doc["all_ok"] is False
+    assert [c["name"] for c in doc["checks"] if not c["ok"]] == ["rand-matches-naive"]
+
+
+def test_bench_seed_seeds_graphs_not_rand_driver(capsys):
+    # The rand driver's own seed changes its flow calls, so rows that match a
+    # default-config run show that --seed reached only the graph generator.
+    argv = ["bench", "--sizes", "16", "--methods", "rand", "--seed", "3", "--engine", "dinic"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    report = run_bench(
+        families=("dumbbell", "cycle"),
+        sizes=(16,),
+        methods=["rand"],
+        seed=3,
+        engine_name="dinic",
+        cfg=default_bench_config(),
+    )
+
+    def without_seconds(row: dict) -> dict:
+        return {k: v for k, v in row.items() if k != "seconds"}
+
+    assert [without_seconds(r) for r in doc["rows"]] == [
+        without_seconds(asdict(r)) for r in report.rows
+    ]
 
 
 def test_bench_subcommand(tmp_path, capsys):

@@ -215,6 +215,8 @@ def test_edgelist_errors():
         parse_edgelist("p 3\n")
     with pytest.raises(InputError):
         parse_edgelist("p 3 1\n0 one 2\n")
+    with pytest.raises(InputError, match="line 1: edge before header"):
+        parse_edgelist("pizza 3 1\n0 1 5\n")
 
 
 def test_derived_graphs_keep_merged_weights_beyond_edge_limit():
