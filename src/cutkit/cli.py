@@ -101,18 +101,8 @@ def _config_from(args, base: AlgoConfig) -> AlgoConfig:
 
 
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        p=args.p,
-        w_min=args.w_min,
-        w_max=args.w_max,
-        weight=args.weight,
-        rows=args.rows,
-        side_size=args.side_size,
-    )
-    graph = generate(spec)
+    fields = dataclasses.fields(GeneratorSpec)
+    graph = generate(GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields}))
     if args.format == "dimacs":
         text = write_dimacs(graph, 0, graph.n - 1)
     else:
@@ -228,9 +218,12 @@ def cmd_verify(args) -> int:
     graph = _read_graph(args)[0]
     inst = SteinerInstance(graph, _terminals(args, graph))
     engine = get_engine(args.engine)
+    # The bench config's k=2 sends det through its rounds; at the default
+    # k = (1 + 1/phi)^3 small inputs would go straight to pairwise flows.
+    cfg = default_bench_config()
 
     def weight_of(method: str) -> int:
-        return run_method(method, engine, inst, AlgoConfig())[0].weight
+        return run_method(method, engine, inst, cfg)[0].weight
 
     weight = {m: weight_of(m) for m in ("det", "rand", "naive")}
     pairs = [("det", "naive"), ("rand", "naive")]

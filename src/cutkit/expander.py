@@ -51,7 +51,7 @@ class DemandVector:
 
     def __post_init__(self):
         for d in self.values:
-            if not isinstance(d, int) or d < 0:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"demands must be nonnegative integers, got {d!r}")
         if sum(self.values) > MAX_TOTAL_WEIGHT:
             raise InputError("total demand too large")
@@ -342,6 +342,14 @@ def verify_expander(
     return ExpanderCheck(False, certified, side, sparsity(graph, side, demands))
 
 
+def _cluster_labels(n: int, clusters: tuple[VertexSet, ...]) -> np.ndarray:
+    """Index of the cluster holding each vertex, as an int64 array of length n."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for i, cluster in enumerate(clusters):
+        labels[cluster.bools()] = i
+    return labels
+
+
 @dataclass
 class ExpanderDecomposition:
     graph: WeightedGraph
@@ -355,11 +363,7 @@ class ExpanderDecomposition:
 
     def labels(self) -> list[int]:
         """Cluster index of each vertex."""
-        out = [-1] * self.graph.n
-        for i, cluster in enumerate(self.clusters):
-            for v in cluster:
-                out[v] = i
-        return out
+        return _cluster_labels(self.graph.n, self.clusters).tolist()
 
 
 def augmented_demands(
@@ -426,7 +430,9 @@ def expander_decompose(
     done.sort(key=lambda item: item[0].smallest())
     clusters = tuple(c for c, _ in done)
     certified_flags = tuple(flag for _, flag in done)
-    inter = sum(cut_weight(graph, c) for c in clusters if len(c) < n) // 2
+    us, vs, ws = graph.edge_arrays
+    labels = _cluster_labels(n, clusters)
+    inter = int(ws[labels[us] != labels[vs]].sum())
     lg = (max(n, 1) - 1).bit_length()
     budget = phi * demands.total * lg * lg
     if inter > budget:

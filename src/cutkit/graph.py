@@ -2,7 +2,8 @@
 
 Weights are nonnegative integers throughout; all comparisons are exact. A graph
 stores its edges only as canonical int64 arrays, a vertex set as a bit mask;
-VertexSet.bools()/from_bools() convert. contract() takes a label per vertex.
+VertexSet.bools()/from_bools() convert. A partition is one int64 label per
+vertex: components_after_removal() returns one, contract() takes one.
 """
 
 from dataclasses import dataclass
@@ -251,26 +252,13 @@ def boundary_edges(graph: WeightedGraph, side: VertexSet) -> list[tuple[int, int
     return list(zip(us[crossing].tolist(), vs[crossing].tolist()))
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionMap:
-    """Result of contracting vertex classes: the quotient graph plus the lift."""
-
-    labels: np.ndarray  # original vertex -> contracted vertex id
-    graph: WeightedGraph
-
-    def lift(self, contracted_side: VertexSet) -> VertexSet:
-        """Pull a vertex set of the contracted graph back to original ids."""
-        if contracted_side.n != self.graph.n:
-            raise InputError("vertex set universe does not match contracted graph")
-        return VertexSet.from_bools(contracted_side.bools()[self.labels])
-
-
-def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> ContractionMap:
-    """Contract each class of equal labels to the vertex of that id.
+def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> WeightedGraph:
+    """The quotient graph: each class of equal labels becomes the vertex of that id.
 
     labels holds one nonnegative id per vertex; the quotient has max + 1
     vertices, and an id no vertex carries is an isolated vertex. Parallel
-    edges merge, intra-class edges vanish.
+    edges merge, intra-class edges vanish. A quotient side lifts back as
+    ``VertexSet.from_bools(side.bools()[labels])``.
     """
     labels = np.asarray(labels)
     if labels.shape != (graph.n,):
@@ -282,8 +270,7 @@ def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> Contract
     if labels.min(initial=0) < 0:
         raise InputError("labels must be nonnegative")
     us, vs, ws = graph.edge_arrays
-    quotient = WeightedGraph._derived(int(labels.max(initial=-1)) + 1, labels[us], labels[vs], ws)
-    return ContractionMap(labels, quotient)
+    return WeightedGraph._derived(int(labels.max(initial=-1)) + 1, labels[us], labels[vs], ws)
 
 
 def induced_subgraph(
@@ -303,14 +290,6 @@ def induced_subgraph(
     keep = inside[us] & inside[vs]
     sub = WeightedGraph._derived(len(side), index[us[keep]], index[vs[keep]], ws[keep])
     return sub, np.flatnonzero(inside).tolist()
-
-
-def components(graph: WeightedGraph) -> list[VertexSet]:
-    """Connected components, ordered by smallest member."""
-    labels = components_after_removal(graph, np.zeros(graph.m, dtype=bool))
-    # Roots are the vertices labelled themselves; np.unique would import numpy.ma.
-    roots = np.flatnonzero(labels == np.arange(graph.n))
-    return [VertexSet.from_bools(labels == root) for root in roots]
 
 
 def components_after_removal(graph: WeightedGraph, removed: np.ndarray) -> np.ndarray:
@@ -345,7 +324,8 @@ def components_after_removal(graph: WeightedGraph, removed: np.ndarray) -> np.nd
 
 
 def is_connected(graph: WeightedGraph) -> bool:
-    return graph.n <= 1 or len(components(graph)) == 1
+    # Each label is the smallest member of its component, so all are 0 iff one component.
+    return not components_after_removal(graph, np.zeros(graph.m, dtype=bool)).any()
 
 
 # ---------------------------------------------------------------------------

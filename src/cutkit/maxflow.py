@@ -272,10 +272,8 @@ def min_cut_separating(
     labels = np.cumsum(~(in_a | in_b)) + 1
     labels[in_a] = 0
     labels[in_b] = 1
-    cmap = contract(graph, labels)
-    result = max_flow(engine, cmap.graph, 0, 1, meter)
-    side = cmap.lift(result.min_side)
-    return Cut(side, result.value)
+    result = max_flow(engine, contract(graph, labels), 0, 1, meter)
+    return Cut(VertexSet.from_bools(result.min_side.bools()[labels]), result.value)
 
 
 # ---------------------------------------------------------------------------

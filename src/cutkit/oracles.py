@@ -9,7 +9,7 @@ with the production algorithms.
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .graph import Cut, VertexSet, WeightedGraph, components, contract
+from .graph import Cut, VertexSet, WeightedGraph, components_after_removal, contract
 from .isolating import IsolatingCutEntry, IsolatingCutResult
 from .maxflow import FlowMeter, max_flow
 
@@ -128,9 +128,9 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     n = graph.n
     if n < 2:
         raise InputError("global cut needs at least two vertices")
-    comps = components(graph)
-    if len(comps) > 1:
-        return Cut(comps[0], 0)
+    labels = components_after_removal(graph, np.zeros(graph.m, dtype=bool))
+    if labels.any():
+        return Cut(VertexSet.from_bools(labels == 0), 0)
 
     us, vs, ws = graph.edge_arrays
     w = np.zeros((n, n), dtype=np.int64)
@@ -216,9 +216,8 @@ def naive_isolating(
         labels = [len(keep)] * graph.n
         for i, x in enumerate(keep):
             labels[x] = i
-        cmap = contract(graph, labels)
-        res = max_flow(engine, cmap.graph, labels[v], len(keep), meter)
-        side = cmap.lift(res.min_side)
+        res = max_flow(engine, contract(graph, labels), labels[v], len(keep), meter)
+        side = VertexSet.from_bools(res.min_side.bools()[labels])
         if side.intersection(terminals).mask != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")
         entries[v] = IsolatingCutEntry(v, Cut(side, res.value), side)

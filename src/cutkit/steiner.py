@@ -22,9 +22,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ContractViolation, DecompositionError, InputError, require_int
 from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_decompose
-from .graph import MAX_TOTAL_WEIGHT, Cut, VertexSet, WeightedGraph, components
+from .graph import MAX_TOTAL_WEIGHT, Cut, VertexSet, WeightedGraph, components_after_removal
 from .isolating import minimum_isolating_cuts
 from .maxflow import FlowMeter, max_flow
 from .oracles import naive_steiner
@@ -70,6 +72,7 @@ class AlgoConfig:
             require_int("rand_reps", self.rand_reps)
             if self.rand_reps < 1:
                 raise InputError("rand_reps must be positive")
+        require_int("seed", self.seed)
 
     def k_effective(self) -> int:
         if self.k is not None:
@@ -143,14 +146,11 @@ def _terminal_split_component(
     graph: WeightedGraph, terminals: VertexSet
 ) -> VertexSet | None:
     """Component holding the lowest terminal, if T spans several components."""
-    comps = components(graph)
-    if len(comps) == 1:
+    labels = components_after_removal(graph, np.zeros(graph.m, dtype=bool))
+    home = labels[terminals.smallest()]
+    if (labels[terminals.bools()] == home).all():
         return None
-    t0 = terminals.smallest()
-    for comp in comps:
-        if t0 in comp:
-            return None if terminals.issubset(comp) else comp
-    raise ContractViolation("terminal missing from every component")
+    return VertexSet.from_bools(labels == home)
 
 
 def _guess_ladder(graph: WeightedGraph, terminals: VertexSet) -> tuple[int, ...]:

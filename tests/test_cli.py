@@ -11,8 +11,8 @@ import pytest
 
 import cutkit
 from cutkit import Cut, FlowResult, default_bench_config, run_bench, write_edgelist
-from cutkit.cli import main
-from cutkit.generators import cycle_graph, dumbbell_graph
+from cutkit.cli import build_parser, main
+from cutkit.generators import GeneratorSpec, cycle_graph, dumbbell_graph
 
 
 @pytest.fixture()
@@ -88,6 +88,27 @@ def test_gen_bad_parameters_are_input_errors(capsys):
     ):
         assert main(["gen", *argv]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_gen_passes_every_spec_field(monkeypatch):
+    seen = []
+
+    def recording_generate(spec):
+        seen.append(spec)
+        return cycle_graph(3)
+
+    monkeypatch.setattr(cutkit.cli, "generate", recording_generate)
+    for argv, spec in (
+        (["--family", "gnp", "--n", "5"], GeneratorSpec("gnp", 5)),
+        (
+            "--family grid --n 6 --seed 2 --p 0.3 --w-min 2 --w-max 5 --weight 3 "
+            "--rows 2 --side-size 1".split(),
+            GeneratorSpec("grid", 6, 2, 0.3, 2, 5, 3, 2, 1),
+        ),
+    ):
+        args = build_parser().parse_args(["gen", *argv, "--out", os.devnull])
+        assert args.func(args) == 0
+        assert seen.pop() == spec
 
 
 def test_maxflow_on_edgelist(dumbbell_path, capsys):
@@ -306,6 +327,21 @@ def test_verify_with_terminals(dumbbell_path, capsys):
     )
     assert code == 0
     assert doc["all_ok"] is True
+
+
+def test_verify_runs_det_rounds(dumbbell_path, monkeypatch, capsys):
+    # Below k terminals det is only pairwise flows, so verify must use a small k.
+    real_det = cutkit.bench.DRIVERS["det"]
+    reports = []
+
+    def recording_det(engine, inst, cfg):
+        reports.append(real_det(engine, inst, cfg))
+        return reports[-1]
+
+    monkeypatch.setitem(cutkit.bench.DRIVERS, "det", recording_det)
+    code, doc = run_json(capsys, ["verify", "--graph", dumbbell_path])
+    assert code == 0 and doc["all_ok"] is True
+    assert reports and all(r.trace.guess_traces for r in reports)
 
 
 def test_verify_exits_3_when_methods_disagree(dumbbell_path, monkeypatch, capsys):

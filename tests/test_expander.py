@@ -43,8 +43,9 @@ def two_triangles_bridge():
 def test_demand_vector_validation():
     with pytest.raises(InputError):
         DemandVector((1, -1))
-    with pytest.raises(InputError):
-        DemandVector((1.5, 2))
+    for bad in ((1.5, 2), (True, 2)):
+        with pytest.raises(InputError, match="nonnegative integers"):
+            DemandVector(bad)
     d = DemandVector.uniform(4, 3)
     assert d.total == 12
     assert d.mass(VertexSet.from_ids(4, [0, 2])) == 6
@@ -316,7 +317,7 @@ def heavy_quotient(groups: int, extra: int, rng: random.Random):
     ]
     edges += [(rng.randrange(n), groups * size + x, rng.randint(1, 1 << 40)) for x in range(extra)]
     labels = [v // size for v in range(groups * size)] + list(range(groups, groups + extra))
-    return contract(build_graph(n, edges), labels).graph
+    return contract(build_graph(n, edges), labels)
 
 
 def test_spectral_search_triples_are_exact():

@@ -8,7 +8,6 @@ from cutkit import (
     WeightedGraph,
     boundary_edges,
     build_graph,
-    components,
     components_after_removal,
     contract,
     cut_weight,
@@ -106,10 +105,12 @@ def test_cut_weight_and_boundary():
 
 def test_contract_merges_and_lifts():
     g = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4)])
-    cmap = contract(g, [0, 0, 1, 2])
-    assert cmap.graph.n == 3
-    assert cmap.graph.edges == ((0, 1, 2), (0, 2, 4), (1, 2, 3))
-    lifted = cmap.lift(VertexSet.from_ids(3, [0, 2]))
+    labels = [0, 0, 1, 2]
+    quotient = contract(g, labels)
+    assert quotient.n == 3
+    assert quotient.edges == ((0, 1, 2), (0, 2, 4), (1, 2, 3))
+    # The lift rule from contract's docstring.
+    lifted = VertexSet.from_bools(VertexSet.from_ids(3, [0, 2]).bools()[labels])
     assert lifted.members() == [0, 1, 3]
 
 
@@ -118,12 +119,11 @@ def test_contract_validates_labels():
     for labels in ([0, 1], [0, 1, 2, 3], [0, -1, 1], [0.5, 1.7, 2.2], [0, 1.0, 2]):
         with pytest.raises(InputError):
             contract(g, labels)
-    assert contract(g, np.array([0, 1, 1], dtype=np.int32)).graph.n == 2
+    assert contract(g, np.array([0, 1, 1], dtype=np.int32)).n == 2
     # An id no vertex carries becomes an isolated vertex of the quotient.
-    cmap = contract(g, [0, 3, 3])
-    assert cmap.graph.n == 4
-    assert cmap.graph.edges == ((0, 3, 1),)
-    assert cmap.lift(VertexSet.from_ids(4, [1, 2])) == VertexSet.empty(3)
+    quotient = contract(g, [0, 3, 3])
+    assert quotient.n == 4
+    assert quotient.edges == ((0, 3, 1),)
 
 
 def test_vertex_set_bools_round_trip():
@@ -138,9 +138,12 @@ def test_vertex_set_bools_round_trip():
 
 def test_components_ordered_by_smallest():
     g = build_graph(5, [(3, 4, 1), (0, 2, 1)])
-    comps = components(g)
-    assert [c.members() for c in comps] == [[0, 2], [1], [3, 4]]
+    labels = components_after_removal(g, np.zeros(g.m, dtype=bool))
+    assert labels.tolist() == [0, 1, 0, 3, 3]
     assert not is_connected(g)
+    assert is_connected(build_graph(5, [(3, 4, 1), (0, 2, 1), (1, 4, 1), (2, 3, 1)]))
+    assert not is_connected(build_graph(2, []))
+    assert is_connected(build_graph(1, [])) and is_connected(build_graph(0, []))
 
 
 def test_components_after_removal():
@@ -223,8 +226,7 @@ def test_derived_graphs_keep_merged_weights_beyond_edge_limit():
     # Each input edge is within 2^40; contraction and induction merge them.
     w = 1 << 40
     g = build_graph(4, [(0, 2, w), (1, 2, w), (2, 3, 5)])
-    cmap = contract(g, [0, 0, 1, 2])
-    assert cmap.graph.edges == ((0, 1, 2 * w), (1, 2, 5))
+    assert contract(g, [0, 0, 1, 2]).edges == ((0, 1, 2 * w), (1, 2, 5))
     heavy = build_graph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
     sub, _ = induced_subgraph(heavy, VertexSet.from_ids(3, [0, 1]))
     assert sub.edges == ((0, 1, 2 * w),)
@@ -233,9 +235,9 @@ def test_derived_graphs_keep_merged_weights_beyond_edge_limit():
     # Merged weights of odd exact sum above 2^53, which float64 cannot hold.
     odd = ODD_BEYOND_FLOAT
     star = odd_heavy_star()
-    cmap = contract(star, [0] + [1] * (star.n - 1))
-    assert cmap.graph.edges == ((0, 1, odd),)
-    assert cut_weight(cmap.graph, VertexSet.from_ids(2, [0])) == odd
+    quotient = contract(star, [0] + [1] * (star.n - 1))
+    assert quotient.edges == ((0, 1, odd),)
+    assert cut_weight(quotient, VertexSet.from_ids(2, [0])) == odd
     parallel = build_graph(3, [(0, 1, w)] * (1 << 13) + [(0, 1, 1), (1, 2, 5)])
     sub, _ = induced_subgraph(parallel, VertexSet.from_ids(3, [0, 1]))
     assert sub.edges == ((0, 1, odd),)

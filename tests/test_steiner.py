@@ -17,6 +17,7 @@ from cutkit import (
     SteinerInstance,
     VertexSet,
     build_graph,
+    enumerate_cuts,
     global_mincut_det,
     minimum_isolating_cuts,
     naive_steiner,
@@ -61,7 +62,8 @@ def test_config_validation():
         AlgoConfig(k=1)
     with pytest.raises(InputError):
         AlgoConfig(rand_reps=0)
-    for bad in ({"k": 3.0}, {"k": True}, {"rand_reps": 1.5}, {"rand_reps": True}):
+    bad_seeds = ({"seed": 1.5}, {"seed": True}, {"seed": "3"})
+    for bad in ({"k": 3.0}, {"k": True}, {"rand_reps": 1.5}, {"rand_reps": True}, *bad_seeds):
         with pytest.raises(InputError):
             AlgoConfig(phi=Fraction(1, 4), **bad)
 
@@ -219,6 +221,26 @@ def test_det_zero_cut_disconnected(dinic):
     assert report.meter.call_count == 0
     assert report.cut.side.members() == [0, 1, 2]
     assert report.trace.lambda_guesses == ()
+
+
+def test_terminals_in_one_component_of_disconnected_graph(dinic, scipy_eng):
+    # The zero-cut check must not fire when the other component holds no terminal.
+    left = gnp_graph(10, 0.5, seed=3)
+    edges = [*left.edges, *((u + 10, v + 10, w) for u, v, w in dumbbell_graph(8).edges)]
+    g = build_graph(18, edges)
+    t = VertexSet.from_ids(18, [10, 12, 15, 17])
+    inst = SteinerInstance(g, t)
+    ref = enumerate_cuts(g, terminals=t).weight
+    assert ref == 1
+    for engine in (dinic, scipy_eng):
+        assert naive_steiner(engine, inst).weight == ref
+        for report in (
+            steiner_mincut_det(engine, inst),
+            steiner_mincut_det(engine, inst, small_cfg()),
+            steiner_mincut_rand(engine, inst),
+        ):
+            assert not report.trace.zero_cut
+            assert report.weight == ref
 
 
 def test_det_fingerprint_stable(dinic):
