@@ -1,10 +1,12 @@
 """Flow-call benchmark: the fast driver versus the naive baseline.
 
-Counts are reported two ways. Raw calls is the plain number of max-flow
-invocations. Equivalent calls (FlowMeter.equivalent_calls) count one per
-invocation, except that an isolating run's whole phase B counts as one,
-because its instances together are no bigger than a single instance; the
-budget below is stated in equivalent calls.
+Counts are reported three ways. Raw calls are the metered max-flow calls,
+one per ``max_flow``; recalled calls are those of them that the engine
+answered from the run's memo of instances it had already solved.
+Equivalent calls (FlowMeter.equivalent_calls) count one per metered call,
+except that an isolating run's whole phase B counts as one, because its
+instances together are no bigger than a single instance; the budget below
+is stated in equivalent calls.
 """
 
 import csv
@@ -28,7 +30,7 @@ from .steiner import (
     steiner_mincut_rand,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
 DRIVERS = {"det": steiner_mincut_det, "rand": steiner_mincut_rand}
@@ -66,6 +68,7 @@ class BenchRow:
     weight: int
     raw_calls: int
     equivalent_calls: int
+    recalled_calls: int
     agg_vertices: int
     agg_edges: int
     seconds: float
@@ -157,6 +160,7 @@ def run_bench(
                         weight=cut.weight,
                         raw_calls=meter.call_count,
                         equivalent_calls=eq,
+                        recalled_calls=meter.recalled,
                         agg_vertices=meter.aggregate_vertices,
                         agg_edges=meter.aggregate_edges,
                         seconds=round(seconds, 6),

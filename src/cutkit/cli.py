@@ -204,7 +204,9 @@ def cmd_solve(args) -> int:
     inst = SteinerInstance(graph, _terminals(args, graph))
     engine = get_engine(args.engine)
     cut, meter, report = run_method(args.method, engine, inst, _config_from(args, AlgoConfig()))
-    payload = {**_cut_payload(cut), "raw_calls": meter.call_count}
+    payload = {
+        **_cut_payload(cut), "raw_calls": meter.call_count, "recalled_calls": meter.recalled
+    }
     if report is not None:
         payload["equivalent_calls"] = report.equivalent_calls
         payload["fingerprint"] = report.fingerprint()

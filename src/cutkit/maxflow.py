@@ -4,9 +4,21 @@ Both engines are deterministic and return identical results: the flow value
 and the inclusion-minimal minimum cut side, the set of vertices reachable
 from s in the final residual graph.
 
+Engine protocol: ``solve(graph, s, t, memo=None)`` returns the FlowResult,
+and stores the result of every nontrivial instance it solves in memo, when
+given one. Every call goes through ``max_flow``, which meters it, so the
+meter counts logical calls: a call answered without running a flow still
+counts.
+
 - Shared base case: both answer an edgeless or two-vertex instance in
   closed form (``_closed_form``); its only minimal side is {s}, of value
   the total edge weight.
+- Shared memo (``_memoized``): any other instance is looked up in the memo
+  first, under the key (n, m, s, t, a 16-byte BLAKE2b digest of the three
+  ``edge_arrays``), and a miss is solved and stored. ``max_flow`` passes
+  ``FlowMeter.memo``, so the memo lives as long as the meter: one driver
+  run, which empties it before returning its report. A digest keeps each
+  entry small where the arrays themselves would cost 24 bytes per edge.
 - ``DinicEngine`` (the default) is pure Python on Python-int capacities, so
   it is exact at any weight; a call runs O(n^2 m) interpreted steps at
   worst. Edge i of ``graph.edge_arrays`` is arc 2i (u->v) and arc 2i+1
@@ -18,6 +30,7 @@ from s in the final residual graph.
   csgraph BFS over the arcs with positive residual capacity.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,15 +51,21 @@ class FlowResult:
 
 @dataclass
 class FlowMeter:
-    """Counts max-flow invocations and the size of each solved instance.
+    """Counts max-flow calls and the size (n, m) of each call's instance.
 
-    Equivalent calls are the paper's cost measure: one per invocation,
+    Equivalent calls are the paper's cost measure: one per call,
     except that the calls of one bundle (an isolating run's whole phase B,
     whose instances together are no bigger than one) count as one call.
+    memo holds the result of each nontrivial instance solved for this
+    meter, so the engine answers a repeat without solving it again, and
+    recalled counts those answers. A recalled call is still a call: neither
+    field changes calls, equivalent calls or a report's fingerprint.
     """
 
     calls: list[tuple[int, int]] = field(default_factory=list)
     bundled: int = 0
+    recalled: int = 0
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def record(self, n: int, m: int) -> None:
         self.calls.append((n, m))
@@ -81,15 +100,33 @@ class FlowMeter:
         return self.calls[mark:]
 
 
+def _trivial(graph: WeightedGraph) -> bool:
+    return graph.m == 0 or graph.n == 2
+
+
 def _closed_form(graph: WeightedGraph, s: int) -> FlowResult | None:
     """The answer of an edgeless or two-vertex instance, else None.
 
     Such an instance has {s} as its only minimal s-t cut side, of value the
     total edge weight, so neither engine runs a flow on it.
     """
-    if graph.m == 0 or graph.n == 2:
+    if _trivial(graph):
         return FlowResult(graph.total_weight, VertexSet(graph.n, 1 << s))
     return None
+
+
+def _memoized(memo: dict | None, graph: WeightedGraph, s: int, t: int, flow) -> FlowResult:
+    """memo's answer for (graph, s, t), else flow(graph, s, t), stored in memo."""
+    if memo is None:
+        return flow(graph, s, t)
+    digest = hashlib.blake2b(digest_size=16)
+    for a in graph.edge_arrays:
+        digest.update(a.tobytes())
+    key = (graph.n, graph.m, s, t, digest.digest())
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = flow(graph, s, t)
+    return result
 
 
 class DinicEngine:
@@ -106,15 +143,20 @@ class DinicEngine:
     arc left pruned for the rest of the phase. Nothing recurses, so a long
     path cannot exhaust the stack. The BFS that fails to reach t runs to
     the end; the vertices it reaches are the returned side. Edgeless and
-    two-vertex instances get the shared closed form.
+    two-vertex instances get the shared closed form, and a repeat of an
+    instance in memo its stored answer.
     """
 
     name = "dinic"
 
-    def solve(self, graph: WeightedGraph, s: int, t: int) -> FlowResult:
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> FlowResult:
         trivial = _closed_form(graph, s)
         if trivial is not None:
             return trivial
+        return _memoized(memo, graph, s, t, self._flow)
+
+    @staticmethod
+    def _flow(graph: WeightedGraph, s: int, t: int) -> FlowResult:
         n = graph.n
         us, vs, ws = graph.edge_arrays
         tails = np.stack([us, vs], axis=1).ravel()
@@ -186,21 +228,27 @@ class ScipyEngine:
     one) can still raise InputError here. The dinic engine has no limit.
 
     An edgeless or two-vertex instance costs no SciPy call: it gets the
-    shared closed form, once its capacities pass the int32 check. Any other
-    costs one argsort of its 2m arcs into a canonical CSR, one maximum_flow
-    call, and one csgraph BFS over the arcs with positive residual capacity.
+    shared closed form, once its capacities pass the int32 check, and a
+    repeat of an instance in memo gets its stored answer. Any other costs
+    one argsort of its 2m arcs into a canonical CSR, one maximum_flow call,
+    and one csgraph BFS over the arcs with positive residual capacity.
     """
 
     name = "scipy"
 
-    def solve(self, graph: WeightedGraph, s: int, t: int) -> FlowResult:
-        n = graph.n
-        us, vs, ws = graph.edge_arrays
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> FlowResult:
+        ws = graph.edge_arrays[2]
         if graph.m and int(ws.max()) >= INT32_LIMIT:
             raise InputError("capacity exceeds int32 range; use the dinic engine")
         trivial = _closed_form(graph, s)
         if trivial is not None:
             return trivial
+        return _memoized(memo, graph, s, t, self._flow)
+
+    @staticmethod
+    def _flow(graph: WeightedGraph, s: int, t: int) -> FlowResult:
+        n = graph.n
+        us, vs, ws = graph.edge_arrays
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order, maximum_flow
         # Arcs are all (v, u), then all (u, v), over the sorted edges u < v, so
@@ -238,15 +286,26 @@ def get_engine(name: str = "dinic"):
 
 
 def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> FlowResult:
-    """Solve one s-t max flow, recording exactly one meter entry (n, m)."""
+    """Solve one s-t max flow, recording exactly one meter entry (n, m).
+
+    The call always reaches ``engine.solve(graph, s, t, meter.memo)`` and is
+    always metered, so the meter counts logical calls. The engine answers
+    an instance it solved earlier for this meter from the memo (key: n, m,
+    s, t and a digest of ``edge_arrays``); such a call adds one to
+    ``meter.recalled``.
+    """
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise InputError("source or sink id outside graph")
     if s == t:
         raise InputError("source equals sink")
-    result = engine.solve(graph, s, t)
+    stored = len(meter.memo)
+    result = engine.solve(graph, s, t, meter.memo)
     meter.record(graph.n, graph.m)
     if t in result.min_side:
         raise ContractViolation("engine returned sink inside source side")
+    # A nontrivial instance that added no memo entry was answered from it.
+    if len(meter.memo) == stored and not _trivial(graph):
+        meter.recalled += 1
     return result
 
 

@@ -261,7 +261,12 @@ def _finish(
     meter: FlowMeter,
     trace: DriverTrace,
 ) -> CutReport:
-    """Report a driver's answer after checking it is a Steiner cut of its weight."""
+    """Report a driver's answer after checking it is a Steiner cut of its weight.
+
+    The run's flow memo is emptied here: the report keeps the meter, and
+    callers often keep many reports.
+    """
+    meter.memo.clear()
     inside = cut.side.intersection(inst.terminals)
     if not inside or inside == inst.terminals:
         raise ContractViolation("reported side does not separate the terminals")

@@ -117,7 +117,7 @@ def test_maxflow_on_edgelist(dumbbell_path, capsys):
         ["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"],
     )
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["value"] == 1
     assert doc["min_side"] == [0, 1, 2, 3]
     assert doc["calls"] == 1
@@ -149,7 +149,7 @@ def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
 
 def test_maxflow_sink_on_source_side_is_invariant_failure(dumbbell_path, monkeypatch, capsys):
     class SinkOnSourceSide:
-        def solve(self, graph, s, t):
+        def solve(self, graph, s, t, memo=None):
             return FlowResult(0, graph.full_set)
 
     monkeypatch.setattr("cutkit.cli.get_engine", lambda name: SinkOnSourceSide())
@@ -401,7 +401,7 @@ def test_bench_subcommand(tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert len(doc["rows"]) == 2
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("family,n,m,method")

@@ -9,6 +9,7 @@ from cutkit import (
     ContractViolation,
     DinicEngine,
     FlowMeter,
+    GeneratorSpec,
     InputError,
     ScipyEngine,
     SteinerInstance,
@@ -16,11 +17,15 @@ from cutkit import (
     build_graph,
     enumerate_cuts,
     get_engine,
+    generate,
     gnp_graph,
     max_flow,
+    maxflow,
     min_cut_separating,
     parse_dimacs,
     steiner_mincut_det,
+    steiner_mincut_rand,
+    stoer_wagner,
     write_dimacs,
 )
 
@@ -130,9 +135,9 @@ def test_engines_agree_on_every_flow_of_a_driver_run():
         def __init__(self):
             self.seen = []
 
-        def solve(self, graph, s, t):
+        def solve(self, graph, s, t, memo=None):
             self.seen.append((graph, s, t))
-            return super().solve(graph, s, t)
+            return super().solve(graph, s, t, memo)
 
     g = gnp_graph(48, 0.15, seed=3, w_min=1 << 20, w_max=1 << 21)
     recorder = Recording()
@@ -141,6 +146,52 @@ def test_engines_agree_on_every_flow_of_a_driver_run():
     assert len(flows) > 100
     for h, s, t in recorder.seen:
         assert DinicEngine().solve(h, s, t) == ScipyEngine().solve(h, s, t)
+
+
+def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch):
+    spec = GeneratorSpec("gnp", 48, seed=0, p=0.15, w_min=1 << 39, w_max=1 << 40)
+    g = generate(spec)
+    inst = SteinerInstance(g, g.full_set)
+    cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
+    report = steiner_mincut_det(dinic, inst, cfg)
+    assert report.meter.recalled > 0
+    assert report.weight == stoer_wagner(g).weight
+
+    flows = []
+
+    def never_stored(memo, graph, s, t, flow):
+        flows.append((graph.n, graph.m))
+        return flow(graph, s, t)
+
+    monkeypatch.setattr(maxflow, "_memoized", never_stored)
+    unstored = steiner_mincut_det(dinic, inst, cfg)
+    assert unstored.fingerprint() == report.fingerprint()
+    assert flows == [(n, m) for n, m in report.meter.calls if m and n > 2]
+
+
+def test_memo_keys_on_source_sink_and_every_weight(any_engine):
+    edges = [(0, 1, 3), (1, 2, 2), (2, 3, 4), (3, 0, 1), (0, 2, 5)]
+    g = build_graph(4, edges)
+    heavier = build_graph(4, edges[:-1] + [(0, 2, 6)])
+    meter = FlowMeter()
+    variants = [(g, 0, 3), (g, 1, 3), (g, 0, 1), (heavier, 0, 3)]
+    for h, s, t in variants:
+        assert max_flow(any_engine, h, s, t, meter) == max_flow(any_engine, h, s, t, FlowMeter())
+    assert (len(meter.memo), meter.recalled) == (4, 0)
+    for h, s, t in variants:
+        max_flow(any_engine, h, s, t, meter)
+    assert (len(meter.memo), meter.recalled, meter.call_count) == (4, 4, 8)
+
+
+def test_driver_reports_hold_no_memo_entries(dinic):
+    g = gnp_graph(24, 0.3, seed=1)
+    cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
+    split = build_graph(4, [(0, 1, 1), (2, 3, 1)])
+    for driver in (steiner_mincut_det, steiner_mincut_rand):
+        for h in (g, split):
+            report = driver(dinic, SteinerInstance(h, h.full_set), cfg)
+            assert report.meter.memo == {}
+    assert report.meter.call_count == 0
 
 
 def test_scipy_rejects_weights_beyond_int32(scipy_eng):
