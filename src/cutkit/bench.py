@@ -30,7 +30,7 @@ from .steiner import (
     steiner_mincut_rand,
 )
 
-SCHEMA = 2
+SCHEMA = 3
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
 DRIVERS = {"det": steiner_mincut_det, "rand": steiner_mincut_rand}
@@ -54,7 +54,7 @@ def det_call_budget(n: int, cfg: AlgoConfig) -> int:
     if n < k:
         return n - 1
     rounds = n.bit_length()
-    fam = family_size_bound(n, min(k, n - 1), min2=True)
+    fam = family_size_bound(n, min(k, n - 1))
     per_run = (n - 1).bit_length() + 1
     return rounds * fam * per_run + math.comb(min(k, n), 2) + rounds + n
 

@@ -28,7 +28,7 @@ from .graph import VertexSet, WeightedGraph, parse_edgelist, write_edgelist
 from .isolating import minimum_isolating_cuts
 from .maxflow import ENGINE_NAMES, FlowMeter, get_engine, max_flow, parse_dimacs, write_dimacs
 from .oracles import enumerate_cuts, naive_isolating
-from .splitters import EXHAUSTIVE_LIMIT, isolator_family, isolator_family_min2
+from .splitters import EXHAUSTIVE_LIMIT, isolator_family_min2
 from .steiner import AlgoConfig, SteinerInstance
 
 
@@ -119,15 +119,8 @@ def cmd_maxflow(args) -> int:
         raise InputError("source and sink are required unless the file names them")
     engine = get_engine(args.engine)
     meter = FlowMeter()
-    result = max_flow(engine, graph, source, sink, meter)
-    _emit(
-        {
-            "value": result.value,
-            "min_side": result.min_side.members(),
-            "calls": meter.call_count,
-        },
-        args.out,
-    )
+    cut = max_flow(engine, graph, source, sink, meter)
+    _emit({**_cut_payload(cut), "calls": meter.call_count}, args.out)
     return 0
 
 
@@ -156,15 +149,11 @@ def cmd_isolating(args) -> int:
 
 
 def cmd_splitter_gen(args) -> int:
-    if args.min2:
-        family = isolator_family_min2(args.n, args.k)
-    else:
-        family = isolator_family(args.n, args.k)
+    family = isolator_family_min2(args.n, args.k)
     _emit(
         {
             "n": args.n,
             "k": args.k,
-            "variant": family.variant,
             "size_bound": family.size_bound,
             "set_count": len(family),
             "sets": [s.members() for s in family],
@@ -335,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg = subs.add_parser("splitter-gen", help="derandomized isolator set family")
     sg.add_argument("--n", type=int, required=True)
     sg.add_argument("--k", type=int, required=True)
-    sg.add_argument("--min2", action="store_true", help="pad singletons to pairs")
     _add_out_arg(sg)
     sg.set_defaults(func=cmd_splitter_gen)
 

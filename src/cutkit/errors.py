@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+import numpy as np
+
 
 class CutkitError(Exception):
     """Base class for all toolkit errors."""
@@ -21,3 +23,10 @@ def require_int(name: str, value) -> None:
     """Raise InputError unless value is an int; a bool does not count."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an int, got {value!r}")
+
+
+def as_int(name: str, value) -> int:
+    """value as a Python int; a NumPy integer counts, a bool or anything else raises InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    return int(value)

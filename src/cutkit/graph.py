@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 MAX_EDGE_WEIGHT = 1 << 40
 MAX_TOTAL_WEIGHT = 1 << 62
@@ -32,8 +32,11 @@ class VertexSet:
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
+        """The set of the given ids; each is a Python or NumPy int in [0, n)."""
+        n = as_int("universe size", n)
         mask = 0
         for v in ids:
+            v = as_int("vertex id", v)
             if not 0 <= v < n:
                 raise InputError(f"vertex id {v} outside [0, {n})")
             mask |= 1 << v
@@ -123,6 +126,7 @@ class WeightedGraph:
     __slots__ = ("n", "edge_arrays", "total_weight")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
+        n = as_int("vertex count", n)
         if n < 0:
             raise InputError(f"negative vertex count {n}")
         triples = list(edges)

@@ -1,12 +1,12 @@
 """Exact s-t maximum flow / minimum cut with call metering.
 
-Both engines are deterministic and return identical results: the flow value
-and the inclusion-minimal minimum cut side, the set of vertices reachable
-from s in the final residual graph.
+Both engines are deterministic and return identical results: a Cut whose
+weight is the flow value and whose side is the inclusion-minimal minimum
+cut side, the set of vertices reachable from s in the final residual graph.
 
-Engine protocol: ``solve(graph, s, t, memo=None)`` returns the FlowResult,
-and stores the result of every nontrivial instance it solves in memo, when
-given one. Every call goes through ``max_flow``, which meters it, so the
+Engine protocol: ``solve(graph, s, t, memo=None)`` returns that Cut, and
+stores the Cut of every nontrivial instance it solves in memo, when given
+one. Every call goes through ``max_flow``, which meters it, so the
 meter counts logical calls: a call answered without running a flow still
 counts.
 
@@ -39,14 +39,6 @@ from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, contract
 
 INT32_LIMIT = 1 << 31
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    """Max-flow value plus the minimal min-cut side containing s."""
-
-    value: int
-    min_side: VertexSet
 
 
 @dataclass
@@ -104,18 +96,18 @@ def _trivial(graph: WeightedGraph) -> bool:
     return graph.m == 0 or graph.n == 2
 
 
-def _closed_form(graph: WeightedGraph, s: int) -> FlowResult | None:
+def _closed_form(graph: WeightedGraph, s: int) -> Cut | None:
     """The answer of an edgeless or two-vertex instance, else None.
 
     Such an instance has {s} as its only minimal s-t cut side, of value the
     total edge weight, so neither engine runs a flow on it.
     """
     if _trivial(graph):
-        return FlowResult(graph.total_weight, VertexSet(graph.n, 1 << s))
+        return Cut(VertexSet(graph.n, 1 << s), graph.total_weight)
     return None
 
 
-def _memoized(memo: dict | None, graph: WeightedGraph, s: int, t: int, flow) -> FlowResult:
+def _memoized(memo: dict | None, graph: WeightedGraph, s: int, t: int, flow) -> Cut:
     """memo's answer for (graph, s, t), else flow(graph, s, t), stored in memo."""
     if memo is None:
         return flow(graph, s, t)
@@ -149,14 +141,14 @@ class DinicEngine:
 
     name = "dinic"
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> FlowResult:
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
         trivial = _closed_form(graph, s)
         if trivial is not None:
             return trivial
         return _memoized(memo, graph, s, t, self._flow)
 
     @staticmethod
-    def _flow(graph: WeightedGraph, s: int, t: int) -> FlowResult:
+    def _flow(graph: WeightedGraph, s: int, t: int) -> Cut:
         n = graph.n
         us, vs, ws = graph.edge_arrays
         tails = np.stack([us, vs], axis=1).ravel()
@@ -217,7 +209,7 @@ class DinicEngine:
         mask = 0
         for v in queue:
             mask |= 1 << v
-        return FlowResult(total, VertexSet(n, mask))
+        return Cut(VertexSet(n, mask), total)
 
 
 class ScipyEngine:
@@ -236,7 +228,7 @@ class ScipyEngine:
 
     name = "scipy"
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> FlowResult:
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
         ws = graph.edge_arrays[2]
         if graph.m and int(ws.max()) >= INT32_LIMIT:
             raise InputError("capacity exceeds int32 range; use the dinic engine")
@@ -246,7 +238,7 @@ class ScipyEngine:
         return _memoized(memo, graph, s, t, self._flow)
 
     @staticmethod
-    def _flow(graph: WeightedGraph, s: int, t: int) -> FlowResult:
+    def _flow(graph: WeightedGraph, s: int, t: int) -> Cut:
         n = graph.n
         us, vs, ws = graph.edge_arrays
         from scipy.sparse import csr_matrix
@@ -271,7 +263,7 @@ class ScipyEngine:
         mask = 0
         for v in breadth_first_order(residual, s, return_predecessors=False).tolist():
             mask |= 1 << v
-        return FlowResult(int(res.flow_value), VertexSet(n, mask))
+        return Cut(VertexSet(n, mask), int(res.flow_value))
 
 
 _ENGINES = {"dinic": DinicEngine, "scipy": ScipyEngine}
@@ -285,7 +277,7 @@ def get_engine(name: str = "dinic"):
         raise InputError(f"unknown engine {name!r}; choose from {sorted(_ENGINES)}")
 
 
-def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> FlowResult:
+def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> Cut:
     """Solve one s-t max flow, recording exactly one meter entry (n, m).
 
     The call always reaches ``engine.solve(graph, s, t, meter.memo)`` and is
@@ -299,14 +291,14 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
     if s == t:
         raise InputError("source equals sink")
     stored = len(meter.memo)
-    result = engine.solve(graph, s, t, meter.memo)
+    cut = engine.solve(graph, s, t, meter.memo)
     meter.record(graph.n, graph.m)
-    if t in result.min_side:
+    if t in cut.side:
         raise ContractViolation("engine returned sink inside source side")
     # A nontrivial instance that added no memo entry was answered from it.
     if len(meter.memo) == stored and not _trivial(graph):
         meter.recalled += 1
-    return result
+    return cut
 
 
 def min_cut_separating(
@@ -331,8 +323,8 @@ def min_cut_separating(
     labels = np.cumsum(~(in_a | in_b)) + 1
     labels[in_a] = 0
     labels[in_b] = 1
-    result = max_flow(engine, contract(graph, labels), 0, 1, meter)
-    return Cut(VertexSet.from_bools(result.min_side.bools()[labels]), result.value)
+    cut = max_flow(engine, contract(graph, labels), 0, 1, meter)
+    return Cut(VertexSet.from_bools(cut.side.bools()[labels]), cut.weight)
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,9 @@ def naive_steiner(engine, inst, meter: FlowMeter | None = None) -> Cut:
     s = members[0]
     best: Cut | None = None
     for t in members[1:]:
-        res = max_flow(engine, inst.graph, s, t, meter)
-        if best is None or res.value < best.weight:
-            best = Cut(res.min_side, res.value)
+        cut = max_flow(engine, inst.graph, s, t, meter)
+        if best is None or cut.weight < best.weight:
+            best = cut
     assert best is not None
     return best
 
@@ -216,11 +216,11 @@ def naive_isolating(
         labels = [len(keep)] * graph.n
         for i, x in enumerate(keep):
             labels[x] = i
-        res = max_flow(engine, contract(graph, labels), labels[v], len(keep), meter)
-        side = VertexSet.from_bools(res.min_side.bools()[labels])
+        cut = max_flow(engine, contract(graph, labels), labels[v], len(keep), meter)
+        side = VertexSet.from_bools(cut.side.bools()[labels])
         if side.intersection(terminals).mask != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")
-        entries[v] = IsolatingCutEntry(v, Cut(side, res.value), side)
+        entries[v] = IsolatingCutEntry(v, Cut(side, cut.weight), side)
     calls = meter.delta(mark)
     if len(calls) != len(members):
         raise ContractViolation("naive isolating must meter exactly |R| calls")

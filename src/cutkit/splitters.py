@@ -7,8 +7,12 @@ argument for the pool size: x mod p fails on S only if p divides some
 difference x - y of distinct elements of S. The product of all C(k, 2) such
 differences is below 2^(C(k,2) * ceil(lg n)), so at most C(k, 2) * ceil(lg n)
 distinct primes divide it, and a pool of one more prime always contains one
-with no collision on S. As a safety net every family on at most
-EXHAUSTIVE_LIMIT elements is checked exhaustively when it is built; a
+with no collision on S.
+
+An isolating cut separates a member of a set from the rest of it, so every
+set of the family has at least two members: a class that is a singleton
+{x} is padded out to k pairs {x, y}. As a safety net every family on at
+most EXHAUSTIVE_LIMIT elements is checked exhaustively when it is built; a
 failure there raises rather than returning a family without the guarantee.
 """
 
@@ -41,12 +45,12 @@ def _pool_size(n: int, k: int) -> int:
     return k * (k - 1) // 2 * log_term + 1
 
 
-def _check_args(n: int, k: int, min2: bool) -> None:
-    """Both ints, 1 <= k <= n, and k < n for min2 so k partners exist."""
+def _check_args(n: int, k: int) -> None:
+    """Both ints and 1 <= k < n, so k partners exist for every padded singleton."""
     require_int("n", n)
     require_int("k", k)
-    if not 1 <= k <= n - min2:
-        raise InputError(f"need 1 <= k <= {'n - 1' if min2 else 'n'}, got k={k}, n={n}")
+    if not 1 <= k < n:
+        raise InputError(f"need 1 <= k <= n - 1, got k={k}, n={n}")
 
 
 def _cells(n: int, k: int) -> Iterator[int]:
@@ -69,16 +73,14 @@ def _cells(n: int, k: int) -> Iterator[int]:
 class SetFamily:
     """Family of vertex subsets with a recorded worst-case size bound.
 
-    The guarantee depends on the variant. For "isolator": every nonempty
-    S with |S| <= k has some member R with |R cap S| = {one element}. For
-    "isolator_min2": the same, with every member of size at least two.
+    The guarantee: every nonempty S with |S| <= k has some member R with
+    |R cap S| = {one element}, and every member has at least two elements.
     """
 
     universe: int
     k: int
     sets: tuple[VertexSet, ...]
     size_bound: int
-    variant: str
 
     def __post_init__(self) -> None:
         if len(self.sets) > self.size_bound:
@@ -86,10 +88,10 @@ class SetFamily:
                 f"family has {len(self.sets)} sets, recorded bound {self.size_bound}"
             )
         for s in self.sets:
-            if not s:
-                raise ContractViolation("family contains an empty set")
             if s.n != self.universe:
                 raise ContractViolation("family set universe mismatch")
+            if len(s) < 2:
+                raise ContractViolation(f"family set {s.members()} has fewer than two members")
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -98,50 +100,39 @@ class SetFamily:
         return iter(self.sets)
 
 
-def family_size_bound(n: int, k: int, min2: bool = False) -> int:
-    """Cap on the family size: one set per residue class, k per class for min2."""
-    _check_args(n, k, min2)
-    cells = sum(1 for _ in _cells(n, k))
-    return cells * k if min2 else cells
+def family_size_bound(n: int, k: int) -> int:
+    """Cap on the family size: k sets per residue class, as a singleton pads to k pairs.
+
+    Needs 1 <= k < n, like the family itself.
+    """
+    _check_args(n, k)
+    return k * sum(1 for _ in _cells(n, k))
 
 
-def _build(n: int, k: int, min2: bool) -> SetFamily:
-    _check_args(n, k, min2)
+def isolator_family_min2(n: int, k: int) -> SetFamily:
+    """Distinct residue classes of every level k' <= k, singletons padded to pairs.
+
+    Sets come in first-seen order. Each singleton {x} is replaced by the
+    pairs {x, y} for the k smallest ids y != x. A set S with |S| <= k and x
+    in S rules out at most k - 1 of those pairs, so some replacement still
+    meets S exactly in x. Needs 1 <= k < n so that k distinct partners exist.
+    """
+    _check_args(n, k)
     masks: dict[int, None] = {}  # insertion-ordered set of distinct masks
     cells = 0
     for mask in _cells(n, k):
         cells += 1
-        if min2 and mask.bit_count() == 1:
+        if mask.bit_count() == 1:
             partners = [y for y in range(k + 1) if 1 << y != mask][:k]
             masks.update(dict.fromkeys(mask | 1 << y for y in partners))
         else:
             masks[mask] = None
     family = SetFamily(
-        universe=n,
-        k=k,
-        sets=tuple(VertexSet(n, m) for m in masks),
-        size_bound=cells * k if min2 else cells,
-        variant="isolator_min2" if min2 else "isolator",
+        universe=n, k=k, sets=tuple(VertexSet(n, m) for m in masks), size_bound=cells * k
     )
     if n <= EXHAUSTIVE_LIMIT:
         verify_isolator(family)
     return family
-
-
-def isolator_family(n: int, k: int) -> SetFamily:
-    """Distinct residue classes of every level k' <= k, in first-seen order."""
-    return _build(n, k, min2=False)
-
-
-def isolator_family_min2(n: int, k: int) -> SetFamily:
-    """Isolator family with singletons padded out to pairs.
-
-    Each singleton {x} is replaced by the pairs {x, y} for the k smallest
-    ids y != x. A set S with |S| <= k and x in S rules out at most k - 1
-    of those pairs, so some replacement still meets S exactly in x. Needs
-    k < n so that k distinct partners exist.
-    """
-    return _build(n, k, min2=True)
 
 
 def verify_isolator(family: SetFamily) -> None:
@@ -150,8 +141,6 @@ def verify_isolator(family: SetFamily) -> None:
     Cost grows as C(n, k), so keep this to small universes.
     """
     masks = [s.mask for s in family.sets]
-    if family.variant == "isolator_min2":
-        masks = [m for m in masks if m.bit_count() >= 2]
     bits = [1 << x for x in range(family.universe)]
     # Consecutive subsets share most elements, so the set that isolated the
     # last one usually isolates the next and is tried first.

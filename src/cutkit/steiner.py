@@ -394,8 +394,7 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
             best = _lighter(best, iso.best().cut)
 
     s, t = members[0], members[1]
-    res = max_flow(engine, graph, s, t, meter)
-    best = _lighter(best, Cut(res.min_side, res.value))
+    best = _lighter(best, max_flow(engine, graph, s, t, meter))
     return _finish(inst, best, meter, trace)
 
 

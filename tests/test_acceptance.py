@@ -363,38 +363,25 @@ def test_randomized_success_rate():
 
 
 def test_small_set_isolation_exhaustive():
-    from cutkit.splitters import (
-        family_size_bound,
-        isolator_family,
-        isolator_family_min2,
-        verify_isolator,
-    )
+    from cutkit.splitters import family_size_bound, isolator_family_min2, verify_isolator
 
     def body(failures):
         for n in range(2, 17):
-            for k in range(1, min(4, n) + 1):
-                for variant, builder, min2 in (
-                    ("plain", isolator_family, False),
-                    ("min2", isolator_family_min2, True),
-                ):
-                    if min2 and k >= n:
-                        continue
-                    family = builder(n, k)
-                    verify_isolator(family)
-                    masks = [s.mask for s in family.sets]
-                    if len(masks) > family_size_bound(n, k, min2=min2):
-                        failures.append(f"{variant} n={n} k={k}: family over bound")
-                    if min2 and any(m.bit_count() < 2 for m in masks):
-                        failures.append(f"min2 n={n} k={k}: has a small set")
-                    for size in range(1, k + 1):
-                        for subset in combinations(range(n), size):
-                            smask = 0
-                            for v in subset:
-                                smask |= 1 << v
-                            if not any((smask & m).bit_count() == 1 for m in masks):
-                                failures.append(
-                                    f"{variant} n={n} k={k}: {subset} never isolated"
-                                )
+            for k in range(1, min(4, n - 1) + 1):
+                family = isolator_family_min2(n, k)
+                verify_isolator(family)
+                masks = [s.mask for s in family.sets]
+                if len(masks) > family_size_bound(n, k):
+                    failures.append(f"n={n} k={k}: family over bound")
+                if any(m.bit_count() < 2 for m in masks):
+                    failures.append(f"n={n} k={k}: has a small set")
+                for size in range(1, k + 1):
+                    for subset in combinations(range(n), size):
+                        smask = 0
+                        for v in subset:
+                            smask |= 1 << v
+                        if not any((smask & m).bit_count() == 1 for m in masks):
+                            failures.append(f"n={n} k={k}: {subset} never isolated")
 
     _run("08 isolation families exhaustive (n<=16, k<=4)", body)
 
@@ -581,9 +568,9 @@ def test_max_flow_against_enumeration():
             s, t = rng.sample(range(n), 2)
             res = max_flow(engines[i % 2], graph, s, t, FlowMeter())
             ref = enumerate_cuts(graph, source=s, sink=t)
-            if res.value != ref.weight:
-                failures.append(f"seed {i}: value {res.value} != {ref.weight}")
-            if res.min_side.mask != ref.side.mask:
+            if res.weight != ref.weight:
+                failures.append(f"seed {i}: value {res.weight} != {ref.weight}")
+            if res.side.mask != ref.side.mask:
                 failures.append(f"seed {i}: minimal side differs")
 
     _run("11 max-flow against enumeration (1000 instances)", body)

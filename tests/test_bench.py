@@ -91,7 +91,7 @@ def test_report_serializers():
         families=("dumbbell",), sizes=(8,), methods=("naive",), engine_name="dinic"
     )
     doc = report_to_json(report)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["engine"] == "dinic"
     assert doc["phi"] == "1/4"
     assert len(doc["rows"]) == 1

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import cutkit
-from cutkit import Cut, FlowResult, default_bench_config, run_bench, write_edgelist
+from cutkit import Cut, VertexSet, default_bench_config, run_bench, write_edgelist
 from cutkit.cli import build_parser, main
 from cutkit.generators import GeneratorSpec, cycle_graph, dumbbell_graph
 
@@ -117,9 +117,9 @@ def test_maxflow_on_edgelist(dumbbell_path, capsys):
         ["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"],
     )
     assert code == 0
-    assert doc["schema"] == 2
-    assert doc["value"] == 1
-    assert doc["min_side"] == [0, 1, 2, 3]
+    assert doc["schema"] == 3
+    assert doc["weight"] == 1
+    assert doc["side"] == [0, 1, 2, 3]
     assert doc["calls"] == 1
 
 
@@ -130,7 +130,7 @@ def test_maxflow_dimacs_defaults(tmp_path, capsys):
         capsys, ["maxflow", "--graph", str(path), "--format", "dimacs"]
     )
     assert code == 0
-    assert doc["value"] == 1
+    assert doc["weight"] == 1
 
 
 def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
@@ -150,7 +150,7 @@ def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
 def test_maxflow_sink_on_source_side_is_invariant_failure(dumbbell_path, monkeypatch, capsys):
     class SinkOnSourceSide:
         def solve(self, graph, s, t, memo=None):
-            return FlowResult(0, graph.full_set)
+            return Cut(VertexSet.from_ids(graph.n, [s, t]), 0)
 
     monkeypatch.setattr("cutkit.cli.get_engine", lambda name: SinkOnSourceSide())
     code = main(["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"])
@@ -184,11 +184,9 @@ def test_isolating_fast_and_naive_agree(dumbbell_path, capsys):
 
 def test_splitter_gen_verified(capsys):
     # Families on at most 16 elements are checked exhaustively when built.
-    for extra, variant in (([], "isolator"), (["--min2"], "isolator_min2")):
-        code, doc = run_json(capsys, ["splitter-gen", "--n", "8", "--k", "2", *extra])
-        assert code == 0
-        assert doc["variant"] == variant
-        assert doc["verified"] is True
+    code, doc = run_json(capsys, ["splitter-gen", "--n", "8", "--k", "2"])
+    assert code == 0
+    assert doc["verified"] is True
     assert doc["set_count"] == len(doc["sets"])
     assert doc["set_count"] <= doc["size_bound"]
     assert all(len(s) >= 2 for s in doc["sets"])
@@ -401,7 +399,7 @@ def test_bench_subcommand(tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert len(doc["rows"]) == 2
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("family,n,m,method")

@@ -57,6 +57,23 @@ def test_bad_edges_rejected():
             build_graph(2, [edge])
 
 
+def test_numpy_int_vertex_count_and_ids():
+    g = WeightedGraph(np.int64(70), [(0, 69, 1)])
+    assert type(g.n) is int
+    assert g.full_set.members() == list(range(70))
+    # 1 << np.int64(99) would overflow int64; the ids are stored as Python ints.
+    assert VertexSet.from_ids(100, np.array([99, 3])).members() == [3, 99]
+
+
+def test_non_integer_vertex_count_or_id_rejected():
+    for n in (2.5, True, "3"):
+        with pytest.raises(InputError):
+            WeightedGraph(n, [])
+    for ids in ([1.0], [True]):
+        with pytest.raises(InputError):
+            VertexSet.from_ids(8, ids)
+
+
 def test_degree_weight():
     g = build_graph(4, [(0, 3, 1), (0, 1, 2), (0, 2, 3)])
     assert g.degree_weight(0) == 6

@@ -4,7 +4,6 @@ from cutkit import (
     ContractViolation,
     Cut,
     FlowMeter,
-    FlowResult,
     InputError,
     VertexSet,
     bipartition_schedule,
@@ -170,7 +169,7 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
 
     # The naive oracle's sink is the contracted rest of R: a second terminal.
     def with_sink(engine, graph, s, t, meter):
-        return FlowResult(0, VertexSet.from_ids(graph.n, [s, t]))
+        return Cut(VertexSet.from_ids(graph.n, [s, t]), 0)
 
     monkeypatch.setattr("cutkit.oracles.max_flow", with_sink)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):

@@ -36,8 +36,8 @@ def test_path_graph_flow(any_engine):
     g = build_graph(4, [(0, 1, 5), (1, 2, 3), (2, 3, 7)])
     meter = FlowMeter()
     res = max_flow(any_engine, g, 0, 3, meter)
-    assert res.value == 3
-    assert res.min_side.members() == [0, 1]
+    assert res.weight == 3
+    assert res.side.members() == [0, 1]
     assert meter.call_count == 1
     assert meter.calls == [(4, 3)]
 
@@ -45,8 +45,8 @@ def test_path_graph_flow(any_engine):
 def test_disconnected_pair_flow_zero(any_engine):
     g = build_graph(4, [(0, 1, 2), (2, 3, 2)])
     res = max_flow(any_engine, g, 0, 2, FlowMeter())
-    assert res.value == 0
-    assert res.min_side.members() == [0, 1]
+    assert res.weight == 0
+    assert res.side.members() == [0, 1]
 
 
 def test_source_sink_validation(dinic):
@@ -73,8 +73,8 @@ def test_engines_agree_on_random_graphs(dinic, scipy_eng):
         b = max_flow(scipy_eng, g, s, t, FlowMeter())
         assert a == b
         if g.n == 2 or g.m == 0:
-            assert a.value == g.total_weight
-            assert a.min_side.members() == [s]
+            assert a.weight == g.total_weight
+            assert a.side.members() == [s]
 
 
 def test_min_side_matches_enumeration(any_engine):
@@ -83,15 +83,15 @@ def test_min_side_matches_enumeration(any_engine):
         s, t = st_pair(8, seed)
         res = max_flow(any_engine, g, s, t, FlowMeter())
         best = enumerate_cuts(g, source=s, sink=t)
-        assert res.value == best.weight
-        assert res.min_side == best.side
+        assert res.weight == best.weight
+        assert res.side == best.side
 
 
 def test_dinic_handles_huge_weights(dinic):
     w = 1 << 40
     g = build_graph(3, [(0, 1, w), (1, 2, w)])
     res = max_flow(dinic, g, 0, 2, FlowMeter())
-    assert res.value == w
+    assert res.weight == w
 
 
 def test_dinic_long_weighted_path_is_exact(dinic):
@@ -102,8 +102,8 @@ def test_dinic_long_weighted_path_is_exact(dinic):
     weights[k] = 1 << 39
     g = build_graph(n, [(i, i + 1, w) for i, w in enumerate(weights)])
     res = max_flow(dinic, g, 0, n - 1, FlowMeter())
-    assert res.value == 1 << 39
-    assert res.min_side.members() == list(range(k + 1))
+    assert res.weight == 1 << 39
+    assert res.side.members() == list(range(k + 1))
 
 
 def test_dinic_matches_enumeration_past_2_to_53(dinic):
@@ -125,8 +125,8 @@ def test_dinic_matches_enumeration_past_2_to_53(dinic):
         s, t = st_pair(n, seed)
         res = max_flow(dinic, g, s, t, FlowMeter())
         best = enumerate_cuts(g, source=s, sink=t)
-        assert res.value == best.weight
-        assert res.min_side == best.side
+        assert res.weight == best.weight
+        assert res.side == best.side
     assert big == 40
 
 

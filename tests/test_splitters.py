@@ -8,7 +8,6 @@ from cutkit import (
     SetFamily,
     VertexSet,
     family_size_bound,
-    isolator_family,
     isolator_family_min2,
     splitters,
     verify_isolator,
@@ -21,32 +20,33 @@ def isolates(family, subset):
 
 
 def test_k1_family_is_single_universe():
-    fam = isolator_family(7, 1)
+    fam = isolator_family_min2(7, 1)
     assert [r.members() for r in fam] == [list(range(7))]
     assert fam.size_bound == 1
 
 
 def test_every_pair_split_n8():
-    fam = isolator_family(8, 2)
+    fam = isolator_family_min2(8, 2)
     for pair in itertools.combinations(range(8), 2):
         assert isolates(fam, pair), pair
 
 
 def test_every_triple_split_n16():
-    fam = isolator_family(16, 3)
+    fam = isolator_family_min2(16, 3)
     for triple in itertools.combinations(range(16), 3):
         assert isolates(fam, triple), triple
 
 
 def test_family_arguments_validated():
     bad = [
-        (isolator_family, 0, 1),
-        (isolator_family, 5, 6),
-        (isolator_family, 5, 0),
-        (isolator_family, 10, 2.0),
-        (isolator_family, 10.0, 2),
+        (isolator_family_min2, 0, 1),
+        (isolator_family_min2, 5, 6),
+        (isolator_family_min2, 5, 0),
+        (isolator_family_min2, 10, 2.0),
+        (isolator_family_min2, 10.0, 2),
         (isolator_family_min2, 10, True),
         (isolator_family_min2, 4, 4),
+        (family_size_bound, 4, 4),
         (family_size_bound, 4, 9),
         (family_size_bound, 5, 0),
         (family_size_bound, 0, 1),
@@ -76,28 +76,25 @@ def reference_cells(n, k):
     return cells
 
 
-def reference_family(n, k, min2):
+def reference_family(n, k):
     sets = []
     for cell in reference_cells(n, k):
-        if min2 and len(cell) == 1:
+        if len(cell) == 1:
             x = cell[0]
             padded = [sorted((x, y)) for y in [y for y in range(n) if y != x][:k]]
         else:
             padded = [cell]
         sets += [s for s in padded if s not in sets]
-    return sets, len(reference_cells(n, k)) * (k if min2 else 1)
+    return sets, len(reference_cells(n, k)) * k
 
 
 def test_families_match_residue_reference():
-    cases = [(n, k) for n in range(1, 41) for k in range(1, min(n, 5) + 1)]
+    cases = [(n, k) for n in range(2, 41) for k in range(1, min(n - 1, 5) + 1)]
     for n, k in cases + [(256, 2), (320, 2)]:
-        for build, min2 in ((isolator_family, False), (isolator_family_min2, True)):
-            if min2 and k == n:
-                continue
-            fam = build(n, k)
-            sets, bound = reference_family(n, k, min2)
-            assert [r.members() for r in fam] == sets, (n, k, min2)
-            assert fam.size_bound == bound == family_size_bound(n, k, min2=min2)
+        fam = isolator_family_min2(n, k)
+        sets, bound = reference_family(n, k)
+        assert [r.members() for r in fam] == sets, (n, k)
+        assert fam.size_bound == bound == family_size_bound(n, k)
 
 
 def test_builder_safety_net_fires(monkeypatch):
@@ -111,14 +108,11 @@ def test_builder_safety_net_fires(monkeypatch):
     monkeypatch.setattr(splitters, "_cells", lambda n, k: list(full(n, k))[:3])
     with pytest.raises(ContractViolation):
         isolator_family_min2(8, 2)
-    with pytest.raises(ContractViolation):
-        isolator_family(8, 2)
 
 
 def test_isolator_covers_all_small_subsets():
     n, k = 12, 3
-    fam = isolator_family(n, k)
-    assert fam.variant == "isolator"
+    fam = isolator_family_min2(n, k)
     assert len(fam) <= family_size_bound(n, k)
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(n), size):
@@ -131,16 +125,15 @@ def test_isolator_covers_all_small_subsets():
 
 
 def test_isolator_verify_passes():
-    verify_isolator(isolator_family(10, 2))
-    verify_isolator(isolator_family(9, 3))
+    verify_isolator(isolator_family_min2(10, 2))
+    verify_isolator(isolator_family_min2(9, 3))
 
 
 def test_isolator_min2_properties():
     n, k = 10, 3
     fam = isolator_family_min2(n, k)
-    assert fam.variant == "isolator_min2"
     assert all(len(r) >= 2 for r in fam)
-    assert len(fam) <= family_size_bound(n, k, min2=True)
+    assert len(fam) <= family_size_bound(n, k)
     verify_isolator(fam)
 
 
@@ -166,24 +159,22 @@ def test_size_bound_formula_monotone():
     for n in (8, 16, 32):
         bounds = [family_size_bound(n, k) for k in range(1, 5)]
         assert bounds == sorted(bounds)
-        assert family_size_bound(n, 3, min2=True) == 3 * family_size_bound(n, 3)
 
 
 def test_set_family_validation():
     good = VertexSet.from_ids(4, [0, 1])
     with pytest.raises(ContractViolation):
-        SetFamily(universe=4, k=2, sets=(good,), size_bound=0, variant="isolator")
+        SetFamily(universe=4, k=2, sets=(good,), size_bound=0)
     with pytest.raises(ContractViolation):
-        SetFamily(
-            universe=4, k=2, sets=(VertexSet.empty(4),), size_bound=5, variant="isolator"
-        )
+        SetFamily(universe=4, k=2, sets=(VertexSet.empty(4),), size_bound=5)
+    with pytest.raises(ContractViolation):
+        SetFamily(universe=4, k=2, sets=(VertexSet.from_ids(4, [0]),), size_bound=5)
     with pytest.raises(ContractViolation):
         SetFamily(
             universe=4,
             k=2,
             sets=(VertexSet.from_ids(5, [0]),),
             size_bound=5,
-            variant="isolator",
         )
 
 
@@ -193,7 +184,6 @@ def test_verify_isolator_catches_broken_family():
         k=2,
         sets=(VertexSet.from_ids(4, [0, 1]),),
         size_bound=5,
-        variant="isolator",
     )
     with pytest.raises(ContractViolation):
         verify_isolator(broken)
