@@ -194,7 +194,10 @@ def cmd_solve(args) -> int:
     engine = get_engine(args.engine)
     cut, meter, report = run_method(args.method, engine, inst, _config_from(args, AlgoConfig()))
     payload = {
-        **_cut_payload(cut), "raw_calls": meter.call_count, "recalled_calls": meter.recalled
+        **_cut_payload(cut),
+        "raw_calls": meter.call_count,
+        "recalled_calls": meter.recalled,
+        "engine_invocations": meter.engine_invocations,
     }
     if report is not None:
         payload["equivalent_calls"] = report.equivalent_calls

@@ -6,6 +6,7 @@ VertexSet.bools()/from_bools() convert. A partition is one int64 label per
 vertex: components_after_removal() returns one, contract() takes one.
 """
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -120,10 +121,11 @@ class WeightedGraph:
     (us, vs, ws) triple of int64 arrays: us < vs, sorted ascending by
     (u, v), parallel edges merged by weight summation, self loops and zero
     weights dropped. ``edges`` and ``degrees`` are computed from it
-    on every access, so read each once per function.
+    on every access, so read each once per function; ``digest`` is computed
+    on first access and kept, since the arrays never change.
     """
 
-    __slots__ = ("n", "edge_arrays", "total_weight")
+    __slots__ = ("n", "edge_arrays", "total_weight", "_digest")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         n = as_int("vertex count", n)
@@ -171,10 +173,21 @@ class WeightedGraph:
         self.n = n
         self.edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = (lo, hi, ws)
         self.total_weight = int(ws.sum())
+        self._digest: bytes | None = None
 
     @property
     def m(self) -> int:
         return len(self.edge_arrays[2])
+
+    @property
+    def digest(self) -> bytes:
+        """16-byte BLAKE2b digest of the three ``edge_arrays``."""
+        if self._digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            for a in self.edge_arrays:
+                h.update(a.tobytes())
+            self._digest = h.digest()
+        return self._digest
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:

@@ -4,11 +4,15 @@ Phase A solves one min cut per label bipartition of R (lg|R| full-size
 instances). The union F of those cut boundaries is one bool mask over the
 graph's edge arrays; deleting F chops the graph into components containing
 at most one terminal each, returned as one label per vertex (the smallest
-member of its component). Phase B then makes one
-min_cut_separating call per terminal v, separating v from everything outside
-its component; with that outside merged into one sink each instance is small,
-and together they have at most n+|R| vertices and 2m+|R| edges, which is what
-makes the whole thing cheap.
+member of its component). Phase B then makes one metered call per terminal
+v, separating v from everything outside its component; with that outside
+merged into one sink each instance is small, and together they have at
+most n+|R| vertices and 2m+|R| edges, which is what makes the whole thing
+cheap.
+
+Each phase hands its independent pairs to ``min_cuts_separating`` at once,
+so on the SciPy engine each phase is one engine invocation (one batch);
+the Dinic engine still runs one flow per new instance.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
-from .maxflow import FlowMeter, min_cut_separating
+from .maxflow import FlowMeter, min_cuts_separating
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ def minimum_isolating_cuts(
     schedule = bipartition_schedule(terminals)  # raises on fewer than two terminals
     us, vs, _ = graph.edge_arrays
     removed = np.zeros(graph.m, dtype=bool)
-    for side_a, side_b in schedule:
-        inside = min_cut_separating(engine, graph, side_a, side_b, meter).side.bools()
+    for cut in min_cuts_separating(engine, graph, schedule, meter):
+        inside = cut.side.bools()
         removed |= inside[us] != inside[vs]
     phase_a = meter.delta(mark_a)
     if len(phase_a) != len(schedule):
@@ -101,12 +105,11 @@ def minimum_isolating_cuts(
         )
 
     mark_b = meter.call_count
+    comps = [VertexSet.from_bools(labels == label) for label in held]
+    pairs = [(VertexSet(graph.n, 1 << v), comp.complement()) for v, comp in zip(members, comps)]
+    cuts = min_cuts_separating(engine, graph, pairs, meter)
     entries: dict[int, IsolatingCutEntry] = {}
-    for v, label in zip(members, held):
-        comp = VertexSet.from_bools(labels == label)
-        cut = min_cut_separating(
-            engine, graph, VertexSet(graph.n, 1 << v), comp.complement(), meter
-        )
+    for v, comp, cut in zip(members, comps, cuts):
         if not cut.side.issubset(comp):
             raise ContractViolation("isolating side escaped its component")
         if cut.side.intersection(terminals).mask != 1 << v:

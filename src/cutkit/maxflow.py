@@ -5,17 +5,19 @@ weight is the flow value and whose side is the inclusion-minimal minimum
 cut side, the set of vertices reachable from s in the final residual graph.
 
 Engine protocol: ``solve(graph, s, t, memo=None)`` returns that Cut, and
-stores the Cut of every nontrivial instance it solves in memo, when given
-one. Every call goes through ``max_flow``, which meters it, so the
-meter counts logical calls: a call answered without running a flow still
-counts.
+stores the Cut of every nontrivial instance it solves in memo (a
+``FlowMemo``), when given one. Every call goes through ``max_flow``, which
+meters it, so the meter counts logical calls: a call answered without
+running a flow still counts. ``FlowMeter.engine_invocations`` counts the
+flows the engine actually ran.
 
 - Shared base case: both answer an edgeless or two-vertex instance in
   closed form (``_closed_form``); its only minimal side is {s}, of value
   the total edge weight.
 - Shared memo (``_memoized``): any other instance is looked up in the memo
-  first, under the key (n, m, s, t, a 16-byte BLAKE2b digest of the three
-  ``edge_arrays``), and a miss is solved and stored. ``max_flow`` passes
+  first, under the key (n, m, s, t, the graph's ``digest``: 16 bytes of
+  BLAKE2b over its ``edge_arrays``), then among the memo's staged cuts
+  (below), and a miss is solved and stored. ``max_flow`` passes
   ``FlowMeter.memo``, so the memo lives as long as the meter: one driver
   run, which empties it before returning its report. A digest keeps each
   entry small where the arrays themselves would cost 24 bytes per edge.
@@ -24,13 +26,21 @@ counts.
   worst. Edge i of ``graph.edge_arrays`` is arc 2i (u->v) and arc 2i+1
   (v->u), so a ^ 1 is the reverse arc, and one stable argsort of the arc
   tails gives every vertex its arc list. The side is the set of vertices
-  that the final, failing BFS reaches.
-- ``ScipyEngine`` needs int32 capacities; a call costs about 0.3 ms of fixed
-  SciPy overhead plus the same algorithm compiled. Its side comes from a
-  csgraph BFS over the arcs with positive residual capacity.
+  that the final, failing BFS reaches. Its cost is per arc, not per call,
+  so it solves one instance at a time.
+- ``ScipyEngine`` needs int32 capacities. Its cost is about 0.3 ms of fixed
+  SciPy overhead per batch (one ``maximum_flow`` call) plus the same
+  algorithm compiled, so ``solve_batch`` solves independent instances in
+  one call:
+  it glues every source into vertex 0 and every sink into vertex 1, gives
+  each instance's other vertices ids of their own, leaves direct s-t
+  edges out and adds their weight back. One csgraph BFS over the arcs with
+  positive residual capacity then gives every instance its side. A single
+  ``solve`` is a batch of one. ``min_cuts_separating`` hands the engine
+  its pairs' quotients as one batch and stages the cuts in the memo, where
+  the metered calls find them.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +49,19 @@ from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, contract
 
 INT32_LIMIT = 1 << 31
+
+
+class FlowMemo(dict):
+    """Instance key -> Cut of every nontrivial instance solved for one meter.
+
+    staged holds cuts that a batch solved ahead of their metered calls. The
+    first lookup of a staged key moves its cut into the memo, so that call
+    counts as solved and every later call of the instance as recalled.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.staged: dict = {}
 
 
 @dataclass
@@ -50,14 +73,17 @@ class FlowMeter:
     whose instances together are no bigger than one) count as one call.
     memo holds the result of each nontrivial instance solved for this
     meter, so the engine answers a repeat without solving it again, and
-    recalled counts those answers. A recalled call is still a call: neither
-    field changes calls, equivalent calls or a report's fingerprint.
+    recalled counts those answers. engine_invocations counts the flows the
+    engine actually ran: one per instance solved alone, one per batch. A
+    recalled or batched call is still a call: neither field changes calls,
+    equivalent calls or a report's fingerprint.
     """
 
     calls: list[tuple[int, int]] = field(default_factory=list)
     bundled: int = 0
     recalled: int = 0
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    engine_invocations: int = 0
+    memo: FlowMemo = field(default_factory=FlowMemo, compare=False, repr=False)
 
     def record(self, n: int, m: int) -> None:
         self.calls.append((n, m))
@@ -107,18 +133,28 @@ def _closed_form(graph: WeightedGraph, s: int) -> Cut | None:
     return None
 
 
-def _memoized(memo: dict | None, graph: WeightedGraph, s: int, t: int, flow) -> Cut:
-    """memo's answer for (graph, s, t), else flow(graph, s, t), stored in memo."""
+def _memo_key(graph: WeightedGraph, s: int, t: int) -> tuple:
+    return (graph.n, graph.m, s, t, graph.digest)
+
+
+def _memoized(memo: FlowMemo | None, graph: WeightedGraph, s: int, t: int, flow) -> Cut:
+    """memo's answer for (graph, s, t), else its staged one, else flow(graph, s, t).
+
+    A staged or newly solved answer is stored in memo.
+    """
     if memo is None:
         return flow(graph, s, t)
-    digest = hashlib.blake2b(digest_size=16)
-    for a in graph.edge_arrays:
-        digest.update(a.tobytes())
-    key = (graph.n, graph.m, s, t, digest.digest())
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = flow(graph, s, t)
-    return result
+    key = _memo_key(graph, s, t)
+    if key not in memo:
+        staged = memo.staged.pop(key, None)
+        memo[key] = flow(graph, s, t) if staged is None else staged
+    return memo[key]
+
+
+def _check_int32(graph: WeightedGraph) -> None:
+    ws = graph.edge_arrays[2]
+    if graph.m and int(ws.max()) >= INT32_LIMIT:
+        raise InputError("capacity exceeds int32 range; use the dinic engine")
 
 
 class DinicEngine:
@@ -141,7 +177,7 @@ class DinicEngine:
 
     name = "dinic"
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: FlowMemo | None = None) -> Cut:
         trivial = _closed_form(graph, s)
         if trivial is not None:
             return trivial
@@ -221,49 +257,78 @@ class ScipyEngine:
 
     An edgeless or two-vertex instance costs no SciPy call: it gets the
     shared closed form, once its capacities pass the int32 check, and a
-    repeat of an instance in memo gets its stored answer. Any other costs
-    one argsort of its 2m arcs into a canonical CSR, one maximum_flow call,
-    and one csgraph BFS over the arcs with positive residual capacity.
+    repeat of an instance in memo gets its stored answer. Any other is
+    solved by ``solve_batch`` as a batch of one.
     """
 
     name = "scipy"
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
-        ws = graph.edge_arrays[2]
-        if graph.m and int(ws.max()) >= INT32_LIMIT:
-            raise InputError("capacity exceeds int32 range; use the dinic engine")
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: FlowMemo | None = None) -> Cut:
+        _check_int32(graph)
         trivial = _closed_form(graph, s)
         if trivial is not None:
             return trivial
-        return _memoized(memo, graph, s, t, self._flow)
+        return _memoized(memo, graph, s, t, lambda *inst: self.solve_batch([inst])[0])
 
     @staticmethod
-    def _flow(graph: WeightedGraph, s: int, t: int) -> Cut:
-        n = graph.n
-        us, vs, ws = graph.edge_arrays
+    def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
+        """The Cut of every (graph, s, t) instance, from one maximum_flow call.
+
+        The instances are glued into one graph: every s becomes vertex 0,
+        every t vertex 1, and each instance's other vertices get ids of
+        their own in ascending order, so two instances share only 0 and 1
+        and no glued edge is parallel to another. A direct s-t edge is left
+        out of the flow; it crosses every s-t cut, so the cut weight (the
+        weight of the instance's edges that leave its side) counts it back.
+        After a maximum flow no residual path reaches vertex 1, so the BFS
+        from vertex 0 passes between instances only through 0 and reaches,
+        in each, the side a flow on that instance alone would give.
+        """
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-        # Arcs are all (v, u), then all (u, v), over the sorted edges u < v, so
-        # a stable sort by tail leaves each row's heads ascending and distinct.
-        rows = np.concatenate([vs, us])
-        order = np.argsort(rows, kind="stable")
-        indices = np.concatenate([us, vs])[order].astype(np.int32)
+
+        if not instances:
+            return []
+        for graph, _, _ in instances:
+            _check_int32(graph)
+        ids, glued, size = [], [], 2
+        for graph, s, t in instances:
+            # s -> 0, t -> 1, every other vertex its own id from size upward.
+            rest = np.ones(graph.n, dtype=bool)
+            rest[s] = rest[t] = False
+            local = np.cumsum(rest) + (size - 1)
+            local[s], local[t] = 0, 1
+            size += graph.n - 2
+            us, vs, ws = graph.edge_arrays
+            gu, gv = local[us], local[vs]
+            keep = gu + gv != 1  # only the pair {0, 1} sums to 1
+            ids.append(local)
+            glued.append((gu[keep], gv[keep], ws[keep]))
+        us, vs, ws = (np.concatenate(part) for part in zip(*glued))
+        # Rows ascending and, within a row, heads ascending and distinct. The
+        # arcs come nearly in key order, so a stable (run-merging) sort is cheap.
+        rows, heads = np.concatenate([us, vs]), np.concatenate([vs, us])
+        order = np.argsort(rows * size + heads, kind="stable")
+        indices = heads[order].astype(np.int32)
         cap = np.concatenate([ws, ws])[order].astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        res = maximum_flow(csr_matrix((cap, indices, indptr), shape=(n, n)), s, t)
-        flow = res.flow
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        flow = maximum_flow(csr_matrix((cap, indices, indptr), shape=(size, size)), 0, 1).flow
         if not (np.array_equal(flow.indptr, indptr) and np.array_equal(flow.indices, indices)):
             raise ContractViolation("maximum_flow returned a different CSR layout")
-        # float64 is csgraph's own dtype, so the BFS works on it without a copy.
-        residual = csr_matrix(
-            (np.subtract(cap, flow.data, dtype=np.float64), indices, indptr), shape=(n, n)
-        )
+        # The flow matrix becomes the residual one in place. float64 is
+        # csgraph's own dtype, so the BFS works on it without a copy.
+        residual = flow
+        residual.data = np.subtract(cap, flow.data, dtype=np.float64)
         residual.eliminate_zeros()
-        mask = 0
-        for v in breadth_first_order(residual, s, return_predecessors=False).tolist():
-            mask |= 1 << v
-        return Cut(VertexSet(n, mask), int(res.flow_value))
+        reached = np.zeros(size, dtype=bool)
+        reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
+        cuts = []
+        for (graph, _, _), local in zip(instances, ids):
+            inside = reached[local]
+            us, vs, ws = graph.edge_arrays
+            cuts.append(Cut(VertexSet.from_bools(inside), int(ws[inside[us] != inside[vs]].sum())))
+        return cuts
 
 
 _ENGINES = {"dinic": DinicEngine, "scipy": ScipyEngine}
@@ -284,21 +349,75 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
     always metered, so the meter counts logical calls. The engine answers
     an instance it solved earlier for this meter from the memo (key: n, m,
     s, t and a digest of ``edge_arrays``); such a call adds one to
-    ``meter.recalled``.
+    ``meter.recalled``. A nontrivial call that found neither a memo entry
+    nor a staged cut ran a flow of its own and adds one to
+    ``meter.engine_invocations``.
     """
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise InputError("source or sink id outside graph")
     if s == t:
         raise InputError("source equals sink")
-    stored = len(meter.memo)
-    cut = engine.solve(graph, s, t, meter.memo)
+    memo = meter.memo
+    stored, staged = len(memo), len(memo.staged)
+    cut = engine.solve(graph, s, t, memo)
     meter.record(graph.n, graph.m)
     if t in cut.side:
         raise ContractViolation("engine returned sink inside source side")
-    # A nontrivial instance that added no memo entry was answered from it.
-    if len(meter.memo) == stored and not _trivial(graph):
-        meter.recalled += 1
+    if not _trivial(graph):
+        if len(memo) == stored:
+            meter.recalled += 1
+        elif len(memo.staged) == staged:
+            meter.engine_invocations += 1
     return cut
+
+
+def min_cuts_separating(
+    engine,
+    graph: WeightedGraph,
+    pairs: list[tuple[VertexSet, VertexSet]],
+    meter: FlowMeter,
+) -> list[Cut]:
+    """Per (A, B) pair, the minimum cut with A on the source side, B on the sink side.
+
+    A and B are contracted to vertices 0 and 1, so a pair's flow instance
+    has n - |A| - |B| + 2 vertices and at most m edges; one metered call per
+    pair, in order. Each returned side is the inclusion-minimal minimizer
+    containing A.
+
+    With an engine that has ``solve_batch``, the nontrivial instances not
+    yet in the meter's memo run first as one batch, each distinct instance
+    once, and their cuts are staged in the memo, where the metered calls
+    find them. A batched instance counts as solved, a repeat as recalled.
+    """
+    quotients = []
+    for side_a, side_b in pairs:
+        if not side_a or not side_b:
+            raise InputError("separation sides must be nonempty")
+        if not side_a.isdisjoint(side_b):
+            raise InputError("separation sides overlap")
+        in_a, in_b = side_a.bools(), side_b.bools()
+        # A -> 0, B -> 1, every other vertex its own id from 2 in ascending order.
+        labels = np.cumsum(~(in_a | in_b)) + 1
+        labels[in_a] = 0
+        labels[in_b] = 1
+        quotients.append((contract(graph, labels), labels))
+    solve_batch = getattr(engine, "solve_batch", None)
+    if solve_batch is not None:
+        fresh = {}
+        for quotient, _ in quotients:
+            if not _trivial(quotient):
+                key = _memo_key(quotient, 0, 1)
+                if key not in meter.memo:
+                    fresh.setdefault(key, quotient)
+        if fresh:
+            cuts = solve_batch([(quotient, 0, 1) for quotient in fresh.values()])
+            meter.memo.staged.update(zip(fresh, cuts))
+            meter.engine_invocations += 1
+    lifted = []
+    for quotient, labels in quotients:
+        cut = max_flow(engine, quotient, 0, 1, meter)
+        lifted.append(Cut(VertexSet.from_bools(cut.side.bools()[labels]), cut.weight))
+    return lifted
 
 
 def min_cut_separating(
@@ -308,23 +427,8 @@ def min_cut_separating(
     side_b: VertexSet,
     meter: FlowMeter,
 ) -> Cut:
-    """Minimum cut with all of A on the source side, all of B on the sink side.
-
-    A and B are contracted to single vertices, so the flow instance has
-    n - |A| - |B| + 2 vertices and at most m edges; one metered call. The
-    returned side is the inclusion-minimal minimizer containing A.
-    """
-    if not side_a or not side_b:
-        raise InputError("separation sides must be nonempty")
-    if not side_a.isdisjoint(side_b):
-        raise InputError("separation sides overlap")
-    in_a, in_b = side_a.bools(), side_b.bools()
-    # A -> 0, B -> 1, every other vertex its own id from 2 in ascending order.
-    labels = np.cumsum(~(in_a | in_b)) + 1
-    labels[in_a] = 0
-    labels[in_b] = 1
-    cut = max_flow(engine, contract(graph, labels), 0, 1, meter)
-    return Cut(VertexSet.from_bools(cut.side.bools()[labels]), cut.weight)
+    """``min_cuts_separating`` for the one pair (A, B)."""
+    return min_cuts_separating(engine, graph, [(side_a, side_b)], meter)[0]
 
 
 # ---------------------------------------------------------------------------

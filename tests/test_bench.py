@@ -73,6 +73,8 @@ def test_run_bench_small():
             sw = by_key[(family, n, "stoer-wagner")]
             assert det.weight == naive.weight == sw.weight
             assert naive.raw_calls == n - 1
+            assert naive.engine_invocations == n - 1
+            assert det.engine_invocations <= det.raw_calls - det.recalled_calls
             assert naive.equivalent_calls == n - 1
             assert sw.raw_calls == 0
             assert det.within_budget
@@ -91,7 +93,7 @@ def test_report_serializers():
         families=("dumbbell",), sizes=(8,), methods=("naive",), engine_name="dinic"
     )
     doc = report_to_json(report)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["engine"] == "dinic"
     assert doc["phi"] == "1/4"
     assert len(doc["rows"]) == 1

@@ -117,7 +117,7 @@ def test_maxflow_on_edgelist(dumbbell_path, capsys):
         ["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"],
     )
     assert code == 0
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["weight"] == 1
     assert doc["side"] == [0, 1, 2, 3]
     assert doc["calls"] == 1
@@ -267,6 +267,16 @@ def test_mincut_det_fingerprint_stable(dumbbell_path, capsys):
     assert a["raw_calls"] == b["raw_calls"]
 
 
+def test_mincut_reports_engine_invocations(dumbbell_path, capsys):
+    argv = ["mincut", "--graph", dumbbell_path, "--phi", "1/4", "--k", "2", "--engine"]
+    _, dinic = run_json(capsys, argv + ["dinic"])
+    _, scipy = run_json(capsys, argv + ["scipy"])
+    assert dinic["fingerprint"] == scipy["fingerprint"]
+    # SciPy solves each isolating phase as one batch; Dinic one flow per instance.
+    assert 0 < scipy["engine_invocations"] < dinic["engine_invocations"]
+    assert dinic["engine_invocations"] <= dinic["raw_calls"] - dinic["recalled_calls"]
+
+
 def test_mincut_with_overrides(dumbbell_path, capsys):
     code, doc = run_json(
         capsys,
@@ -399,7 +409,7 @@ def test_bench_subcommand(tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert len(doc["rows"]) == 2
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("family,n,m,method")

@@ -9,7 +9,7 @@ from cutkit import (
     bipartition_schedule,
     build_graph,
     enumerate_cuts,
-    min_cut_separating,
+    min_cuts_separating,
     minimum_isolating_cuts,
     naive_isolating,
 )
@@ -156,14 +156,15 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
 
     # Phase A (B holds only terminals) runs for real. A phase-B side must stay
     # inside its one-terminal component, so the side that reaches the terminal
-    # check is one that misses its own terminal.
-    def drop_source(engine, graph, side_a, side_b, meter):
-        cut = min_cut_separating(engine, graph, side_a, side_b, meter)
-        if side_b.issubset(terminals):
-            return cut
-        return Cut(cut.side.difference(side_a), cut.weight)
+    # check is one that misses its own terminal: terminal 2's {0, 1, 2} loses 2.
+    def drop_source(engine, graph, pairs, meter):
+        cuts = min_cuts_separating(engine, graph, pairs, meter)
+        if all(side_b.issubset(terminals) for _, side_b in pairs):
+            return cuts
+        first = cuts[0]
+        return [Cut(first.side.difference(pairs[0][0]), first.weight)] + cuts[1:]
 
-    monkeypatch.setattr("cutkit.isolating.min_cut_separating", drop_source)
+    monkeypatch.setattr("cutkit.isolating.min_cuts_separating", drop_source)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
 

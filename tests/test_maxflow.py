@@ -22,6 +22,7 @@ from cutkit import (
     max_flow,
     maxflow,
     min_cut_separating,
+    min_cuts_separating,
     parse_dimacs,
     steiner_mincut_det,
     steiner_mincut_rand,
@@ -216,6 +217,124 @@ def test_scipy_layout_mismatch_is_contract_violation(scipy_eng, monkeypatch):
         max_flow(scipy_eng, g, 0, 2, FlowMeter())
 
 
+def _batch_case(rng: random.Random) -> tuple:
+    """A random (graph, s, t): two vertices a third of the time, often with an s-t edge."""
+    n = rng.choice([2, 2, 3, 5, 8, 12])
+    triples = [
+        (u, v, rng.randint(1, 50))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < rng.choice([0.0, 0.3, 0.6])
+    ]
+    s, t = rng.sample(range(n), 2)
+    if rng.random() < 0.5:
+        triples.append((s, t, rng.randint(1, 50)))
+    return build_graph(n, triples), s, t
+
+
+def test_scipy_batches_equal_single_solves(scipy_eng):
+    rng = random.Random(16)
+    direct = trivial = 0
+    for _ in range(300):
+        batch = [_batch_case(rng) for _ in range(rng.randint(1, 6))]
+        # One instance twice: as the same object or as an equal copy.
+        g, s, t = rng.choice(batch)
+        repeat = (g if rng.random() < 0.5 else build_graph(g.n, g.edges), s, t)
+        batch.insert(rng.randrange(len(batch) + 1), repeat)
+        got = ScipyEngine.solve_batch(batch)
+        assert got == [scipy_eng.solve(g, s, t) for g, s, t in batch]
+        for g, s, t in batch:
+            direct += any({u, v} == {s, t} for u, v, _ in g.edges)
+            trivial += g.m == 0 or g.n == 2
+    assert min(direct, trivial) > 100
+
+
+def test_scipy_batch_sums_flows_past_int32(dinic):
+    # Each piece carries 2^31 - 1 on each of two paths plus a direct s-t edge
+    # of 2^31 - 1, so every piece's flow, and the glued flow, passes 2^31.
+    w = (1 << 31) - 1
+    piece = build_graph(4, [(0, 2, w), (2, 1, w), (0, 3, w), (3, 1, w), (0, 1, w)])
+    flipped = build_graph(4, [(3, 2, w), (2, 0, w), (3, 1, w), (1, 0, w), (3, 0, w)])
+    batch = [(piece, 0, 1), (flipped, 3, 0), (piece, 0, 1)]
+    cuts = ScipyEngine.solve_batch(batch)
+    assert [c.weight for c in cuts] == [3 * w] * 3
+    assert cuts == [dinic.solve(g, s, t) for g, s, t in batch]
+
+
+def test_scipy_batch_rejects_merged_capacity_past_int32():
+    # Every edge fits int32, but contraction merges two into 2^31 (the CLI
+    # maps this InputError to exit 2; see test_cli).
+    g = build_graph(4, [(0, 2, 1 << 30), (1, 2, 1 << 30), (2, 3, 5)])
+    small = build_graph(3, [(0, 2, 1), (2, 1, 1)])
+    quotient = build_graph(3, [(0, 2, 1 << 31), (2, 1, 5)])
+    with pytest.raises(InputError, match="int32"):
+        ScipyEngine.solve_batch([(small, 0, 1), (quotient, 0, 1)])
+    with pytest.raises(InputError, match="int32"):
+        min_cuts_separating(
+            ScipyEngine(),
+            g,
+            [(VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [3]))],
+            FlowMeter(),
+        )
+
+
+def test_grid_anchor_batches_without_moving_the_run(scipy_eng, monkeypatch):
+    """The benchmark's grid-8x8 anchor: batching changes engine calls, nothing else."""
+    import scipy.sparse.csgraph as csgraph
+
+    from cutkit import isolating, steiner
+
+    g = generate(GeneratorSpec("grid", 64, rows=8))
+    inst = SteinerInstance(g, g.full_set)
+    cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
+    flows, per_run = [0], []
+    maximum_flow = csgraph.maximum_flow
+
+    def counted(*args, **kwargs):
+        flows[0] += 1
+        return maximum_flow(*args, **kwargs)
+
+    def isolating_run(*args, **kwargs):
+        before = flows[0]
+        result = isolating.minimum_isolating_cuts(*args, **kwargs)
+        per_run.append(flows[0] - before)
+        return result
+
+    monkeypatch.setattr(csgraph, "maximum_flow", counted)
+    monkeypatch.setattr(steiner, "minimum_isolating_cuts", isolating_run)
+    batched = steiner_mincut_det(scipy_eng, inst, cfg)
+    assert flows[0] == batched.meter.engine_invocations
+    # One batch for phase A and one for phase B; the driver's other flows
+    # (the pairwise stage and the fallback) run one instance at a time.
+    assert per_run and max(per_run) <= 2
+    solved = sum(1 for n, m in batched.meter.calls if m and n > 2) - batched.meter.recalled
+    assert flows[0] < solved
+
+    solve_batch = ScipyEngine.solve_batch
+
+    def one_by_one(instances):
+        return [cut for inst in instances for cut in solve_batch([inst])]
+
+    monkeypatch.setattr(ScipyEngine, "solve_batch", staticmethod(one_by_one))
+    alone = steiner_mincut_det(scipy_eng, inst, cfg)
+    assert alone.fingerprint() == batched.fingerprint()
+    assert alone.meter.recalled == batched.meter.recalled
+    assert alone.cut == batched.cut
+
+
+def test_engine_invocations_count_flows_run(any_engine):
+    g = gnp_graph(24, 0.3, seed=1)
+    report = steiner_mincut_det(
+        any_engine, SteinerInstance(g, g.full_set), AlgoConfig(phi=Fraction(1, 4), k=2)
+    )
+    meter = report.meter
+    solved = sum(1 for n, m in meter.calls if m and n > 2) - meter.recalled
+    if any_engine.name == "dinic":
+        assert meter.engine_invocations == solved
+    else:
+        assert 0 < meter.engine_invocations < solved
+
+
 def test_meter_snapshot_delta_merge(dinic):
     g = build_graph(3, [(0, 1, 2), (1, 2, 3)])
     meter = FlowMeter()
@@ -272,6 +391,21 @@ def test_min_cut_separating_matches_enumeration(any_engine):
         best = enumerate_cuts(g, side_a=side_a, side_b=side_b)
         assert cut.weight == best.weight
         assert cut.side == best.side
+
+
+def test_batched_instances_count_as_solved_and_repeats_as_recalled(any_engine):
+    g = build_graph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 3), (0, 2, 1)])
+    a, b, bc = (VertexSet.from_ids(5, ids) for ids in ([0], [4], [3, 4]))
+    pairs = [(a, b), (a, b), (a, bc)]
+    meter = FlowMeter()
+    first = min_cuts_separating(any_engine, g, pairs, meter)
+    again = min_cuts_separating(any_engine, g, pairs[2:], meter)
+    alone = [min_cut_separating(any_engine, g, x, y, FlowMeter()) for x, y in pairs + pairs[2:]]
+    assert first + again == alone
+    # One repeat inside the batch, one across batches.
+    assert (meter.call_count, meter.recalled) == (4, 2)
+    assert meter.engine_invocations == (2 if any_engine.name == "dinic" else 1)
+    assert meter.memo.staged == {}
 
 
 def test_min_cut_separating_validation(dinic):
