@@ -7,8 +7,9 @@ solved. Equivalent calls (FlowMeter.equivalent_calls) count one per metered
 call, except that an isolating run's whole phase B counts as one, because
 its instances together are no bigger than a single instance; the budget
 below is stated in equivalent calls. Engine invocations count the flows
-the engine actually ran: the SciPy engine solves each isolating phase in
-one batch, so its invocations fall below the raw calls it did not recall.
+the engine actually ran: the SciPy engine solves each phase of a chunk of
+a round's isolating runs in one batch, so its invocations fall far below
+the raw calls it did not recall.
 """
 
 import csv

@@ -10,18 +10,42 @@ merged into one sink each instance is small, and together they have at
 most n+|R| vertices and 2m+|R| edges, which is what makes the whole thing
 cheap.
 
-Each phase hands its independent pairs to ``min_cuts_separating`` at once,
-so on the SciPy engine each phase is one engine invocation (one batch);
-the Dinic engine still runs one flow per new instance.
+``minimum_isolating_cuts_family`` runs many terminal sets on one graph,
+such as a round's isolator family. The runs are independent, so it solves
+them phase by phase: it splits the family, in order, into chunks of
+consecutive runs, and per chunk stages every new phase-A instance as one
+engine batch, reads the phase-A cuts from the memo to build every run's
+phase-B instances, stages those as a second batch, and only then meters
+each run's calls in run order (A1 B1 A2 B2 ...), where each call finds its
+staged answer. So the calls, fingerprints and bundled and recalled counts
+are those of the runs made one by one, and on the SciPy engine a chunk
+costs two ``maximum_flow`` invocations; the Dinic engine's batch runs one
+flow per new instance. A chunk closes before the run whose phase-A
+instances would take its phase-A edge total past ``_BATCH_EDGES``. The cap
+bounds memory: a batch's glued arrays take a couple of hundred bytes per
+edge while they live, and without the cap the SciPy benchmark workloads
+peaked 6-12% higher.
+``minimum_isolating_cuts`` is the family of one set.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
-from .maxflow import FlowMeter, min_cuts_separating
+from .maxflow import (
+    FlowMemo,
+    FlowMeter,
+    known_cut,
+    max_flow,
+    metered_cuts,
+    separation_quotient,
+    stage_cuts,
+)
+
+# Phase-A edges one chunk of isolating runs may glue into a batch.
+_BATCH_EDGES = 4096
 
 
 @dataclass(frozen=True)
@@ -73,52 +97,70 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
     return schedule
 
 
-def minimum_isolating_cuts(
-    engine,
-    graph: WeightedGraph,
-    terminals: VertexSet,
-    meter: FlowMeter,
-) -> IsolatingCutResult:
-    """For each v in R, the inclusion-minimal minimum cut with S cap R = {v}."""
+@dataclass
+class _Run:
+    """One isolating run of a chunk, from its phase-A build to its metering."""
+
+    terminals: VertexSet
+    members: list[int]
+    phase_a: list[tuple[WeightedGraph, np.ndarray]]
+    comps: list[VertexSet] = field(default_factory=list)
+    phase_b: list[tuple[WeightedGraph, np.ndarray]] = field(default_factory=list)
+
+
+def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
     if terminals.n != graph.n:
         raise InputError("terminal universe does not match graph")
-    members = terminals.members()
-
-    mark_a = meter.call_count
     schedule = bipartition_schedule(terminals)  # raises on fewer than two terminals
+    phase_a = [separation_quotient(graph, side_a, side_b) for side_a, side_b in schedule]
+    return _Run(terminals, terminals.members(), phase_a)
+
+
+def _build_phase_b(graph: WeightedGraph, run: _Run, memo: FlowMemo) -> None:
+    """The run's components and phase-B instances, from its staged phase-A cuts."""
     us, vs, _ = graph.edge_arrays
     removed = np.zeros(graph.m, dtype=bool)
-    for cut in min_cuts_separating(engine, graph, schedule, meter):
-        inside = cut.side.bools()
+    for quotient, labels in run.phase_a:
+        inside = known_cut(quotient, memo).side.bools()[labels]
         removed |= inside[us] != inside[vs]
-    phase_a = meter.delta(mark_a)
-    if len(phase_a) != len(schedule):
-        raise ContractViolation("phase A must meter exactly ceil(lg|R|) calls")
 
     labels = components_after_removal(graph, removed)
-    held = labels[members].tolist()
+    held = labels[run.members].tolist()
     if len(set(held)) < len(held):
         first = min(label for label in held if held.count(label) > 1)
-        shared = [v for v, label in zip(members, held) if label == first]
+        shared = [v for v, label in zip(run.members, held) if label == first]
         raise ContractViolation(
             f"component holds terminals {shared}; phase A cuts must separate R"
         )
+    run.comps = [VertexSet.from_bools(labels == label) for label in held]
+    run.phase_b = [
+        separation_quotient(graph, VertexSet(graph.n, 1 << v), comp.complement())
+        for v, comp in zip(run.members, run.comps)
+    ]
+
+
+def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> IsolatingCutResult:
+    """Meter the run's calls, phase A then phase B, and check its cuts."""
+    mark_a = meter.call_count
+    for quotient, _ in run.phase_a:
+        max_flow(engine, quotient, 0, 1, meter)
+    phase_a = meter.delta(mark_a)
+    if len(phase_a) != len(run.phase_a):
+        raise ContractViolation("phase A must meter exactly ceil(lg|R|) calls")
 
     mark_b = meter.call_count
-    comps = [VertexSet.from_bools(labels == label) for label in held]
-    pairs = [(VertexSet(graph.n, 1 << v), comp.complement()) for v, comp in zip(members, comps)]
-    cuts = min_cuts_separating(engine, graph, pairs, meter)
+    cuts = metered_cuts(engine, run.phase_b, meter)
     entries: dict[int, IsolatingCutEntry] = {}
-    for v, comp, cut in zip(members, comps, cuts):
+    for v, comp, cut in zip(run.members, run.comps, cuts):
         if not cut.side.issubset(comp):
             raise ContractViolation("isolating side escaped its component")
-        if cut.side.intersection(terminals).mask != 1 << v:
+        if cut.side.intersection(run.terminals).mask != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")
         entries[v] = IsolatingCutEntry(v, cut, comp)
     phase_b = meter.delta(mark_b)
 
     n, m = graph.n, graph.m
-    r = len(members)
+    r = len(run.members)
     if sum(ni for ni, _ in phase_b) > n + r:
         raise ContractViolation("phase B vertex sizes exceed n + |R|")
     if sum(mi for _, mi in phase_b) > 2 * m + r:
@@ -127,4 +169,56 @@ def minimum_isolating_cuts(
     # bounds just checked), so the whole phase costs one equivalent call.
     meter.bundle(mark_b)
 
-    return IsolatingCutResult(terminals, entries, list(phase_a), list(phase_b))
+    return IsolatingCutResult(run.terminals, entries, list(phase_a), list(phase_b))
+
+
+def _run_chunk(
+    engine, graph: WeightedGraph, runs: list[_Run], meter: FlowMeter
+) -> list[IsolatingCutResult]:
+    """Two staged batches (all phase A, then all phase B), then every run metered in order."""
+    stage_cuts(engine, [quotient for run in runs for quotient, _ in run.phase_a], meter)
+    for run in runs:
+        _build_phase_b(graph, run, meter.memo)
+    stage_cuts(engine, [quotient for run in runs for quotient, _ in run.phase_b], meter)
+    results = [_meter_run(engine, graph, run, meter) for run in runs]
+    if meter.memo.staged:
+        raise ContractViolation("a chunk of isolating runs left staged cuts unmetered")
+    return results
+
+
+def minimum_isolating_cuts_family(
+    engine,
+    graph: WeightedGraph,
+    terminal_sets: list[VertexSet],
+    meter: FlowMeter,
+) -> list[IsolatingCutResult]:
+    """``minimum_isolating_cuts`` for each terminal set, in order, batched by chunk.
+
+    The results, calls and bundled and recalled counts equal those of one
+    ``minimum_isolating_cuts`` call per set on the same meter; only
+    ``meter.engine_invocations`` differs (on the SciPy engine, it falls).
+    """
+    results: list[IsolatingCutResult] = []
+    chunk: list[_Run] = []
+    edges = 0
+    for terminals in terminal_sets:
+        run = _start_run(graph, terminals)
+        run_edges = sum(quotient.m for quotient, _ in run.phase_a)
+        if chunk and edges + run_edges > _BATCH_EDGES:
+            results += _run_chunk(engine, graph, chunk, meter)
+            chunk, edges = [], 0
+        chunk.append(run)
+        edges += run_edges
+    if chunk:
+        results += _run_chunk(engine, graph, chunk, meter)
+    return results
+
+
+def minimum_isolating_cuts(
+    engine,
+    graph: WeightedGraph,
+    terminals: VertexSet,
+    meter: FlowMeter,
+) -> IsolatingCutResult:
+    """For each v in R, the inclusion-minimal minimum cut with S cap R = {v}."""
+    return minimum_isolating_cuts_family(engine, graph, [terminals], meter)[0]

@@ -6,10 +6,13 @@ cut side, the set of vertices reachable from s in the final residual graph.
 
 Engine protocol: ``solve(graph, s, t, memo=None)`` returns that Cut, and
 stores the Cut of every nontrivial instance it solves in memo (a
-``FlowMemo``), when given one. Every call goes through ``max_flow``, which
-meters it, so the meter counts logical calls: a call answered without
-running a flow still counts. ``FlowMeter.engine_invocations`` counts the
-flows the engine actually ran.
+``FlowMemo``), when given one. ``solve_batch(instances)`` returns the Cut
+of every (graph, s, t) instance it is given, with no memo and no meter;
+``glues_batch`` says whether a batch is one flow (SciPy) or one flow per
+instance (Dinic). Every call goes through ``max_flow``, which meters it,
+so the meter counts logical calls: a call answered without running a flow
+still counts. ``FlowMeter.engine_invocations`` counts the flows the engine
+actually ran.
 
 - Shared base case: both answer an edgeless or two-vertex instance in
   closed form (``_closed_form``); its only minimal side is {s}, of value
@@ -27,7 +30,7 @@ flows the engine actually ran.
   (v->u), so a ^ 1 is the reverse arc, and one stable argsort of the arc
   tails gives every vertex its arc list. The side is the set of vertices
   that the final, failing BFS reaches. Its cost is per arc, not per call,
-  so it solves one instance at a time.
+  so its ``solve_batch`` just runs one flow per instance.
 - ``ScipyEngine`` needs int32 capacities. Its cost is about 0.3 ms of fixed
   SciPy overhead per batch (one ``maximum_flow`` call) plus the same
   algorithm compiled, so ``solve_batch`` solves independent instances in
@@ -36,9 +39,17 @@ flows the engine actually ran.
   each instance's other vertices ids of their own, leaves direct s-t
   edges out and adds their weight back. One csgraph BFS over the arcs with
   positive residual capacity then gives every instance its side. A single
-  ``solve`` is a batch of one. ``min_cuts_separating`` hands the engine
-  its pairs' quotients as one batch and stages the cuts in the memo, where
-  the metered calls find them.
+  ``solve`` is a batch of one.
+
+Batching ahead of the metered calls: a caller that knows several
+independent separations builds each quotient (``separation_quotient``),
+hands the new ones to the engine as one batch (``stage_cuts``, which
+stages their cuts in the memo and never enters ``solve``), and then
+meters every call in order (``metered_cuts``), where each finds its staged
+answer. ``min_cuts_separating`` does the three steps for one list of
+pairs. ``isolating`` does them phase by phase for a whole round of
+isolating runs, in chunks whose glued phase-A instances stay below a fixed
+edge count, which bounds the transient arrays of one SciPy batch.
 """
 
 from dataclasses import dataclass, field
@@ -57,11 +68,16 @@ class FlowMemo(dict):
     staged holds cuts that a batch solved ahead of their metered calls. The
     first lookup of a staged key moves its cut into the memo, so that call
     counts as solved and every later call of the instance as recalled.
+    clear empties both.
     """
 
     def __init__(self):
         super().__init__()
         self.staged: dict = {}
+
+    def clear(self) -> None:
+        super().clear()
+        self.staged.clear()
 
 
 @dataclass
@@ -74,7 +90,8 @@ class FlowMeter:
     memo holds the result of each nontrivial instance solved for this
     meter, so the engine answers a repeat without solving it again, and
     recalled counts those answers. engine_invocations counts the flows the
-    engine actually ran: one per instance solved alone, one per batch. A
+    engine actually ran: one per instance solved alone, and per batch one
+    on the SciPy engine or one per instance on the Dinic engine. A
     recalled or batched call is still a call: neither field changes calls,
     equivalent calls or a report's fingerprint.
     """
@@ -172,16 +189,23 @@ class DinicEngine:
     path cannot exhaust the stack. The BFS that fails to reach t runs to
     the end; the vertices it reaches are the returned side. Edgeless and
     two-vertex instances get the shared closed form, and a repeat of an
-    instance in memo its stored answer.
+    instance in memo its stored answer. ``solve_batch`` runs one flow per
+    instance, so each batched instance is one engine invocation.
     """
 
     name = "dinic"
+    glues_batch = False
 
     def solve(self, graph: WeightedGraph, s: int, t: int, memo: FlowMemo | None = None) -> Cut:
         trivial = _closed_form(graph, s)
         if trivial is not None:
             return trivial
         return _memoized(memo, graph, s, t, self._flow)
+
+    @staticmethod
+    def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
+        """The Cut of every (graph, s, t) instance, one flow each."""
+        return [DinicEngine._flow(graph, s, t) for graph, s, t in instances]
 
     @staticmethod
     def _flow(graph: WeightedGraph, s: int, t: int) -> Cut:
@@ -258,10 +282,12 @@ class ScipyEngine:
     An edgeless or two-vertex instance costs no SciPy call: it gets the
     shared closed form, once its capacities pass the int32 check, and a
     repeat of an instance in memo gets its stored answer. Any other is
-    solved by ``solve_batch`` as a batch of one.
+    solved by ``solve_batch`` as a batch of one. A whole batch is one
+    engine invocation.
     """
 
     name = "scipy"
+    glues_batch = True
 
     def solve(self, graph: WeightedGraph, s: int, t: int, memo: FlowMemo | None = None) -> Cut:
         _check_int32(graph)
@@ -371,6 +397,78 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
     return cut
 
 
+def separation_quotient(
+    graph: WeightedGraph, side_a: VertexSet, side_b: VertexSet
+) -> tuple[WeightedGraph, np.ndarray]:
+    """The flow instance separating A from B, and the labels that lift its cuts.
+
+    A and B are contracted to vertices 0 and 1, so the instance has
+    n - |A| - |B| + 2 vertices and at most m edges; labels[v] is the
+    instance vertex of graph vertex v.
+    """
+    if not side_a or not side_b:
+        raise InputError("separation sides must be nonempty")
+    if not side_a.isdisjoint(side_b):
+        raise InputError("separation sides overlap")
+    in_a, in_b = side_a.bools(), side_b.bools()
+    # A -> 0, B -> 1, every other vertex its own id from 2 in ascending order.
+    labels = np.cumsum(~(in_a | in_b)) + 1
+    labels[in_a] = 0
+    labels[in_b] = 1
+    return contract(graph, labels), labels
+
+
+def stage_cuts(engine, quotients: list[WeightedGraph], meter: FlowMeter) -> None:
+    """Solve the new 0-1 instances among quotients as one batch, ahead of their calls.
+
+    Every nontrivial quotient whose instance is neither in the meter's memo
+    nor staged there goes to ``engine.solve_batch``, each distinct instance
+    once, and its cut is staged in the memo, where the metered call finds
+    it: that call counts as solved, a later repeat as recalled. Staging
+    never enters ``engine.solve`` and meters no call; it adds the flows it
+    ran to ``meter.engine_invocations``.
+    """
+    memo = meter.memo
+    fresh = {}
+    for quotient in quotients:
+        if not _trivial(quotient):
+            key = _memo_key(quotient, 0, 1)
+            if key not in memo and key not in memo.staged:
+                fresh.setdefault(key, quotient)
+    if fresh:
+        cuts = engine.solve_batch([(quotient, 0, 1) for quotient in fresh.values()])
+        memo.staged.update(zip(fresh, cuts))
+        meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
+
+
+def known_cut(quotient: WeightedGraph, memo: FlowMemo) -> Cut:
+    """The cut a metered call of (quotient, 0, 1) will get, read without metering.
+
+    That is the closed form of a trivial quotient, else the memo's or the
+    staged cut; a quotient that is none of these was never staged and
+    raises ContractViolation.
+    """
+    trivial = _closed_form(quotient, 0)
+    if trivial is not None:
+        return trivial
+    key = _memo_key(quotient, 0, 1)
+    cut = memo[key] if key in memo else memo.staged.get(key)
+    if cut is None:
+        raise ContractViolation("quotient was read before its cut was staged")
+    return cut
+
+
+def metered_cuts(
+    engine, quotients: list[tuple[WeightedGraph, np.ndarray]], meter: FlowMeter
+) -> list[Cut]:
+    """One metered 0-1 call per (quotient, labels), in order, each cut lifted to the graph."""
+    lifted = []
+    for quotient, labels in quotients:
+        cut = max_flow(engine, quotient, 0, 1, meter)
+        lifted.append(Cut(VertexSet.from_bools(cut.side.bools()[labels]), cut.weight))
+    return lifted
+
+
 def min_cuts_separating(
     engine,
     graph: WeightedGraph,
@@ -379,45 +477,13 @@ def min_cuts_separating(
 ) -> list[Cut]:
     """Per (A, B) pair, the minimum cut with A on the source side, B on the sink side.
 
-    A and B are contracted to vertices 0 and 1, so a pair's flow instance
-    has n - |A| - |B| + 2 vertices and at most m edges; one metered call per
-    pair, in order. Each returned side is the inclusion-minimal minimizer
-    containing A.
-
-    With an engine that has ``solve_batch``, the nontrivial instances not
-    yet in the meter's memo run first as one batch, each distinct instance
-    once, and their cuts are staged in the memo, where the metered calls
-    find them. A batched instance counts as solved, a repeat as recalled.
+    One metered call per pair, in order, on its ``separation_quotient``;
+    each returned side is the inclusion-minimal minimizer containing A. The
+    new instances run first as one ``stage_cuts`` batch.
     """
-    quotients = []
-    for side_a, side_b in pairs:
-        if not side_a or not side_b:
-            raise InputError("separation sides must be nonempty")
-        if not side_a.isdisjoint(side_b):
-            raise InputError("separation sides overlap")
-        in_a, in_b = side_a.bools(), side_b.bools()
-        # A -> 0, B -> 1, every other vertex its own id from 2 in ascending order.
-        labels = np.cumsum(~(in_a | in_b)) + 1
-        labels[in_a] = 0
-        labels[in_b] = 1
-        quotients.append((contract(graph, labels), labels))
-    solve_batch = getattr(engine, "solve_batch", None)
-    if solve_batch is not None:
-        fresh = {}
-        for quotient, _ in quotients:
-            if not _trivial(quotient):
-                key = _memo_key(quotient, 0, 1)
-                if key not in meter.memo:
-                    fresh.setdefault(key, quotient)
-        if fresh:
-            cuts = solve_batch([(quotient, 0, 1) for quotient in fresh.values()])
-            meter.memo.staged.update(zip(fresh, cuts))
-            meter.engine_invocations += 1
-    lifted = []
-    for quotient, labels in quotients:
-        cut = max_flow(engine, quotient, 0, 1, meter)
-        lifted.append(Cut(VertexSet.from_bools(cut.side.bools()[labels]), cut.weight))
-    return lifted
+    quotients = [separation_quotient(graph, side_a, side_b) for side_a, side_b in pairs]
+    stage_cuts(engine, [quotient for quotient, _ in quotients], meter)
+    return metered_cuts(engine, quotients, meter)
 
 
 def min_cut_separating(

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ContractViolation, DecompositionError, InputError, require_int
 from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_decompose
 from .graph import MAX_TOTAL_WEIGHT, Cut, VertexSet, WeightedGraph, components_after_removal
-from .isolating import minimum_isolating_cuts
+from .isolating import minimum_isolating_cuts_family
 from .maxflow import FlowMeter, max_flow
 from .oracles import naive_steiner
 from .splitters import isolator_family_min2
@@ -175,7 +175,9 @@ def unbalanced_case(
     If some minimum Steiner cut keeps at most k pool terminals on one side,
     some family set meets that side in exactly one terminal and the
     isolating cut for it has exactly the minimum weight. Returns that cut
-    and the family size, which is the number of isolating runs made.
+    and the family size, which is the number of isolating runs made. The
+    runs go to ``minimum_isolating_cuts_family`` in one call, so their
+    independent flows share engine batches.
     """
     if len(pool) < 2:
         raise InputError("pool must have at least two terminals")
@@ -185,14 +187,11 @@ def unbalanced_case(
         raise InputError("pool must be a subset of the terminals")
     members = pool.members()
     family = isolator_family_min2(len(members), min(k, len(members) - 1))
+    terminal_sets = [
+        VertexSet.from_ids(inst.graph.n, (members[i] for i in fset)) for fset in family.sets
+    ]
     best: Cut | None = None
-    for fset in family.sets:
-        rmask = 0
-        for i in fset:
-            rmask |= 1 << members[i]
-        iso = minimum_isolating_cuts(
-            engine, inst.graph, VertexSet(inst.graph.n, rmask), meter
-        )
+    for iso in minimum_isolating_cuts_family(engine, inst.graph, terminal_sets, meter):
         best = _lighter(best, iso.best().cut)
     return best, len(family.sets)
 
@@ -263,8 +262,8 @@ def _finish(
 ) -> CutReport:
     """Report a driver's answer after checking it is a Steiner cut of its weight.
 
-    The run's flow memo is emptied here: the report keeps the meter, and
-    callers often keep many reports.
+    The run's flow memo, staged cuts included, is emptied here: the report
+    keeps the meter, and callers often keep many reports.
     """
     meter.memo.clear()
     inside = cut.side.intersection(inst.terminals)
@@ -370,8 +369,8 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     reps = cfg.reps_for(graph.n)
     rng = random.Random(cfg.seed)
     scales = len(members).bit_length() - 1
-    best: Cut | None = None
     seen: set[int] = set()
+    samples: list[VertexSet] = []
     for scale in range(scales + 1):
         for rep in range(reps):
             if scale == 0:
@@ -385,13 +384,14 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
             size = rmask.bit_count()
             fresh = size >= 2 and rmask not in seen
             trace.samples.append((scale, rep, size, fresh))
-            if not fresh:
-                continue
-            seen.add(rmask)
-            iso = minimum_isolating_cuts(
-                engine, graph, VertexSet(graph.n, rmask), meter
-            )
-            best = _lighter(best, iso.best().cut)
+            if fresh:
+                seen.add(rmask)
+                samples.append(VertexSet(graph.n, rmask))
+
+    # No sample depends on a flow, so every fresh one runs in one batched call.
+    best: Cut | None = None
+    for iso in minimum_isolating_cuts_family(engine, graph, samples, meter):
+        best = _lighter(best, iso.best().cut)
 
     s, t = members[0], members[1]
     best = _lighter(best, max_flow(engine, graph, s, t, meter))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutkit import (
@@ -9,10 +11,13 @@ from cutkit import (
     bipartition_schedule,
     build_graph,
     enumerate_cuts,
-    min_cuts_separating,
     minimum_isolating_cuts,
+    minimum_isolating_cuts_family,
     naive_isolating,
 )
+
+from cutkit import isolating
+from cutkit.maxflow import metered_cuts
 
 from helpers import rand_graph, rand_terminals
 
@@ -142,6 +147,62 @@ def test_deterministic_across_runs(dinic):
     assert first.phase_a_calls == second.phase_a_calls
 
 
+def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMeter, FlowMeter]:
+    """Run sets as one family and one by one on a second meter.
+
+    Returns the chunks, each the list of its runs' phase-A edge counts, and
+    the family's and the loop's meters.
+    """
+    looped = FlowMeter()
+    alone = [minimum_isolating_cuts(engine, graph, terminals, looped) for terminals in sets]
+    chunks = []
+    run_chunk = isolating._run_chunk
+
+    def recording(engine, graph, runs, meter):
+        chunks.append([sum(quotient.m for quotient, _ in run.phase_a) for run in runs])
+        return run_chunk(engine, graph, runs, meter)
+
+    monkeypatch.setattr(isolating, "_run_chunk", recording)
+    meter = FlowMeter()
+    assert minimum_isolating_cuts_family(engine, graph, sets, meter) == alone
+    assert (meter.calls, meter.bundled, meter.recalled) == (
+        looped.calls, looped.bundled, looped.recalled
+    )
+    assert meter.memo.staged == {}
+    # A chunk stays within the cap unless it is one run, and closes only
+    # when the next run would take it past the cap.
+    cap = isolating._BATCH_EDGES
+    assert sum(map(len, chunks)) == len(sets)
+    assert all(len(chunk) == 1 or sum(chunk) <= cap for chunk in chunks)
+    assert all(sum(chunk) + after[0] > cap for chunk, after in zip(chunks, chunks[1:]))
+    if engine.name == "dinic":
+        assert meter.engine_invocations == looped.engine_invocations
+    else:
+        assert meter.engine_invocations <= min(2 * len(chunks), looped.engine_invocations)
+    return chunks, meter, looped
+
+
+def test_family_equals_one_run_per_set(any_engine, monkeypatch):
+    g = rand_graph(40, 7, p=0.5)
+    rng = random.Random(7)
+    sets = [rand_terminals(40, rng.randint(2, 6), seed) for seed in range(24)]
+    sets.insert(9, sets[2])  # a repeated run is answered from the memo
+    chunks, meter, looped = _family_against_loop(any_engine, g, sets, monkeypatch)
+    assert len(chunks) >= 3
+    assert meter.recalled > 0
+    if any_engine.name == "scipy":
+        assert 2 * len(chunks) < looped.engine_invocations
+
+
+def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
+    g = rand_graph(80, 11, p=0.6)
+    big = rand_terminals(80, 8, 11)
+    small = rand_terminals(80, 2, 12)
+    chunks, _, _ = _family_against_loop(any_engine, g, [big, small, small, big], monkeypatch)
+    assert chunks[0][0] > isolating._BATCH_EDGES
+    assert [len(chunk) for chunk in chunks] == [1, 2, 1]
+
+
 def test_terminal_universe_must_match(dinic):
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     with pytest.raises(InputError):
@@ -154,17 +215,16 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
     g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     terminals = VertexSet.from_ids(5, [2, 4])
 
-    # Phase A (B holds only terminals) runs for real. A phase-B side must stay
-    # inside its one-terminal component, so the side that reaches the terminal
-    # check is one that misses its own terminal: terminal 2's {0, 1, 2} loses 2.
-    def drop_source(engine, graph, pairs, meter):
-        cuts = min_cuts_separating(engine, graph, pairs, meter)
-        if all(side_b.issubset(terminals) for _, side_b in pairs):
-            return cuts
+    # Phase A runs for real: its cuts are read from the memo, and only phase B
+    # is lifted through metered_cuts. A phase-B side must stay inside its
+    # one-terminal component, so the side that reaches the terminal check is
+    # one that misses its own terminal: terminal 2's {0, 1, 2} loses 2.
+    def drop_source(engine, quotients, meter):
+        cuts = metered_cuts(engine, quotients, meter)
         first = cuts[0]
-        return [Cut(first.side.difference(pairs[0][0]), first.weight)] + cuts[1:]
+        return [Cut(first.side.difference(terminals), first.weight)] + cuts[1:]
 
-    monkeypatch.setattr("cutkit.isolating.min_cuts_separating", drop_source)
+    monkeypatch.setattr("cutkit.isolating.metered_cuts", drop_source)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
 

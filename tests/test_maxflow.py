@@ -161,6 +161,8 @@ def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch)
     flows = []
 
     def never_stored(memo, graph, s, t, flow):
+        # Every metered call runs its own flow; a staged cut is dropped unread.
+        memo.staged.pop(maxflow._memo_key(graph, s, t), None)
         flows.append((graph.n, graph.m))
         return flow(graph, s, t)
 
@@ -287,26 +289,35 @@ def test_grid_anchor_batches_without_moving_the_run(scipy_eng, monkeypatch):
     g = generate(GeneratorSpec("grid", 64, rows=8))
     inst = SteinerInstance(g, g.full_set)
     cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
-    flows, per_run = [0], []
+    flows, chunks, per_round = [0], [0], []
     maximum_flow = csgraph.maximum_flow
+    run_chunk = isolating._run_chunk
+    unbalanced_case = steiner.unbalanced_case
 
     def counted(*args, **kwargs):
         flows[0] += 1
         return maximum_flow(*args, **kwargs)
 
-    def isolating_run(*args, **kwargs):
-        before = flows[0]
-        result = isolating.minimum_isolating_cuts(*args, **kwargs)
-        per_run.append(flows[0] - before)
-        return result
+    def chunk_counted(*args, **kwargs):
+        chunks[0] += 1
+        return run_chunk(*args, **kwargs)
+
+    def round_run(*args, **kwargs):
+        before = flows[0], chunks[0]
+        cut, runs = unbalanced_case(*args, **kwargs)
+        per_round.append((flows[0] - before[0], chunks[0] - before[1], runs))
+        return cut, runs
 
     monkeypatch.setattr(csgraph, "maximum_flow", counted)
-    monkeypatch.setattr(steiner, "minimum_isolating_cuts", isolating_run)
+    monkeypatch.setattr(isolating, "_run_chunk", chunk_counted)
+    monkeypatch.setattr(steiner, "unbalanced_case", round_run)
     batched = steiner_mincut_det(scipy_eng, inst, cfg)
     assert flows[0] == batched.meter.engine_invocations
-    # One batch for phase A and one for phase B; the driver's other flows
-    # (the pairwise stage and the fallback) run one instance at a time.
-    assert per_run and max(per_run) <= 2
+    # One batch for phase A and one for phase B per chunk of a round's runs;
+    # the driver's other flows (the pairwise stage and the fallback) run one
+    # instance at a time.
+    assert per_round and all(f <= 2 * c for f, c, _ in per_round)
+    assert sum(c for _, c, _ in per_round) < sum(runs for _, _, runs in per_round)
     solved = sum(1 for n, m in batched.meter.calls if m and n > 2) - batched.meter.recalled
     assert flows[0] < solved
 
