@@ -461,3 +461,43 @@ def test_dimacs_parse_errors():
     for bad in ("p max x 1\n", "p max 3 1\nn y s\n", "p max 3 1\na 1 2 x\n"):
         with pytest.raises(InputError, match="not an integer"):
             parse_dimacs(bad)
+
+
+_PINNED_COUNTERS = {
+    # (graph, engine, driver): (fingerprint, recalled, engine_invocations, bundled)
+    ("gnp24-all", "dinic", "det"): ("d16d94c309d21154", 34, 128, 143),
+    ("gnp24-all", "dinic", "rand"): ("1b645df864a26009", 11, 261, 377),
+    ("gnp24-all", "scipy", "det"): ("d16d94c309d21154", 34, 9, 143),
+    ("gnp24-all", "scipy", "rand"): ("1b645df864a26009", 11, 7, 377),
+    ("gnp30-third", "dinic", "det"): ("bbfd111afc5eb3a4", 54, 66, 45),
+    ("gnp30-third", "dinic", "rand"): ("00b5de011acdae31", 5, 133, 129),
+    ("gnp30-third", "scipy", "det"): ("bbfd111afc5eb3a4", 54, 11, 45),
+    ("gnp30-third", "scipy", "rand"): ("00b5de011acdae31", 5, 7, 129),
+    ("dumbbell32", "dinic", "det"): ("7f09ae172a3d6404", 101, 67, 183),
+    ("dumbbell32", "dinic", "rand"): ("c87718c42b988e11", 167, 190, 560),
+    ("dumbbell32", "scipy", "det"): ("7f09ae172a3d6404", 101, 11, 183),
+    ("dumbbell32", "scipy", "rand"): ("c87718c42b988e11", 167, 18, 560),
+}
+
+
+def _pinned_instance(name: str) -> SteinerInstance:
+    if name == "gnp24-all":
+        g = gnp_graph(24, 0.3, seed=1)
+        return SteinerInstance(g, g.full_set)
+    if name == "gnp30-third":
+        g = gnp_graph(30, 0.25, seed=4)
+        return SteinerInstance(g, VertexSet.from_ids(30, range(0, 30, 3)))
+    g = generate(GeneratorSpec("dumbbell", 32))
+    return SteinerInstance(g, g.full_set)
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_COUNTERS), ids="-".join)
+def test_counters_outside_the_fingerprint_are_pinned(key):
+    """recalled, engine_invocations and bundled, which the ledger does not cover."""
+    name, engine, method = key
+    driver = steiner_mincut_det if method == "det" else steiner_mincut_rand
+    cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
+    report = driver(get_engine(engine), _pinned_instance(name), cfg)
+    meter = report.meter
+    got = (report.fingerprint(), meter.recalled, meter.engine_invocations, meter.bundled)
+    assert got == _PINNED_COUNTERS[key]
