@@ -1,15 +1,16 @@
 """Flow-call benchmark: the fast driver versus the naive baseline.
 
 Counts are reported four ways. Raw calls are the logical max-flow calls,
-one metered call per ``max_flow``; recalled calls are those of them that
-the engine answered from the run's memo of instances it had already
-solved. Equivalent calls (FlowMeter.equivalent_calls) count one per metered
-call, except that an isolating run's whole phase B counts as one, because
-its instances together are no bigger than a single instance; the budget
-below is stated in equivalent calls. Engine invocations count the flows
-the engine actually ran: the SciPy engine solves each phase of a chunk of
-a round's isolating runs in one batch, so its invocations fall far below
-the raw calls it did not recall.
+one metered call per ``max_flow``. Every distinct nontrivial instance is
+solved once for a run (``maxflow.solve_ahead``), and recalled calls are
+the nontrivial raw calls beyond those solves, each answered from the
+run's memo. Equivalent calls (FlowMeter.equivalent_calls) count one per
+metered call, except that an isolating run's whole phase B counts as one,
+because its instances together are no bigger than a single instance; the
+budget below is stated in equivalent calls. Engine invocations count the
+flows the engine actually ran: the SciPy engine solves each phase of a
+chunk of a round's isolating runs in one batch, so its invocations fall
+far below the raw calls it did not recall.
 """
 
 import csv

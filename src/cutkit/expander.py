@@ -449,25 +449,3 @@ def expander_decompose(
         budget=budget,
         splits=splits,
     )
-
-
-def clusters_cut_by(clusters: tuple[VertexSet, ...], side: VertexSet) -> int:
-    """How many clusters have vertices on both sides of the cut."""
-    count = 0
-    for cluster in clusters:
-        hit = cluster.intersection(side)
-        if hit and hit != cluster:
-            count += 1
-    return count
-
-
-def split_terminal_sum(
-    clusters: tuple[VertexSet, ...], terminals: VertexSet, side: VertexSet
-) -> int:
-    """Sum over clusters of the smaller terminal count on either side."""
-    total = 0
-    for cluster in clusters:
-        inside = len(cluster.intersection(terminals).intersection(side))
-        outside = len(cluster.intersection(terminals)) - inside
-        total += min(inside, outside)
-    return total

@@ -203,11 +203,6 @@ class WeightedGraph:
         np.add.at(deg, vs, ws)
         return deg
 
-    def degree_weight(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex id {v} outside [0, {self.n})")
-        return int(self.degrees[v])
-
     @property
     def full_set(self) -> VertexSet:
         return VertexSet.full(self.n)

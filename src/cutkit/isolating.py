@@ -13,18 +13,18 @@ cheap.
 ``minimum_isolating_cuts_family`` runs many terminal sets on one graph,
 such as a round's isolator family. The runs are independent, so it solves
 them phase by phase: it splits the family, in order, into chunks of
-consecutive runs, and per chunk stages every new phase-A instance as one
-engine batch, reads the phase-A cuts from the memo to build every run's
-phase-B instances, stages those as a second batch, and only then meters
-each run's calls in run order (A1 B1 A2 B2 ...), where each call finds its
-staged answer. So the calls, fingerprints and bundled and recalled counts
-are those of the runs made one by one, and on the SciPy engine a chunk
-costs two ``maximum_flow`` invocations; the Dinic engine's batch runs one
-flow per new instance. A chunk closes before the run whose phase-A
-instances would take its phase-A edge total past ``_BATCH_EDGES``. The cap
-bounds memory: a batch's glued arrays take a couple of hundred bytes per
-edge while they live, and without the cap the SciPy benchmark workloads
-peaked 6-12% higher.
+consecutive runs, and per chunk solves every new phase-A instance in one
+``solve_ahead`` batch, reads the phase-A cuts from the memo to build every
+run's phase-B instances, solves those in a second batch, and only then
+meters each run's calls in run order (A1 B1 A2 B2 ...), where each call
+finds its cut in the memo. So the calls, fingerprints and bundled and
+recalled counts are those of the runs made one by one, and on the SciPy
+engine a chunk costs two ``maximum_flow`` invocations; the Dinic engine's
+batch runs one flow per new instance. A chunk closes before the run whose
+phase-A instances would take its phase-A edge total past
+``_BATCH_EDGES``. The cap bounds memory: a batch's glued arrays take a
+couple of hundred bytes per edge while they live, and without the cap the
+SciPy benchmark workloads peaked 6-12% higher.
 ``minimum_isolating_cuts`` is the family of one set.
 """
 
@@ -34,15 +34,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
-from .maxflow import (
-    FlowMemo,
-    FlowMeter,
-    known_cut,
-    max_flow,
-    metered_cuts,
-    separation_quotient,
-    stage_cuts,
-)
+from .maxflow import FlowMeter, known_cut, max_flow, metered_cuts, separation_quotient, solve_ahead
 
 # Phase-A edges one chunk of isolating runs may glue into a batch.
 _BATCH_EDGES = 4096
@@ -116,12 +108,12 @@ def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
     return _Run(terminals, terminals.members(), phase_a)
 
 
-def _build_phase_b(graph: WeightedGraph, run: _Run, memo: FlowMemo) -> None:
-    """The run's components and phase-B instances, from its staged phase-A cuts."""
+def _build_phase_b(graph: WeightedGraph, run: _Run, memo: dict) -> None:
+    """The run's components and phase-B instances, from its phase-A cuts in memo."""
     us, vs, _ = graph.edge_arrays
     removed = np.zeros(graph.m, dtype=bool)
     for quotient, labels in run.phase_a:
-        inside = known_cut(quotient, memo).side.bools()[labels]
+        inside = known_cut(quotient, 0, 1, memo).side.bools()[labels]
         removed |= inside[us] != inside[vs]
 
     labels = components_after_removal(graph, removed)
@@ -175,15 +167,12 @@ def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> Iso
 def _run_chunk(
     engine, graph: WeightedGraph, runs: list[_Run], meter: FlowMeter
 ) -> list[IsolatingCutResult]:
-    """Two staged batches (all phase A, then all phase B), then every run metered in order."""
-    stage_cuts(engine, [quotient for run in runs for quotient, _ in run.phase_a], meter)
+    """Two batches solved ahead (all phase A, then all phase B), then every run metered in order."""
+    solve_ahead(engine, [(quotient, 0, 1) for run in runs for quotient, _ in run.phase_a], meter)
     for run in runs:
         _build_phase_b(graph, run, meter.memo)
-    stage_cuts(engine, [quotient for run in runs for quotient, _ in run.phase_b], meter)
-    results = [_meter_run(engine, graph, run, meter) for run in runs]
-    if meter.memo.staged:
-        raise ContractViolation("a chunk of isolating runs left staged cuts unmetered")
-    return results
+    solve_ahead(engine, [(quotient, 0, 1) for run in runs for quotient, _ in run.phase_b], meter)
+    return [_meter_run(engine, graph, run, meter) for run in runs]
 
 
 def minimum_isolating_cuts_family(

@@ -4,26 +4,26 @@ Both engines are deterministic and return identical results: a Cut whose
 weight is the flow value and whose side is the inclusion-minimal minimum
 cut side, the set of vertices reachable from s in the final residual graph.
 
-Engine protocol: ``solve(graph, s, t, memo=None)`` returns that Cut, and
-stores the Cut of every nontrivial instance it solves in memo (a
-``FlowMemo``), when given one. ``solve_batch(instances)`` returns the Cut
-of every (graph, s, t) instance it is given, with no memo and no meter;
-``glues_batch`` says whether a batch is one flow (SciPy) or one flow per
-instance (Dinic). Every call goes through ``max_flow``, which meters it,
-so the meter counts logical calls: a call answered without running a flow
-still counts. ``FlowMeter.engine_invocations`` counts the flows the engine
-actually ran.
+Engine protocol: ``solve_batch(instances)`` returns the Cut of every
+(graph, s, t) instance it is given, and ``glues_batch`` says whether a
+batch is one flow (SciPy) or one flow per instance (Dinic).
+``solve(graph, s, t, memo=None)`` returns one instance's Cut: the closed
+form of a trivial instance, else memo's entry when given a memo (a dict),
+else a batch of one.
+
+Flows for a meter run in one place, ``solve_ahead``: it sends every new
+nontrivial instance it is given to ``solve_batch`` once and stores the cuts
+in ``FlowMeter.memo``, under the key (n, m, s, t, the graph's ``digest``:
+16 bytes of BLAKE2b over its ``edge_arrays``). A digest keeps each entry
+small where the arrays themselves would cost 24 bytes per edge. The memo
+lives as long as the meter: one driver run, which empties it before
+returning its report. ``max_flow`` solves its one instance ahead, then
+meters the call and reads the answer through ``engine.solve``, so the
+meter counts logical calls: a call answered from the memo still counts.
 
 - Shared base case: both answer an edgeless or two-vertex instance in
   closed form (``_closed_form``); its only minimal side is {s}, of value
   the total edge weight.
-- Shared memo (``_memoized``): any other instance is looked up in the memo
-  first, under the key (n, m, s, t, the graph's ``digest``: 16 bytes of
-  BLAKE2b over its ``edge_arrays``), then among the memo's staged cuts
-  (below), and a miss is solved and stored. ``max_flow`` passes
-  ``FlowMeter.memo``, so the memo lives as long as the meter: one driver
-  run, which empties it before returning its report. A digest keeps each
-  entry small where the arrays themselves would cost 24 bytes per edge.
 - ``DinicEngine`` (the default) is pure Python on Python-int capacities, so
   it is exact at any weight; a call runs O(n^2 m) interpreted steps at
   worst. Edge i of ``graph.edge_arrays`` is arc 2i (u->v) and arc 2i+1
@@ -34,22 +34,18 @@ actually ran.
 - ``ScipyEngine`` needs int32 capacities. Its cost is about 0.3 ms of fixed
   SciPy overhead per batch (one ``maximum_flow`` call) plus the same
   algorithm compiled, so ``solve_batch`` solves independent instances in
-  one call:
-  it glues every source into vertex 0 and every sink into vertex 1, gives
-  each instance's other vertices ids of their own, leaves direct s-t
-  edges out and adds their weight back. One csgraph BFS over the arcs with
-  positive residual capacity then gives every instance its side. A single
-  ``solve`` is a batch of one.
+  one call: it glues every source into vertex 0 and every sink into vertex
+  1, gives each instance's other vertices ids of their own, leaves direct
+  s-t edges out and adds their weight back. One csgraph BFS over the arcs
+  with positive residual capacity then gives every instance its side.
 
-Batching ahead of the metered calls: a caller that knows several
-independent separations builds each quotient (``separation_quotient``),
-hands the new ones to the engine as one batch (``stage_cuts``, which
-stages their cuts in the memo and never enters ``solve``), and then
-meters every call in order (``metered_cuts``), where each finds its staged
-answer. ``min_cuts_separating`` does the three steps for one list of
-pairs. ``isolating`` does them phase by phase for a whole round of
-isolating runs, in chunks whose glued phase-A instances stay below a fixed
-edge count, which bounds the transient arrays of one SciPy batch.
+A caller that knows several independent separations ahead builds each
+quotient (``separation_quotient``), solves the new ones in one
+``solve_ahead`` batch, and then meters every call in order
+(``metered_cuts``). ``isolating`` does this phase by phase for a whole
+round of isolating runs, in chunks whose glued phase-A instances stay
+below a fixed edge count, which bounds the transient arrays of one SciPy
+batch.
 """
 
 from dataclasses import dataclass, field
@@ -62,24 +58,6 @@ from .graph import Cut, VertexSet, WeightedGraph, contract
 INT32_LIMIT = 1 << 31
 
 
-class FlowMemo(dict):
-    """Instance key -> Cut of every nontrivial instance solved for one meter.
-
-    staged holds cuts that a batch solved ahead of their metered calls. The
-    first lookup of a staged key moves its cut into the memo, so that call
-    counts as solved and every later call of the instance as recalled.
-    clear empties both.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.staged: dict = {}
-
-    def clear(self) -> None:
-        super().clear()
-        self.staged.clear()
-
-
 @dataclass
 class FlowMeter:
     """Counts max-flow calls and the size (n, m) of each call's instance.
@@ -87,20 +65,21 @@ class FlowMeter:
     Equivalent calls are the paper's cost measure: one per call,
     except that the calls of one bundle (an isolating run's whole phase B,
     whose instances together are no bigger than one) count as one call.
-    memo holds the result of each nontrivial instance solved for this
-    meter, so the engine answers a repeat without solving it again, and
-    recalled counts those answers. engine_invocations counts the flows the
-    engine actually ran: one per instance solved alone, and per batch one
-    on the SciPy engine or one per instance on the Dinic engine. A
-    recalled or batched call is still a call: neither field changes calls,
-    equivalent calls or a report's fingerprint.
+    memo maps the key of every nontrivial instance solved for this meter to
+    its Cut, and solved counts those instances. Every instance solved ahead
+    is metered in the same step, so recalled, the nontrivial calls minus
+    solved, counts the calls answered from an earlier call's solve.
+    engine_invocations counts the flows the engine actually ran: per
+    ``solve_ahead`` batch, one on the SciPy engine or one per instance on
+    the Dinic engine. A recalled or batched call is still a call: neither
+    count changes calls, equivalent calls or a report's fingerprint.
     """
 
     calls: list[tuple[int, int]] = field(default_factory=list)
     bundled: int = 0
-    recalled: int = 0
+    solved: int = 0
     engine_invocations: int = 0
-    memo: FlowMemo = field(default_factory=FlowMemo, compare=False, repr=False)
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def record(self, n: int, m: int) -> None:
         self.calls.append((n, m))
@@ -114,6 +93,10 @@ class FlowMeter:
         if not 0 <= mark <= len(self.calls):
             raise InputError(f"bundle mark {mark} outside [0, {len(self.calls)}]")
         self.bundled += max(len(self.calls) - mark - 1, 0)
+
+    @property
+    def recalled(self) -> int:
+        return sum(1 for n, m in self.calls if m and n > 2) - self.solved
 
     @property
     def equivalent_calls(self) -> int:
@@ -154,18 +137,25 @@ def _memo_key(graph: WeightedGraph, s: int, t: int) -> tuple:
     return (graph.n, graph.m, s, t, graph.digest)
 
 
-def _memoized(memo: FlowMemo | None, graph: WeightedGraph, s: int, t: int, flow) -> Cut:
-    """memo's answer for (graph, s, t), else its staged one, else flow(graph, s, t).
+def known_cut(graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
+    """The cut of (graph, s, t) once ``solve_ahead`` has run: its closed form, else memo's.
 
-    A staged or newly solved answer is stored in memo.
+    A nontrivial instance missing from memo raises ContractViolation.
     """
-    if memo is None:
-        return flow(graph, s, t)
-    key = _memo_key(graph, s, t)
-    if key not in memo:
-        staged = memo.staged.pop(key, None)
-        memo[key] = flow(graph, s, t) if staged is None else staged
-    return memo[key]
+    trivial = _closed_form(graph, s)
+    if trivial is not None:
+        return trivial
+    cut = memo.get(_memo_key(graph, s, t))
+    if cut is None:
+        raise ContractViolation("instance was read before it was solved")
+    return cut
+
+
+def _answer(engine, graph: WeightedGraph, s: int, t: int, memo: dict | None) -> Cut:
+    """``engine.solve`` past its checks: ``known_cut``, or a batch of one without a memo."""
+    if memo is None and not _trivial(graph):
+        return engine.solve_batch([(graph, s, t)])[0]
+    return known_cut(graph, s, t, memo)
 
 
 def _check_int32(graph: WeightedGraph) -> None:
@@ -188,19 +178,16 @@ class DinicEngine:
     arc left pruned for the rest of the phase. Nothing recurses, so a long
     path cannot exhaust the stack. The BFS that fails to reach t runs to
     the end; the vertices it reaches are the returned side. Edgeless and
-    two-vertex instances get the shared closed form, and a repeat of an
-    instance in memo its stored answer. ``solve_batch`` runs one flow per
-    instance, so each batched instance is one engine invocation.
+    two-vertex instances get the shared closed form, and an instance in memo
+    its stored answer. ``solve_batch`` runs one flow per instance, so each
+    batched instance is one engine invocation.
     """
 
     name = "dinic"
     glues_batch = False
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: FlowMemo | None = None) -> Cut:
-        trivial = _closed_form(graph, s)
-        if trivial is not None:
-            return trivial
-        return _memoized(memo, graph, s, t, self._flow)
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
+        return _answer(self, graph, s, t, memo)
 
     @staticmethod
     def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
@@ -280,21 +267,18 @@ class ScipyEngine:
     one) can still raise InputError here. The dinic engine has no limit.
 
     An edgeless or two-vertex instance costs no SciPy call: it gets the
-    shared closed form, once its capacities pass the int32 check, and a
-    repeat of an instance in memo gets its stored answer. Any other is
-    solved by ``solve_batch`` as a batch of one. A whole batch is one
-    engine invocation.
+    shared closed form, once its capacities pass the int32 check, and an
+    instance in memo gets its stored answer. Any other is solved by
+    ``solve_batch`` as a batch of one. A whole batch is one engine
+    invocation.
     """
 
     name = "scipy"
     glues_batch = True
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: FlowMemo | None = None) -> Cut:
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
         _check_int32(graph)
-        trivial = _closed_form(graph, s)
-        if trivial is not None:
-            return trivial
-        return _memoized(memo, graph, s, t, lambda *inst: self.solve_batch([inst])[0])
+        return _answer(self, graph, s, t, memo)
 
     @staticmethod
     def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
@@ -368,32 +352,46 @@ def get_engine(name: str = "dinic"):
         raise InputError(f"unknown engine {name!r}; choose from {sorted(_ENGINES)}")
 
 
+def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: FlowMeter) -> None:
+    """Solve the new nontrivial (graph, s, t) instances as one batch and store their cuts.
+
+    Every instance whose key is not in ``meter.memo`` goes to
+    ``engine.solve_batch``, each distinct one once, and its cut into the
+    memo; ``meter.solved`` grows by their number and
+    ``meter.engine_invocations`` by the flows the batch ran. This is the
+    only place flows run for a meter. It meters no call: the caller meters
+    each instance through ``max_flow``, which finds its cut in the memo.
+    """
+    memo = meter.memo
+    fresh = {}
+    for graph, s, t in instances:
+        if not _trivial(graph):
+            key = _memo_key(graph, s, t)
+            if key not in memo:
+                fresh.setdefault(key, (graph, s, t))
+    if fresh:
+        memo.update(zip(fresh, engine.solve_batch(list(fresh.values()))))
+        meter.solved += len(fresh)
+        meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
+
+
 def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> Cut:
     """Solve one s-t max flow, recording exactly one meter entry (n, m).
 
-    The call always reaches ``engine.solve(graph, s, t, meter.memo)`` and is
-    always metered, so the meter counts logical calls. The engine answers
-    an instance it solved earlier for this meter from the memo (key: n, m,
-    s, t and a digest of ``edge_arrays``); such a call adds one to
-    ``meter.recalled``. A nontrivial call that found neither a memo entry
-    nor a staged cut ran a flow of its own and adds one to
-    ``meter.engine_invocations``.
+    The instance is solved ahead (``solve_ahead``, a no-op when it is
+    trivial or already in the memo), and then the call always reaches
+    ``engine.solve(graph, s, t, meter.memo)`` and is always metered, so the
+    meter counts logical calls.
     """
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise InputError("source or sink id outside graph")
     if s == t:
         raise InputError("source equals sink")
-    memo = meter.memo
-    stored, staged = len(memo), len(memo.staged)
-    cut = engine.solve(graph, s, t, memo)
+    solve_ahead(engine, [(graph, s, t)], meter)
+    cut = engine.solve(graph, s, t, meter.memo)
     meter.record(graph.n, graph.m)
     if t in cut.side:
         raise ContractViolation("engine returned sink inside source side")
-    if not _trivial(graph):
-        if len(memo) == stored:
-            meter.recalled += 1
-        elif len(memo.staged) == staged:
-            meter.engine_invocations += 1
     return cut
 
 
@@ -418,46 +416,6 @@ def separation_quotient(
     return contract(graph, labels), labels
 
 
-def stage_cuts(engine, quotients: list[WeightedGraph], meter: FlowMeter) -> None:
-    """Solve the new 0-1 instances among quotients as one batch, ahead of their calls.
-
-    Every nontrivial quotient whose instance is neither in the meter's memo
-    nor staged there goes to ``engine.solve_batch``, each distinct instance
-    once, and its cut is staged in the memo, where the metered call finds
-    it: that call counts as solved, a later repeat as recalled. Staging
-    never enters ``engine.solve`` and meters no call; it adds the flows it
-    ran to ``meter.engine_invocations``.
-    """
-    memo = meter.memo
-    fresh = {}
-    for quotient in quotients:
-        if not _trivial(quotient):
-            key = _memo_key(quotient, 0, 1)
-            if key not in memo and key not in memo.staged:
-                fresh.setdefault(key, quotient)
-    if fresh:
-        cuts = engine.solve_batch([(quotient, 0, 1) for quotient in fresh.values()])
-        memo.staged.update(zip(fresh, cuts))
-        meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
-
-
-def known_cut(quotient: WeightedGraph, memo: FlowMemo) -> Cut:
-    """The cut a metered call of (quotient, 0, 1) will get, read without metering.
-
-    That is the closed form of a trivial quotient, else the memo's or the
-    staged cut; a quotient that is none of these was never staged and
-    raises ContractViolation.
-    """
-    trivial = _closed_form(quotient, 0)
-    if trivial is not None:
-        return trivial
-    key = _memo_key(quotient, 0, 1)
-    cut = memo[key] if key in memo else memo.staged.get(key)
-    if cut is None:
-        raise ContractViolation("quotient was read before its cut was staged")
-    return cut
-
-
 def metered_cuts(
     engine, quotients: list[tuple[WeightedGraph, np.ndarray]], meter: FlowMeter
 ) -> list[Cut]:
@@ -469,23 +427,6 @@ def metered_cuts(
     return lifted
 
 
-def min_cuts_separating(
-    engine,
-    graph: WeightedGraph,
-    pairs: list[tuple[VertexSet, VertexSet]],
-    meter: FlowMeter,
-) -> list[Cut]:
-    """Per (A, B) pair, the minimum cut with A on the source side, B on the sink side.
-
-    One metered call per pair, in order, on its ``separation_quotient``;
-    each returned side is the inclusion-minimal minimizer containing A. The
-    new instances run first as one ``stage_cuts`` batch.
-    """
-    quotients = [separation_quotient(graph, side_a, side_b) for side_a, side_b in pairs]
-    stage_cuts(engine, [quotient for quotient, _ in quotients], meter)
-    return metered_cuts(engine, quotients, meter)
-
-
 def min_cut_separating(
     engine,
     graph: WeightedGraph,
@@ -493,8 +434,12 @@ def min_cut_separating(
     side_b: VertexSet,
     meter: FlowMeter,
 ) -> Cut:
-    """``min_cuts_separating`` for the one pair (A, B)."""
-    return min_cuts_separating(engine, graph, [(side_a, side_b)], meter)[0]
+    """The minimum cut with A on the source side and B on the sink side.
+
+    One metered call on the ``separation_quotient``; the returned side is
+    the inclusion-minimal minimizer containing A.
+    """
+    return metered_cuts(engine, [separation_quotient(graph, side_a, side_b)], meter)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -70,34 +70,6 @@ def _minimal_sides(cands: list[int]) -> list[int]:
     return kept
 
 
-def enumerate_cuts(
-    graph: WeightedGraph,
-    *,
-    source: int | None = None,
-    sink: int | None = None,
-    side_a: VertexSet | None = None,
-    side_b: VertexSet | None = None,
-    isolate: tuple[int, VertexSet] | None = None,
-    terminals: VertexSet | None = None,
-) -> Cut:
-    """Exhaustive minimum cut under the given side constraints.
-
-    Ties are broken toward inclusion-minimal sides, then by ascending
-    member tuple, so the result is deterministic. For plain source/sink
-    constraints the inclusion-minimal optimal side is unique and this
-    matches the side a max-flow engine reports.
-    """
-    weights = _all_side_weights(graph)
-    ok = _valid_masks(graph, source, sink, side_a, side_b, isolate, terminals)
-    if not ok.any():
-        raise InputError("constraints admit no cut")
-    best = int(weights[ok].min())
-    cands = np.nonzero(ok & (weights == best))[0]
-    minimal = _minimal_sides([int(m) for m in cands])
-    side_mask = min(minimal, key=lambda m: VertexSet(graph.n, m).members())
-    return Cut(VertexSet(graph.n, side_mask), best)
-
-
 def enumerate_min_cut_sides(
     graph: WeightedGraph,
     *,
@@ -116,6 +88,20 @@ def enumerate_min_cut_sides(
     best = int(weights[ok].min())
     cands = np.nonzero(ok & (weights == best))[0]
     return best, [VertexSet(graph.n, int(m)) for m in cands]
+
+
+def enumerate_cuts(graph: WeightedGraph, **constraints) -> Cut:
+    """Exhaustive minimum cut under the constraints of ``enumerate_min_cut_sides``.
+
+    Ties are broken toward inclusion-minimal sides, then by ascending
+    member tuple, so the result is deterministic. For plain source/sink
+    constraints the inclusion-minimal optimal side is unique and this
+    matches the side a max-flow engine reports.
+    """
+    best, sides = enumerate_min_cut_sides(graph, **constraints)
+    minimal = _minimal_sides([side.mask for side in sides])
+    side_mask = min(minimal, key=lambda m: VertexSet(graph.n, m).members())
+    return Cut(VertexSet(graph.n, side_mask), best)
 
 
 def stoer_wagner(graph: WeightedGraph) -> Cut:

@@ -51,9 +51,11 @@ class AlgoConfig:
 
     phi is the expansion parameter; k defaults to the smallest unbalance
     threshold that makes the two driver cases exhaustive, ceil((1+1/phi)^3).
-    Overriding k below that threshold drops the worst-case flow bound but
-    not exactness: the deterministic driver's fallback repairs every guess
-    it abandons, so its answer is exact at any phi and k. rand_reps
+    Overriding k below that threshold drops the worst-case flow bound: the
+    deterministic driver's fallback repairs every guess it abandons, at any
+    phi and k. Its answer is a minimum cut when every cluster it thins is
+    certified; clusters above 20 vertices are not, and a sparse cut their
+    spectral heuristic misses can cost the answer its minimality. rand_reps
     defaults to ceil(4*lg n) per sampling scale.
     """
 
@@ -207,8 +209,10 @@ def sparsify_terminals(
 
     Decomposes under uniform demand lam_guess on the pool. Clusters with at
     most 1/phi^2 pool terminals keep one representative, larger ones keep
-    ceil(1 + 1/phi). When lam_guess is at least the true minimum weight,
-    the kept set still touches both sides of some minimum Steiner cut.
+    ceil(1 + 1/phi). When lam_guess is at least the true minimum weight and
+    every cluster is a phi-expander, the kept set still touches both sides
+    of some minimum Steiner cut. Uncertified clusters are thinned too, so
+    that holds only as far as the spectral heuristic found every sparse cut.
     memo is handed to expander_decompose; sharing one across guesses lets
     each cluster's spectral search run once for the whole ladder. A total
     demand lam_guess * |pool| past the exactness limit raises
@@ -262,8 +266,9 @@ def _finish(
 ) -> CutReport:
     """Report a driver's answer after checking it is a Steiner cut of its weight.
 
-    The run's flow memo, staged cuts included, is emptied here: the report
-    keeps the meter, and callers often keep many reports.
+    The run's flow memo is emptied here: the report keeps the meter, and
+    callers often keep many reports. The meter's counts, recalled included,
+    do not read the memo.
     """
     meter.memo.clear()
     inside = cut.side.intersection(inst.terminals)

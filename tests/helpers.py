@@ -19,3 +19,25 @@ def st_pair(n: int, seed: int) -> tuple[int, int]:
     rng = random.Random(seed)
     s, t = rng.sample(range(n), 2)
     return s, t
+
+
+def clusters_cut_by(clusters: tuple[VertexSet, ...], side: VertexSet) -> int:
+    """How many clusters have vertices on both sides of the cut."""
+    count = 0
+    for cluster in clusters:
+        hit = cluster.intersection(side)
+        if hit and hit != cluster:
+            count += 1
+    return count
+
+
+def split_terminal_sum(
+    clusters: tuple[VertexSet, ...], terminals: VertexSet, side: VertexSet
+) -> int:
+    """Sum over clusters of the smaller terminal count on either side."""
+    total = 0
+    for cluster in clusters:
+        inside = len(cluster.intersection(terminals).intersection(side))
+        outside = len(cluster.intersection(terminals)) - inside
+        total += min(inside, outside)
+    return total

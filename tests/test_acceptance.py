@@ -35,9 +35,7 @@ from cutkit.bench import det_call_budget, default_bench_config, run_bench
 from cutkit.expander import (
     DemandVector,
     augmented_demands,
-    clusters_cut_by,
     expander_decompose,
-    split_terminal_sum,
     verify_expander,
 )
 from cutkit.generators import (
@@ -49,6 +47,7 @@ from cutkit.generators import (
 )
 from cutkit.graph import cut_weight, induced_subgraph
 from cutkit.oracles import enumerate_cuts, enumerate_min_cut_sides
+from helpers import clusters_cut_by, split_terminal_sum
 
 
 def _run(label, body):

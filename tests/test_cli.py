@@ -149,8 +149,13 @@ def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
 
 def test_maxflow_sink_on_source_side_is_invariant_failure(dumbbell_path, monkeypatch, capsys):
     class SinkOnSourceSide:
+        glues_batch = True
+
         def solve(self, graph, s, t, memo=None):
             return Cut(VertexSet.from_ids(graph.n, [s, t]), 0)
+
+        def solve_batch(self, instances):
+            return [self.solve(graph, s, t) for graph, s, t in instances]
 
     monkeypatch.setattr("cutkit.cli.get_engine", lambda name: SinkOnSourceSide())
     code = main(["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"])

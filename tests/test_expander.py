@@ -11,13 +11,11 @@ from cutkit import (
     VertexSet,
     augmented_demands,
     build_graph,
-    clusters_cut_by,
     cut_weight,
     expander_decompose,
     induced_subgraph,
     sparsify_terminals,
     sparsity,
-    split_terminal_sum,
     verify_expander,
 )
 from cutkit.expander import (
@@ -30,7 +28,7 @@ from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
 from cutkit.graph import contract
 from cutkit.steiner import _guess_ladder
 
-from helpers import rand_graph
+from helpers import clusters_cut_by, rand_graph, split_terminal_sum
 
 
 def two_triangles_bridge():

@@ -58,7 +58,7 @@ def test_clique_shape():
 def test_cycle_shape():
     g = cycle_graph(6)
     assert g.m == 6
-    assert all(g.degree_weight(v) == 2 for v in range(6))
+    assert all(int(g.degrees[v]) == 2 for v in range(6))
     with pytest.raises(InputError):
         cycle_graph(2)
 

@@ -76,8 +76,8 @@ def test_non_integer_vertex_count_or_id_rejected():
 
 def test_degree_weight():
     g = build_graph(4, [(0, 3, 1), (0, 1, 2), (0, 2, 3)])
-    assert g.degree_weight(0) == 6
-    assert g.degree_weight(3) == 1
+    assert int(g.degrees[0]) == 6
+    assert int(g.degrees[3]) == 1
 
 
 def test_vertex_set_basics():
@@ -265,6 +265,5 @@ def test_degrees_exact_beyond_float():
     degrees = star.degrees
     assert degrees.dtype == np.int64
     assert int(degrees[0]) == ODD_BEYOND_FLOAT
-    assert star.degree_weight(0) == ODD_BEYOND_FLOAT
     assert degrees[1:].tolist() == [1 << 40] * (1 << 13) + [1]
     assert cut_weight(star, VertexSet.from_ids(star.n, [0])) == ODD_BEYOND_FLOAT

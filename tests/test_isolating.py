@@ -168,7 +168,6 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
     assert (meter.calls, meter.bundled, meter.recalled) == (
         looped.calls, looped.bundled, looped.recalled
     )
-    assert meter.memo.staged == {}
     # A chunk stays within the cap unless it is one run, and closes only
     # when the next run would take it past the cap.
     cap = isolating._BATCH_EDGES

@@ -22,7 +22,6 @@ from cutkit import (
     max_flow,
     maxflow,
     min_cut_separating,
-    min_cuts_separating,
     parse_dimacs,
     steiner_mincut_det,
     steiner_mincut_rand,
@@ -160,13 +159,15 @@ def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch)
 
     flows = []
 
-    def never_stored(memo, graph, s, t, flow):
-        # Every metered call runs its own flow; a staged cut is dropped unread.
-        memo.staged.pop(maxflow._memo_key(graph, s, t), None)
-        flows.append((graph.n, graph.m))
-        return flow(graph, s, t)
+    answer = maxflow._answer
 
-    monkeypatch.setattr(maxflow, "_memoized", never_stored)
+    def never_stored(engine, graph, s, t, memo):
+        # Every metered call runs its own flow; the memo's cut goes unread.
+        if graph.m and graph.n > 2:
+            flows.append((graph.n, graph.m))
+        return answer(engine, graph, s, t, None)
+
+    monkeypatch.setattr(maxflow, "_answer", never_stored)
     unstored = steiner_mincut_det(dinic, inst, cfg)
     assert unstored.fingerprint() == report.fingerprint()
     assert flows == [(n, m) for n, m in report.meter.calls if m and n > 2]
@@ -272,11 +273,8 @@ def test_scipy_batch_rejects_merged_capacity_past_int32():
     with pytest.raises(InputError, match="int32"):
         ScipyEngine.solve_batch([(small, 0, 1), (quotient, 0, 1)])
     with pytest.raises(InputError, match="int32"):
-        min_cuts_separating(
-            ScipyEngine(),
-            g,
-            [(VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [3]))],
-            FlowMeter(),
+        min_cut_separating(
+            ScipyEngine(), g, VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [3]), FlowMeter()
         )
 
 
@@ -409,14 +407,19 @@ def test_batched_instances_count_as_solved_and_repeats_as_recalled(any_engine):
     a, b, bc = (VertexSet.from_ids(5, ids) for ids in ([0], [4], [3, 4]))
     pairs = [(a, b), (a, b), (a, bc)]
     meter = FlowMeter()
-    first = min_cuts_separating(any_engine, g, pairs, meter)
-    again = min_cuts_separating(any_engine, g, pairs[2:], meter)
+
+    def batched(pairs):
+        quotients = [maxflow.separation_quotient(g, x, y) for x, y in pairs]
+        maxflow.solve_ahead(any_engine, [(q, 0, 1) for q, _ in quotients], meter)
+        return maxflow.metered_cuts(any_engine, quotients, meter)
+
+    first = batched(pairs)
+    again = batched(pairs[2:])
     alone = [min_cut_separating(any_engine, g, x, y, FlowMeter()) for x, y in pairs + pairs[2:]]
     assert first + again == alone
     # One repeat inside the batch, one across batches.
-    assert (meter.call_count, meter.recalled) == (4, 2)
+    assert (meter.call_count, meter.recalled, meter.solved) == (4, 2, 2)
     assert meter.engine_invocations == (2 if any_engine.name == "dinic" else 1)
-    assert meter.memo.staged == {}
 
 
 def test_min_cut_separating_validation(dinic):

@@ -86,7 +86,7 @@ def test_guess_ladder_reaches_least_terminal_degree(dinic):
     report = steiner_mincut_det(dinic, SteinerInstance(g, g.full_set), small_cfg())
     assert report.trace.lambda_guesses == (1, 2)
     heavy = dumbbell_graph(8, clique_weight=5, bridge_weight=2)
-    least = min(heavy.degree_weight(v) for v in range(8))
+    least = min(int(heavy.degrees[v]) for v in range(8))
     report = steiner_mincut_det(dinic, SteinerInstance(heavy, heavy.full_set), small_cfg())
     ladder = report.trace.lambda_guesses
     assert ladder == tuple(1 << i for i in range(len(ladder)))
@@ -367,3 +367,16 @@ def test_dinic_solve_imports_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="sparsify_terminals thins uncertified clusters, so a missed sparse cut loses the answer",
+)
+def test_det_stays_exact_when_the_spectral_heuristic_misses_every_cut(scipy_eng, monkeypatch):
+    from cutkit.bench import bench_graph, default_bench_config
+
+    g = bench_graph("dumbbell", 80)
+    monkeypatch.setattr("cutkit.expander._heuristic_violating", lambda graph, d, phi, memo: None)
+    report = steiner_mincut_det(scipy_eng, SteinerInstance(g, g.full_set), default_bench_config())
+    assert report.weight == stoer_wagner(g).weight
