@@ -16,13 +16,11 @@ are flagged as uncertified.
 Scaling every demand by g > 0 scales every sparsity the spectral search
 compares by 1/g, so it picks the same cut; only the final test against phi
 depends on the scale. The search therefore runs on demands divided by their
-gcd and is memoized in a dict keyed on the cluster's vertex count, the
-bytes of its edge arrays and the reduced demands, so each entry keeps
-about 24 bytes per cluster edge alive for as long as the dict lives.
-The caller owns the dict: the Steiner driver keeps one per run, so a
-cluster that recurs along its guess ladder is searched once;
-expander_decompose uses a fresh one when given none, and verify_expander
-always does.
+gcd and is memoized in a dict keyed on the cluster's vertex count, its
+``WeightedGraph.digest`` and the reduced demands. The caller owns the
+dict: the Steiner driver keeps one per run, so a cluster that recurs along
+its guess ladder is searched once; expander_decompose uses a fresh one
+when given none, and verify_expander always does.
 """
 
 import math
@@ -264,17 +262,16 @@ def _heuristic_violating(
 
     The search runs on the demands divided by their gcd g and is memoized
     in memo: its every comparison is invariant under scaling, so only the
-    test cross / (denominator * g) < phi depends on g. The key is the
-    graph's vertex count, the bytes of its three edge arrays and the
-    reduced demands, so an entry keeps about 24 bytes per cluster edge
-    and the demand tuple alive, but no graph or array; the value is three
-    ints or None.
+    test cross / (denominator * g) < phi depends on g. The key is
+    (graph.n, graph.digest, reduced demands), so an entry keeps no graph or
+    array alive (see ``WeightedGraph.digest``); the value is three ints or
+    None.
     """
     scale = math.gcd(*demands)
     if scale == 0:
         return None
     reduced = tuple(d // scale for d in demands)
-    key = (graph.n, *(a.tobytes() for a in graph.edge_arrays), reduced)
+    key = (graph.n, graph.digest, reduced)
     if key not in memo:
         memo[key] = _spectral_search(graph, reduced)
     found = memo[key]
@@ -352,18 +349,11 @@ def _cluster_labels(n: int, clusters: tuple[VertexSet, ...]) -> np.ndarray:
 
 @dataclass
 class ExpanderDecomposition:
-    graph: WeightedGraph
-    demands: DemandVector
-    phi: Fraction
     clusters: tuple[VertexSet, ...]
     certified: tuple[bool, ...]
     inter_weight: int
     budget: Fraction
     splits: int
-
-    def labels(self) -> list[int]:
-        """Cluster index of each vertex."""
-        return _cluster_labels(self.graph.n, self.clusters).tolist()
 
 
 def augmented_demands(
@@ -440,9 +430,6 @@ def expander_decompose(
             f"inter-cluster weight {inter} exceeds budget {budget}"
         )
     return ExpanderDecomposition(
-        graph=graph,
-        demands=demands,
-        phi=phi,
         clusters=clusters,
         certified=certified_flags,
         inter_weight=inter,

@@ -93,47 +93,38 @@ def grid_graph(rows: int, cols: int, weight: int = 1) -> WeightedGraph:
     return WeightedGraph(rows * cols, triples)
 
 
-def planted_cut_graph(
-    n: int,
-    side_size: int,
-    seed: int = 0,
-    inside_p: float = 0.8,
-    inside_w: tuple[int, int] = (4, 8),
-    cross_edges: int = 2,
-    cross_w: int = 1,
-) -> tuple[WeightedGraph, Cut]:
+def planted_cut_graph(n: int, side_size: int, seed: int = 0) -> tuple[WeightedGraph, Cut]:
     """Gnp-dense halves joined by a few light edges, verified to be minimal.
 
-    For n up to 60 the planted boundary is checked against the exact global
-    minimum; seeds whose sample comes out wrong are redrawn deterministically.
+    Each half has every inner edge with probability 0.8 and weight 4 to 8;
+    the planted cut is two crossing edges of weight 1. For n up to 60 the
+    planted boundary is checked against the exact global minimum; seeds
+    whose sample comes out wrong are redrawn deterministically.
     """
     if not 1 <= side_size <= n - 1:
         raise InputError("planted side must be a proper nonempty part")
-    if cross_edges < 1 or min(side_size, n - side_size) < 1:
-        raise InputError("need at least one crossing edge")
     side = VertexSet.from_ids(n, range(side_size))
-    planted_weight = cross_edges * cross_w
     for attempt in range(50):
         rng = random.Random(seed * 1000003 + attempt)
         triples = []
         for u in range(n):
             for v in range(u + 1, n):
                 same = (u < side_size) == (v < side_size)
-                if same and rng.random() < inside_p:
-                    triples.append((u, v, rng.randint(*inside_w)))
+                if same and rng.random() < 0.8:
+                    triples.append((u, v, rng.randint(4, 8)))
         pairs = [(u, v) for u in range(side_size) for v in range(side_size, n)]
-        for u, v in rng.sample(pairs, min(cross_edges, len(pairs))):
-            triples.append((u, v, cross_w))
+        for u, v in rng.sample(pairs, min(2, len(pairs))):
+            triples.append((u, v, 1))
         graph = WeightedGraph(n, triples)
         if not is_connected(graph):
             continue
-        cut = Cut(side, planted_weight)
+        cut = Cut(side, 2)
         if not cut.verify(graph):
             continue
-        if n <= 60 and stoer_wagner(graph).weight != planted_weight:
+        if n <= 60 and stoer_wagner(graph).weight != cut.weight:
             continue
         return graph, cut
-    raise InputError("no valid planted sample in 50 tries; loosen the parameters")
+    raise InputError("no valid planted sample in 50 tries")
 
 
 @dataclass(frozen=True)

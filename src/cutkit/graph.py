@@ -181,7 +181,12 @@ class WeightedGraph:
 
     @property
     def digest(self) -> bytes:
-        """16-byte BLAKE2b digest of the three ``edge_arrays``."""
+        """16-byte BLAKE2b digest of the three ``edge_arrays``.
+
+        With n it is the one key of a graph: every memo and ``__hash__``
+        use it, 16 bytes where the arrays themselves take 24 per edge.
+        ``__eq__`` still compares the arrays exactly.
+        """
         if self._digest is None:
             h = hashlib.blake2b(digest_size=16)
             for a in self.edge_arrays:
@@ -215,15 +220,10 @@ class WeightedGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, *(a.tobytes() for a in self.edge_arrays)))
+        return hash((self.n, self.digest))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
-
-
-def build_graph(n: int, edge_triples: Iterable[tuple[int, int, int]]) -> WeightedGraph:
-    """Build a canonical weighted graph from (u, v, w) triples."""
-    return WeightedGraph(n, edge_triples)
 
 
 @dataclass(frozen=True)
@@ -376,9 +376,9 @@ def parse_edgelist(text: str) -> WeightedGraph:
         triples.append((u, v, w))
     if n is None:
         raise InputError("missing 'p <n> <m>' header")
-    if m is not None and m != len(triples):
+    if m != len(triples):
         raise InputError(f"header declares {m} edges, found {len(triples)}")
-    return build_graph(n, triples)
+    return WeightedGraph(n, triples)
 
 
 def write_edgelist(graph: WeightedGraph) -> str:

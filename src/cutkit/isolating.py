@@ -56,13 +56,6 @@ class IsolatingCutResult:
     phase_a_calls: list[tuple[int, int]]
     phase_b_calls: list[tuple[int, int]]
 
-    def cut_for(self, v: int) -> Cut:
-        return self.entries[v].cut
-
-    @property
-    def total_calls(self) -> int:
-        return len(self.phase_a_calls) + len(self.phase_b_calls)
-
     def best(self) -> IsolatingCutEntry:
         """Entry with the smallest cut weight (lowest vertex id on ties)."""
         return min(self.entries.values(), key=lambda e: (e.cut.weight, e.vertex))

@@ -4,14 +4,15 @@ Both engines are deterministic and return identical results: a Cut whose
 weight is the flow value and whose side is the inclusion-minimal minimum
 cut side, the set of vertices reachable from s in the final residual graph.
 
-Engine protocol: ``solve_batch(instances)`` returns the Cut of every
-(graph, s, t) instance it is given, and ``glues_batch`` says whether a
+Engine protocol: ``solve_batch`` runs, ``solve`` reads.
+``solve_batch(instances)`` runs the flows of every (graph, s, t) instance
+it is given and returns their Cuts, and ``glues_batch`` says whether a
 batch is one flow (SciPy) or one flow per instance (Dinic).
-``solve(graph, s, t, memo=None)`` returns one instance's Cut: the closed
-form of a trivial instance, else memo's entry when given a memo (a dict),
-else a batch of one.
+``solve(graph, s, t, memo)`` runs no flow: it returns the closed form of a
+trivial instance, else memo's entry (``known_cut``), and raises
+ContractViolation for a nontrivial instance not yet solved.
 
-Flows for a meter run in one place, ``solve_ahead``: it sends every new
+Flows run in one place, ``solve_ahead``: it sends every new
 nontrivial instance it is given to ``solve_batch`` once and stores the cuts
 in ``FlowMeter.memo``, under the key (n, m, s, t, the graph's ``digest``:
 16 bytes of BLAKE2b over its ``edge_arrays``). A digest keeps each entry
@@ -151,13 +152,6 @@ def known_cut(graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
     return cut
 
 
-def _answer(engine, graph: WeightedGraph, s: int, t: int, memo: dict | None) -> Cut:
-    """``engine.solve`` past its checks: ``known_cut``, or a batch of one without a memo."""
-    if memo is None and not _trivial(graph):
-        return engine.solve_batch([(graph, s, t)])[0]
-    return known_cut(graph, s, t, memo)
-
-
 def _check_int32(graph: WeightedGraph) -> None:
     ws = graph.edge_arrays[2]
     if graph.m and int(ws.max()) >= INT32_LIMIT:
@@ -177,17 +171,17 @@ class DinicEngine:
     stack, a current-arc index per vertex, and a vertex with no admissible
     arc left pruned for the rest of the phase. Nothing recurses, so a long
     path cannot exhaust the stack. The BFS that fails to reach t runs to
-    the end; the vertices it reaches are the returned side. Edgeless and
-    two-vertex instances get the shared closed form, and an instance in memo
-    its stored answer. ``solve_batch`` runs one flow per instance, so each
-    batched instance is one engine invocation.
+    the end; the vertices it reaches are the returned side. ``solve_batch``
+    runs one flow per instance, so each batched instance is one engine
+    invocation. ``solve`` only reads: edgeless and two-vertex instances get
+    the shared closed form, any other its cut in memo (``known_cut``).
     """
 
     name = "dinic"
     glues_batch = False
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
-        return _answer(self, graph, s, t, memo)
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
+        return known_cut(graph, s, t, memo)
 
     @staticmethod
     def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
@@ -266,19 +260,19 @@ class ScipyEngine:
     so a graph whose every edge fits int32 (a star of five 2^30 edges, for
     one) can still raise InputError here. The dinic engine has no limit.
 
-    An edgeless or two-vertex instance costs no SciPy call: it gets the
-    shared closed form, once its capacities pass the int32 check, and an
-    instance in memo gets its stored answer. Any other is solved by
-    ``solve_batch`` as a batch of one. A whole batch is one engine
-    invocation.
+    ``solve_batch`` runs the flows, a whole batch in one ``maximum_flow``
+    call, so a batch is one engine invocation. ``solve`` only reads: once
+    the instance's capacities pass the int32 check, an edgeless or
+    two-vertex instance gets the shared closed form, any other its cut in
+    memo (``known_cut``).
     """
 
     name = "scipy"
     glues_batch = True
 
-    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict | None = None) -> Cut:
+    def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
         _check_int32(graph)
-        return _answer(self, graph, s, t, memo)
+        return known_cut(graph, s, t, memo)
 
     @staticmethod
     def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
@@ -359,7 +353,7 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
     ``engine.solve_batch``, each distinct one once, and its cut into the
     memo; ``meter.solved`` grows by their number and
     ``meter.engine_invocations`` by the flows the batch ran. This is the
-    only place flows run for a meter. It meters no call: the caller meters
+    only place flows run. It meters no call: the caller meters
     each instance through ``max_flow``, which finds its cut in the memo.
     """
     memo = meter.memo

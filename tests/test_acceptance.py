@@ -429,7 +429,7 @@ def test_expander_decomposition_certification():
             for cluster in dec.clusters:
                 sub, ids = induced_subgraph(graph, cluster)
                 aug = augmented_demands(graph, cluster, demands)
-                check = verify_expander(sub, DemandVector(tuple(aug)), dec.phi)
+                check = verify_expander(sub, DemandVector(tuple(aug)), phi)
                 if not (check.ok and check.certified):
                     failures.append(f"case {idx}: cluster fails certification")
                 base = sum(demands.values[v] for v in ids)

@@ -147,6 +147,20 @@ def test_maxflow_dimacs_bad_number_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: duplicate 'p' line\n"
 
 
+def test_graph_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    edgelist, dimacs = tmp_path / "bad.graph", tmp_path / "bad.dimacs"
+    edgelist.write_bytes(b"p 2 1\n0 1 \xff\n")
+    dimacs.write_bytes(b"p max 2 1\nn 1 s\nn 2 t\na 1 2 \xff\n")
+    for argv in (
+        ["mincut", "--graph", str(edgelist)],
+        ["maxflow", "--graph", str(dimacs), "--format", "dimacs"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[2]}: not UTF-8 text")
+        assert "Traceback" not in err
+
+
 def test_maxflow_sink_on_source_side_is_invariant_failure(dumbbell_path, monkeypatch, capsys):
     class SinkOnSourceSide:
         glues_batch = True

@@ -7,7 +7,6 @@ from cutkit import (
     VertexSet,
     WeightedGraph,
     boundary_edges,
-    build_graph,
     components_after_removal,
     contract,
     cut_weight,
@@ -25,36 +24,48 @@ def odd_heavy_star():
     """Star whose centre has weighted degree ODD_BEYOND_FLOAT."""
     leaves = (1 << 13) + 1
     edges = [(0, v, 1 << 40) for v in range(1, leaves)] + [(0, leaves, 1)]
-    return build_graph(leaves + 1, edges)
+    return WeightedGraph(leaves + 1, edges)
 
 
 def test_parallel_edges_merge():
-    g = build_graph(2, [(0, 1, 5), (1, 0, 3)])
+    g = WeightedGraph(2, [(0, 1, 5), (1, 0, 3)])
     assert g.edges == ((0, 1, 8),)
     assert g.m == 1
     assert g.total_weight == 8
 
 
 def test_self_loops_and_zero_weights_dropped():
-    g = build_graph(3, [(0, 0, 4), (0, 1, 0), (1, 2, 2)])
+    g = WeightedGraph(3, [(0, 0, 4), (0, 1, 0), (1, 2, 2)])
     assert g.edges == ((1, 2, 2),)
 
 
 def test_edges_canonical_order():
-    g = build_graph(4, [(3, 2, 1), (1, 0, 1), (2, 0, 1)])
+    g = WeightedGraph(4, [(3, 2, 1), (1, 0, 1), (2, 0, 1)])
     assert g.edges == ((0, 1, 1), (0, 2, 1), (2, 3, 1))
+
+
+def test_equal_graphs_hash_alike():
+    g = WeightedGraph(4, [(0, 1, 5), (1, 2, 3), (2, 3, 1)])
+    permuted = WeightedGraph(4, [(3, 2, 1), (1, 0, 5), (2, 1, 3)])
+    parallel = WeightedGraph(4, [(1, 0, 2), (2, 3, 1), (0, 1, 3), (1, 2, 3)])
+    heavier = WeightedGraph(4, [(0, 1, 5), (1, 2, 3), (2, 3, 2)])
+    wider = WeightedGraph(5, [(0, 1, 5), (1, 2, 3), (2, 3, 1)])
+    assert g == permuted == parallel
+    assert hash(g) == hash(permuted) == hash(parallel) == hash((g.n, g.digest))
+    assert {g, permuted, parallel} == {g}
+    assert len({g, permuted, parallel, heavier, wider}) == 3
 
 
 def test_bad_edges_rejected():
     with pytest.raises(InputError):
-        build_graph(2, [(0, 2, 1)])
+        WeightedGraph(2, [(0, 2, 1)])
     with pytest.raises(InputError):
-        build_graph(2, [(0, 1, -1)])
+        WeightedGraph(2, [(0, 1, -1)])
     with pytest.raises(InputError):
-        build_graph(2, [(0, 1, 1 << 41)])
+        WeightedGraph(2, [(0, 1, 1 << 41)])
     for edge in ((0, 1, 1.5), (0, 1.0, 1), (0, 1, "3")):
         with pytest.raises(InputError):
-            build_graph(2, [edge])
+            WeightedGraph(2, [edge])
 
 
 def test_numpy_int_vertex_count_and_ids():
@@ -75,7 +86,7 @@ def test_non_integer_vertex_count_or_id_rejected():
 
 
 def test_degree_weight():
-    g = build_graph(4, [(0, 3, 1), (0, 1, 2), (0, 2, 3)])
+    g = WeightedGraph(4, [(0, 3, 1), (0, 1, 2), (0, 2, 3)])
     assert int(g.degrees[0]) == 6
     assert int(g.degrees[3]) == 1
 
@@ -103,7 +114,7 @@ def test_vertex_set_universe_mismatch():
 
 
 def test_cut_requires_proper_nonempty_side():
-    g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+    g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(InputError):
         Cut(VertexSet.empty(3), 0)
     with pytest.raises(InputError):
@@ -114,14 +125,14 @@ def test_cut_requires_proper_nonempty_side():
 
 
 def test_cut_weight_and_boundary():
-    g = build_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 5)])
+    g = WeightedGraph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 5)])
     side = VertexSet.from_ids(4, [0, 1])
     assert cut_weight(g, side) == 3 + 5
     assert boundary_edges(g, side) == [(0, 3), (1, 2)]
 
 
 def test_contract_merges_and_lifts():
-    g = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4)])
+    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4)])
     labels = [0, 0, 1, 2]
     quotient = contract(g, labels)
     assert quotient.n == 3
@@ -132,7 +143,7 @@ def test_contract_merges_and_lifts():
 
 
 def test_contract_validates_labels():
-    g = build_graph(3, [(0, 1, 1)])
+    g = WeightedGraph(3, [(0, 1, 1)])
     for labels in ([0, 1], [0, 1, 2, 3], [0, -1, 1], [0.5, 1.7, 2.2], [0, 1.0, 2]):
         with pytest.raises(InputError):
             contract(g, labels)
@@ -154,17 +165,17 @@ def test_vertex_set_bools_round_trip():
 
 
 def test_components_ordered_by_smallest():
-    g = build_graph(5, [(3, 4, 1), (0, 2, 1)])
+    g = WeightedGraph(5, [(3, 4, 1), (0, 2, 1)])
     labels = components_after_removal(g, np.zeros(g.m, dtype=bool))
     assert labels.tolist() == [0, 1, 0, 3, 3]
     assert not is_connected(g)
-    assert is_connected(build_graph(5, [(3, 4, 1), (0, 2, 1), (1, 4, 1), (2, 3, 1)]))
-    assert not is_connected(build_graph(2, []))
-    assert is_connected(build_graph(1, [])) and is_connected(build_graph(0, []))
+    assert is_connected(WeightedGraph(5, [(3, 4, 1), (0, 2, 1), (1, 4, 1), (2, 3, 1)]))
+    assert not is_connected(WeightedGraph(2, []))
+    assert is_connected(WeightedGraph(1, [])) and is_connected(WeightedGraph(0, []))
 
 
 def test_components_after_removal():
-    g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     labels = components_after_removal(g, np.array([False, True, False]))
     assert labels.dtype == np.int64
     assert labels.tolist() == [0, 0, 2, 2]
@@ -183,7 +194,7 @@ def test_components_after_removal_matches_scipy():
         n = trial % 41
         m = int(rng.integers(0, 3 * n + 1)) if trial % 7 else 0
         ends = rng.integers(0, max(n, 1), size=(m, 2)).tolist()
-        g = build_graph(n, [(u, v, 1) for u, v in ends])
+        g = WeightedGraph(n, [(u, v, 1) for u, v in ends])
         if trial % 5 == 0:
             removed = np.ones(g.m, dtype=bool)
         else:
@@ -202,20 +213,20 @@ def test_components_after_removal_matches_scipy():
             assert labels[v] == members[0]
     # A long path in random vertex order is one component labelled 0.
     order = rng.permutation(20000).tolist()
-    path = build_graph(20000, [(u, v, 1) for u, v in zip(order, order[1:])])
+    path = WeightedGraph(20000, [(u, v, 1) for u, v in zip(order, order[1:])])
     labels = components_after_removal(path, np.zeros(path.m, dtype=bool))
     assert not labels.any()
 
 
 def test_induced_subgraph():
-    g = build_graph(5, [(0, 1, 1), (1, 3, 2), (3, 4, 3), (0, 4, 4)])
+    g = WeightedGraph(5, [(0, 1, 1), (1, 3, 2), (3, 4, 3), (0, 4, 4)])
     sub, ids = induced_subgraph(g, VertexSet.from_ids(5, [1, 3, 4]))
     assert ids == [1, 3, 4]
     assert sub.edges == ((0, 1, 2), (1, 2, 3))
 
 
 def test_edgelist_round_trip():
-    g = build_graph(4, [(0, 1, 2), (2, 3, 7)])
+    g = WeightedGraph(4, [(0, 1, 2), (2, 3, 7)])
     text = write_edgelist(g)
     assert text.splitlines()[0] == "p 4 2"
     assert parse_edgelist(text) == g
@@ -242,20 +253,20 @@ def test_edgelist_errors():
 def test_derived_graphs_keep_merged_weights_beyond_edge_limit():
     # Each input edge is within 2^40; contraction and induction merge them.
     w = 1 << 40
-    g = build_graph(4, [(0, 2, w), (1, 2, w), (2, 3, 5)])
+    g = WeightedGraph(4, [(0, 2, w), (1, 2, w), (2, 3, 5)])
     assert contract(g, [0, 0, 1, 2]).edges == ((0, 1, 2 * w), (1, 2, 5))
-    heavy = build_graph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
+    heavy = WeightedGraph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
     sub, _ = induced_subgraph(heavy, VertexSet.from_ids(3, [0, 1]))
     assert sub.edges == ((0, 1, 2 * w),)
     with pytest.raises(InputError):
-        build_graph(2, [(0, 1, 2 * w)])
+        WeightedGraph(2, [(0, 1, 2 * w)])
     # Merged weights of odd exact sum above 2^53, which float64 cannot hold.
     odd = ODD_BEYOND_FLOAT
     star = odd_heavy_star()
     quotient = contract(star, [0] + [1] * (star.n - 1))
     assert quotient.edges == ((0, 1, odd),)
     assert cut_weight(quotient, VertexSet.from_ids(2, [0])) == odd
-    parallel = build_graph(3, [(0, 1, w)] * (1 << 13) + [(0, 1, 1), (1, 2, 5)])
+    parallel = WeightedGraph(3, [(0, 1, w)] * (1 << 13) + [(0, 1, 1), (1, 2, 5)])
     sub, _ = induced_subgraph(parallel, VertexSet.from_ids(3, [0, 1]))
     assert sub.edges == ((0, 1, odd),)
 

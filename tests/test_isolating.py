@@ -8,8 +8,8 @@ from cutkit import (
     FlowMeter,
     InputError,
     VertexSet,
+    WeightedGraph,
     bipartition_schedule,
-    build_graph,
     enumerate_cuts,
     minimum_isolating_cuts,
     minimum_isolating_cuts_family,
@@ -24,7 +24,7 @@ from helpers import rand_graph, rand_terminals
 
 def star_graph(leaves, weight=1):
     n = leaves + 1
-    return build_graph(n, [(0, v, weight) for v in range(1, n)])
+    return WeightedGraph(n, [(0, v, weight) for v in range(1, n)])
 
 
 def test_schedule_sizes():
@@ -63,21 +63,20 @@ def test_star_leaves(any_engine):
         assert v in entry.component
     assert len(res.phase_a_calls) == 2
     assert len(res.phase_b_calls) == 4
-    assert res.total_calls == 6
     assert res.best().vertex == 1
 
 
 def test_two_triangles_bridge(any_engine):
-    g = build_graph(
+    g = WeightedGraph(
         6,
         [(0, 1, 2), (1, 2, 2), (0, 2, 2), (3, 4, 2), (4, 5, 2), (3, 5, 2), (2, 3, 1)],
     )
     terminals = VertexSet.from_ids(6, [0, 4])
     res = minimum_isolating_cuts(any_engine, g, terminals, FlowMeter())
-    assert res.cut_for(0).weight == 1
-    assert res.cut_for(0).side.members() == [0, 1, 2]
-    assert res.cut_for(4).weight == 1
-    assert res.cut_for(4).side.members() == [3, 4, 5]
+    assert res.entries[0].cut.weight == 1
+    assert res.entries[0].cut.side.members() == [0, 1, 2]
+    assert res.entries[4].cut.weight == 1
+    assert res.entries[4].cut.side.members() == [3, 4, 5]
 
 
 def test_matches_naive_oracle(any_engine):
@@ -87,8 +86,8 @@ def test_matches_naive_oracle(any_engine):
         fast = minimum_isolating_cuts(any_engine, g, terminals, FlowMeter())
         slow = naive_isolating(any_engine, g, terminals)
         for v in terminals:
-            assert fast.cut_for(v).weight == slow.cut_for(v).weight, (seed, v)
-            assert fast.cut_for(v).side == slow.cut_for(v).side, (seed, v)
+            assert fast.entries[v].cut.weight == slow.entries[v].cut.weight, (seed, v)
+            assert fast.entries[v].cut.side == slow.entries[v].cut.side, (seed, v)
 
 
 def test_matches_enumeration_minimal_side(any_engine):
@@ -98,8 +97,8 @@ def test_matches_enumeration_minimal_side(any_engine):
         res = minimum_isolating_cuts(any_engine, g, terminals, FlowMeter())
         for v in terminals:
             best = enumerate_cuts(g, isolate=(v, terminals))
-            assert res.cut_for(v).weight == best.weight
-            assert res.cut_for(v).side == best.side
+            assert res.entries[v].cut.weight == best.weight
+            assert res.entries[v].cut.side == best.side
 
 
 def test_each_side_inside_own_component(any_engine):
@@ -124,18 +123,18 @@ def test_flow_call_size_bounds(any_engine):
     assert len(res.phase_a_calls) == (r - 1).bit_length()
     assert len(res.phase_b_calls) == r
     # The whole of phase B is charged as one equivalent call.
-    assert meter.call_count == res.total_calls
+    assert meter.call_count == len(res.phase_a_calls) + len(res.phase_b_calls)
     assert meter.equivalent_calls == len(res.phase_a_calls) + 1
 
 
 def test_isolated_terminal_gets_zero_cut(any_engine):
-    g = build_graph(5, [(0, 1, 3), (1, 2, 3)])
+    g = WeightedGraph(5, [(0, 1, 3), (1, 2, 3)])
     terminals = VertexSet.from_ids(5, [0, 4])
     res = minimum_isolating_cuts(any_engine, g, terminals, FlowMeter())
-    assert res.cut_for(4).weight == 0
-    assert res.cut_for(4).side.members() == [4]
-    assert res.cut_for(0).weight == 0
-    assert res.cut_for(0).side.members() == [0, 1, 2]
+    assert res.entries[4].cut.weight == 0
+    assert res.entries[4].cut.side.members() == [4]
+    assert res.entries[0].cut.weight == 0
+    assert res.entries[0].cut.side.members() == [0, 1, 2]
 
 
 def test_deterministic_across_runs(dinic):
@@ -203,7 +202,7 @@ def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
 
 
 def test_terminal_universe_must_match(dinic):
-    g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     with pytest.raises(InputError):
         minimum_isolating_cuts(dinic, g, VertexSet.from_ids(5, [0, 3]), FlowMeter())
     with pytest.raises(InputError):
@@ -211,7 +210,7 @@ def test_terminal_universe_must_match(dinic):
 
 
 def test_side_check_names_the_vertex(dinic, monkeypatch):
-    g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+    g = WeightedGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     terminals = VertexSet.from_ids(5, [2, 4])
 
     # Phase A runs for real: its cuts are read from the memo, and only phase B

@@ -14,7 +14,7 @@ from cutkit import (
     ScipyEngine,
     SteinerInstance,
     VertexSet,
-    build_graph,
+    WeightedGraph,
     enumerate_cuts,
     get_engine,
     generate,
@@ -33,7 +33,7 @@ from helpers import rand_graph, st_pair
 
 
 def test_path_graph_flow(any_engine):
-    g = build_graph(4, [(0, 1, 5), (1, 2, 3), (2, 3, 7)])
+    g = WeightedGraph(4, [(0, 1, 5), (1, 2, 3), (2, 3, 7)])
     meter = FlowMeter()
     res = max_flow(any_engine, g, 0, 3, meter)
     assert res.weight == 3
@@ -43,14 +43,14 @@ def test_path_graph_flow(any_engine):
 
 
 def test_disconnected_pair_flow_zero(any_engine):
-    g = build_graph(4, [(0, 1, 2), (2, 3, 2)])
+    g = WeightedGraph(4, [(0, 1, 2), (2, 3, 2)])
     res = max_flow(any_engine, g, 0, 2, FlowMeter())
     assert res.weight == 0
     assert res.side.members() == [0, 1]
 
 
 def test_source_sink_validation(dinic):
-    g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+    g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(InputError):
         max_flow(dinic, g, 0, 3, FlowMeter())
     with pytest.raises(InputError):
@@ -65,9 +65,9 @@ def test_unknown_engine_rejected():
 def test_engines_agree_on_random_graphs(dinic, scipy_eng):
     cases = [(rand_graph(9, seed), *st_pair(9, seed)) for seed in range(30)]
     # Two-vertex and edgeless instances, which the scipy engine answers itself.
-    for g in (build_graph(2, [(0, 1, 7)]), build_graph(2, [])):
+    for g in (WeightedGraph(2, [(0, 1, 7)]), WeightedGraph(2, [])):
         cases += [(g, 0, 1), (g, 1, 0)]
-    cases.append((build_graph(5, []), 3, 1))
+    cases.append((WeightedGraph(5, []), 3, 1))
     for g, s, t in cases:
         a = max_flow(dinic, g, s, t, FlowMeter())
         b = max_flow(scipy_eng, g, s, t, FlowMeter())
@@ -89,7 +89,7 @@ def test_min_side_matches_enumeration(any_engine):
 
 def test_dinic_handles_huge_weights(dinic):
     w = 1 << 40
-    g = build_graph(3, [(0, 1, w), (1, 2, w)])
+    g = WeightedGraph(3, [(0, 1, w), (1, 2, w)])
     res = max_flow(dinic, g, 0, 2, FlowMeter())
     assert res.weight == w
 
@@ -100,7 +100,7 @@ def test_dinic_long_weighted_path_is_exact(dinic):
     rng = random.Random(5000)
     weights = [rng.randint((1 << 39) + 1, 1 << 40) for _ in range(n - 1)]
     weights[k] = 1 << 39
-    g = build_graph(n, [(i, i + 1, w) for i, w in enumerate(weights)])
+    g = WeightedGraph(n, [(i, i + 1, w) for i, w in enumerate(weights)])
     res = max_flow(dinic, g, 0, n - 1, FlowMeter())
     assert res.weight == 1 << 39
     assert res.side.members() == list(range(k + 1))
@@ -120,7 +120,7 @@ def test_dinic_matches_enumeration_past_2_to_53(dinic):
         # 2^13 + 1 parallel copies of 2^40 merge to more than 2^53.
         u, v = rng.sample(range(n), 2)
         triples += [(u, v, 1 << 40)] * ((1 << 13) + rng.randint(1, 4))
-        g = build_graph(n, triples)
+        g = WeightedGraph(n, triples)
         big += int(g.edge_arrays[2].max()) > 1 << 53
         s, t = st_pair(n, seed)
         res = max_flow(dinic, g, s, t, FlowMeter())
@@ -135,7 +135,7 @@ def test_engines_agree_on_every_flow_of_a_driver_run():
         def __init__(self):
             self.seen = []
 
-        def solve(self, graph, s, t, memo=None):
+        def solve(self, graph, s, t, memo):
             self.seen.append((graph, s, t))
             return super().solve(graph, s, t, memo)
 
@@ -145,7 +145,9 @@ def test_engines_agree_on_every_flow_of_a_driver_run():
     flows = [(h, s, t) for h, s, t in recorder.seen if h.m and h.n > 2]
     assert len(flows) > 100
     for h, s, t in recorder.seen:
-        assert DinicEngine().solve(h, s, t) == ScipyEngine().solve(h, s, t)
+        assert max_flow(DinicEngine(), h, s, t, FlowMeter()) == max_flow(
+            ScipyEngine(), h, s, t, FlowMeter()
+        )
 
 
 def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch):
@@ -158,16 +160,16 @@ def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch)
     assert report.weight == stoer_wagner(g).weight
 
     flows = []
+    solve = DinicEngine.solve
 
-    answer = maxflow._answer
-
-    def never_stored(engine, graph, s, t, memo):
+    def never_stored(self, graph, s, t, memo):
         # Every metered call runs its own flow; the memo's cut goes unread.
         if graph.m and graph.n > 2:
             flows.append((graph.n, graph.m))
-        return answer(engine, graph, s, t, None)
+            return self.solve_batch([(graph, s, t)])[0]
+        return solve(self, graph, s, t, memo)
 
-    monkeypatch.setattr(maxflow, "_answer", never_stored)
+    monkeypatch.setattr(DinicEngine, "solve", never_stored)
     unstored = steiner_mincut_det(dinic, inst, cfg)
     assert unstored.fingerprint() == report.fingerprint()
     assert flows == [(n, m) for n, m in report.meter.calls if m and n > 2]
@@ -175,8 +177,8 @@ def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch)
 
 def test_memo_keys_on_source_sink_and_every_weight(any_engine):
     edges = [(0, 1, 3), (1, 2, 2), (2, 3, 4), (3, 0, 1), (0, 2, 5)]
-    g = build_graph(4, edges)
-    heavier = build_graph(4, edges[:-1] + [(0, 2, 6)])
+    g = WeightedGraph(4, edges)
+    heavier = WeightedGraph(4, edges[:-1] + [(0, 2, 6)])
     meter = FlowMeter()
     variants = [(g, 0, 3), (g, 1, 3), (g, 0, 1), (heavier, 0, 3)]
     for h, s, t in variants:
@@ -190,7 +192,7 @@ def test_memo_keys_on_source_sink_and_every_weight(any_engine):
 def test_driver_reports_hold_no_memo_entries(dinic):
     g = gnp_graph(24, 0.3, seed=1)
     cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
-    split = build_graph(4, [(0, 1, 1), (2, 3, 1)])
+    split = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
     for driver in (steiner_mincut_det, steiner_mincut_rand):
         for h in (g, split):
             report = driver(dinic, SteinerInstance(h, h.full_set), cfg)
@@ -200,11 +202,11 @@ def test_driver_reports_hold_no_memo_entries(dinic):
 
 def test_scipy_rejects_weights_beyond_int32(scipy_eng):
     w = 1 << 40
-    g = build_graph(3, [(0, 1, w), (1, 2, w)])
+    g = WeightedGraph(3, [(0, 1, w), (1, 2, w)])
     with pytest.raises(InputError):
         max_flow(scipy_eng, g, 0, 2, FlowMeter())
     with pytest.raises(InputError):
-        max_flow(scipy_eng, build_graph(2, [(0, 1, w)]), 0, 1, FlowMeter())
+        max_flow(scipy_eng, WeightedGraph(2, [(0, 1, w)]), 0, 1, FlowMeter())
 
 
 def test_scipy_layout_mismatch_is_contract_violation(scipy_eng, monkeypatch):
@@ -215,7 +217,7 @@ def test_scipy_layout_mismatch_is_contract_violation(scipy_eng, monkeypatch):
         return SimpleNamespace(flow=csr_matrix(mat.shape, dtype=mat.dtype), flow_value=0)
 
     monkeypatch.setattr(csgraph, "maximum_flow", empty_flow)
-    g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+    g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(ContractViolation):
         max_flow(scipy_eng, g, 0, 2, FlowMeter())
 
@@ -232,7 +234,7 @@ def _batch_case(rng: random.Random) -> tuple:
     s, t = rng.sample(range(n), 2)
     if rng.random() < 0.5:
         triples.append((s, t, rng.randint(1, 50)))
-    return build_graph(n, triples), s, t
+    return WeightedGraph(n, triples), s, t
 
 
 def test_scipy_batches_equal_single_solves(scipy_eng):
@@ -242,10 +244,10 @@ def test_scipy_batches_equal_single_solves(scipy_eng):
         batch = [_batch_case(rng) for _ in range(rng.randint(1, 6))]
         # One instance twice: as the same object or as an equal copy.
         g, s, t = rng.choice(batch)
-        repeat = (g if rng.random() < 0.5 else build_graph(g.n, g.edges), s, t)
+        repeat = (g if rng.random() < 0.5 else WeightedGraph(g.n, g.edges), s, t)
         batch.insert(rng.randrange(len(batch) + 1), repeat)
         got = ScipyEngine.solve_batch(batch)
-        assert got == [scipy_eng.solve(g, s, t) for g, s, t in batch]
+        assert got == [max_flow(scipy_eng, g, s, t, FlowMeter()) for g, s, t in batch]
         for g, s, t in batch:
             direct += any({u, v} == {s, t} for u, v, _ in g.edges)
             trivial += g.m == 0 or g.n == 2
@@ -256,20 +258,20 @@ def test_scipy_batch_sums_flows_past_int32(dinic):
     # Each piece carries 2^31 - 1 on each of two paths plus a direct s-t edge
     # of 2^31 - 1, so every piece's flow, and the glued flow, passes 2^31.
     w = (1 << 31) - 1
-    piece = build_graph(4, [(0, 2, w), (2, 1, w), (0, 3, w), (3, 1, w), (0, 1, w)])
-    flipped = build_graph(4, [(3, 2, w), (2, 0, w), (3, 1, w), (1, 0, w), (3, 0, w)])
+    piece = WeightedGraph(4, [(0, 2, w), (2, 1, w), (0, 3, w), (3, 1, w), (0, 1, w)])
+    flipped = WeightedGraph(4, [(3, 2, w), (2, 0, w), (3, 1, w), (1, 0, w), (3, 0, w)])
     batch = [(piece, 0, 1), (flipped, 3, 0), (piece, 0, 1)]
     cuts = ScipyEngine.solve_batch(batch)
     assert [c.weight for c in cuts] == [3 * w] * 3
-    assert cuts == [dinic.solve(g, s, t) for g, s, t in batch]
+    assert cuts == [max_flow(dinic, g, s, t, FlowMeter()) for g, s, t in batch]
 
 
 def test_scipy_batch_rejects_merged_capacity_past_int32():
     # Every edge fits int32, but contraction merges two into 2^31 (the CLI
     # maps this InputError to exit 2; see test_cli).
-    g = build_graph(4, [(0, 2, 1 << 30), (1, 2, 1 << 30), (2, 3, 5)])
-    small = build_graph(3, [(0, 2, 1), (2, 1, 1)])
-    quotient = build_graph(3, [(0, 2, 1 << 31), (2, 1, 5)])
+    g = WeightedGraph(4, [(0, 2, 1 << 30), (1, 2, 1 << 30), (2, 3, 5)])
+    small = WeightedGraph(3, [(0, 2, 1), (2, 1, 1)])
+    quotient = WeightedGraph(3, [(0, 2, 1 << 31), (2, 1, 5)])
     with pytest.raises(InputError, match="int32"):
         ScipyEngine.solve_batch([(small, 0, 1), (quotient, 0, 1)])
     with pytest.raises(InputError, match="int32"):
@@ -345,7 +347,7 @@ def test_engine_invocations_count_flows_run(any_engine):
 
 
 def test_meter_snapshot_delta_merge(dinic):
-    g = build_graph(3, [(0, 1, 2), (1, 2, 3)])
+    g = WeightedGraph(3, [(0, 1, 2), (1, 2, 3)])
     meter = FlowMeter()
     max_flow(dinic, g, 0, 2, meter)
     mark = meter.call_count
@@ -380,7 +382,7 @@ def test_meter_snapshot_delta_merge(dinic):
 
 
 def test_min_cut_separating_contracts_sides(any_engine):
-    g = build_graph(6, [(0, 1, 4), (1, 2, 1), (2, 3, 4), (3, 4, 4), (4, 5, 1), (5, 0, 4)])
+    g = WeightedGraph(6, [(0, 1, 4), (1, 2, 1), (2, 3, 4), (3, 4, 4), (4, 5, 1), (5, 0, 4)])
     meter = FlowMeter()
     cut = min_cut_separating(
         any_engine, g, VertexSet.from_ids(6, [0, 1]), VertexSet.from_ids(6, [3]), meter
@@ -403,7 +405,7 @@ def test_min_cut_separating_matches_enumeration(any_engine):
 
 
 def test_batched_instances_count_as_solved_and_repeats_as_recalled(any_engine):
-    g = build_graph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 3), (0, 2, 1)])
+    g = WeightedGraph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 3), (0, 2, 1)])
     a, b, bc = (VertexSet.from_ids(5, ids) for ids in ([0], [4], [3, 4]))
     pairs = [(a, b), (a, b), (a, bc)]
     meter = FlowMeter()
@@ -423,7 +425,7 @@ def test_batched_instances_count_as_solved_and_repeats_as_recalled(any_engine):
 
 
 def test_min_cut_separating_validation(dinic):
-    g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     with pytest.raises(InputError):
         min_cut_separating(dinic, g, VertexSet.empty(4), VertexSet.from_ids(4, [1]), FlowMeter())
     with pytest.raises(InputError):
@@ -433,7 +435,7 @@ def test_min_cut_separating_validation(dinic):
 
 
 def test_dimacs_round_trip():
-    g = build_graph(4, [(0, 1, 5), (1, 3, 2)])
+    g = WeightedGraph(4, [(0, 1, 5), (1, 3, 2)])
     text = write_dimacs(g, 0, 3)
     g2, s, t = parse_dimacs(text)
     assert g2 == g

@@ -5,7 +5,7 @@ from cutkit import (
     InputError,
     SteinerInstance,
     VertexSet,
-    build_graph,
+    WeightedGraph,
     enumerate_cuts,
     enumerate_min_cut_sides,
     naive_isolating,
@@ -34,7 +34,7 @@ def test_enumerate_global_min_cut_sides():
 
 
 def test_enumerate_side_constraints():
-    g = build_graph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 3), (3, 4, 1), (4, 0, 1)])
+    g = WeightedGraph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 3), (3, 4, 1), (4, 0, 1)])
     cut = enumerate_cuts(
         g, side_a=VertexSet.from_ids(5, [0, 1]), side_b=VertexSet.from_ids(5, [3])
     )
@@ -97,12 +97,12 @@ def test_stoer_wagner_matches_enumeration():
 
 
 def test_stoer_wagner_disconnected_and_tiny():
-    g = build_graph(5, [(0, 3, 2), (1, 2, 1)])
+    g = WeightedGraph(5, [(0, 3, 2), (1, 2, 1)])
     cut = stoer_wagner(g)
     assert cut.weight == 0
     assert cut.side.members() == [0, 3]
     with pytest.raises(InputError):
-        stoer_wagner(build_graph(1, []))
+        stoer_wagner(WeightedGraph(1, []))
 
 
 def test_naive_steiner_meters_and_agrees(any_engine):
@@ -133,6 +133,6 @@ def test_naive_isolating_meters_and_matches(any_engine):
     assert meter.call_count == len(t)
     for v in t:
         best = enumerate_cuts(g, isolate=(v, t))
-        assert res.cut_for(v).weight == best.weight
-        assert res.cut_for(v).side == best.side
-        assert res.entries[v].component == res.cut_for(v).side
+        assert res.entries[v].cut.weight == best.weight
+        assert res.entries[v].cut.side == best.side
+        assert res.entries[v].component == res.entries[v].cut.side

@@ -16,7 +16,7 @@ from cutkit import (
     InputError,
     SteinerInstance,
     VertexSet,
-    build_graph,
+    WeightedGraph,
     enumerate_cuts,
     global_mincut_det,
     minimum_isolating_cuts,
@@ -91,11 +91,11 @@ def test_guess_ladder_reaches_least_terminal_degree(dinic):
     ladder = report.trace.lambda_guesses
     assert ladder == tuple(1 << i for i in range(len(ladder)))
     assert ladder[-2] < least <= ladder[-1]
-    assert _guess_ladder(build_graph(2, [(0, 1, 1)]), VertexSet.full(2)) == (1,)
+    assert _guess_ladder(WeightedGraph(2, [(0, 1, 1)]), VertexSet.full(2)) == (1,)
 
 
 def test_unbalanced_case_star(dinic):
-    g = build_graph(5, [(0, v, 1) for v in range(1, 5)])
+    g = WeightedGraph(5, [(0, v, 1) for v in range(1, 5)])
     terminals = VertexSet.from_ids(5, [1, 2, 3, 4])
     meter = FlowMeter()
     cut, family_sets = unbalanced_case(dinic, SteinerInstance(g, terminals), terminals, 2, meter)
@@ -213,7 +213,7 @@ def test_det_memoizes_repeated_pools(dinic):
 
 
 def test_det_zero_cut_disconnected(dinic):
-    g = build_graph(6, [(0, 1, 2), (1, 2, 1), (3, 4, 2), (4, 5, 1)])
+    g = WeightedGraph(6, [(0, 1, 2), (1, 2, 1), (3, 4, 2), (4, 5, 1)])
     t = VertexSet.from_ids(6, [0, 4])
     report = steiner_mincut_det(dinic, SteinerInstance(g, t))
     assert report.weight == 0
@@ -227,7 +227,7 @@ def test_terminals_in_one_component_of_disconnected_graph(dinic, scipy_eng):
     # The zero-cut check must not fire when the other component holds no terminal.
     left = gnp_graph(10, 0.5, seed=3)
     edges = [*left.edges, *((u + 10, v + 10, w) for u, v, w in dumbbell_graph(8).edges)]
-    g = build_graph(18, edges)
+    g = WeightedGraph(18, edges)
     t = VertexSet.from_ids(18, [10, 12, 15, 17])
     inst = SteinerInstance(g, t)
     ref = enumerate_cuts(g, terminals=t).weight
@@ -277,7 +277,7 @@ def test_rand_trace_and_reproducibility(dinic):
 
 
 def test_rand_zero_cut(dinic):
-    g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
+    g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
     report = steiner_mincut_rand(dinic, SteinerInstance(g, VertexSet.from_ids(4, [1, 3])))
     assert report.weight == 0
     assert report.trace.zero_cut
@@ -289,7 +289,7 @@ def test_global_matches_stoer_wagner(dinic):
         report = global_mincut_det(dinic, g)
         assert report.weight == stoer_wagner(g).weight, seed
     with pytest.raises(InputError):
-        global_mincut_det(dinic, build_graph(1, []))
+        global_mincut_det(dinic, WeightedGraph(1, []))
 
 
 def test_dumbbell_40_with_20_cliques_matches_stoer_wagner(scipy_eng):
@@ -323,7 +323,7 @@ def test_drivers_on_merged_weights_beyond_edge_limit(dinic):
     # Two parallel 2^40 edges merge into one edge above the per-edge limit;
     # every graph derived from it must still build.
     w = 1 << 40
-    g = build_graph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
+    g = WeightedGraph(3, [(0, 1, w), (0, 1, w), (1, 2, 5)])
     assert stoer_wagner(g).weight == 5
     inst = SteinerInstance(g, g.full_set)
     assert steiner_mincut_det(dinic, inst, small_cfg()).weight == 5
@@ -340,7 +340,7 @@ def test_det_heavy_triangle_abandons_guess_past_demand_limit(dinic):
     # fails its decomposition instead of the driver raising.
     w = 1 << 40
     copies = (1 << 19) + 1
-    g = build_graph(3, [(0, 1, w), (1, 2, w), (0, 2, w)] * copies)
+    g = WeightedGraph(3, [(0, 1, w), (1, 2, w), (0, 2, w)] * copies)
     assert g.total_weight == 3 * ((1 << 59) + w) < 1 << 62
     report = steiner_mincut_det(dinic, SteinerInstance(g, g.full_set), small_cfg())
     assert report.weight == stoer_wagner(g).weight == 2 * ((1 << 59) + w)
