@@ -22,19 +22,21 @@ from fractions import Fraction
 
 from .errors import ContractViolation, InputError
 from .generators import GeneratorSpec, generate
-from .graph import Cut, WeightedGraph
+from .graph import WeightedGraph
 from .maxflow import FlowMeter, get_engine
 from .oracles import naive_steiner, stoer_wagner
 from .splitters import family_size_bound
 from .steiner import (
     AlgoConfig,
     CutReport,
+    DriverTrace,
     SteinerInstance,
+    checked_report,
     steiner_mincut_det,
     steiner_mincut_rand,
 )
 
-SCHEMA = 4
+SCHEMA = 5
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
 DRIVERS = {"det": steiner_mincut_det, "rand": steiner_mincut_rand}
@@ -111,21 +113,24 @@ def bench_graph(family: str, n: int, seed: int = 0) -> WeightedGraph:
     return generate(GeneratorSpec(family, n, seed=seed, p=p, rows=rows))
 
 
-def run_method(
-    method: str, engine, inst: SteinerInstance, cfg: AlgoConfig
-) -> tuple[Cut, FlowMeter, CutReport | None]:
-    """Solve inst with one of BENCH_METHODS: its cut, meter, and driver report (or None)."""
+def run_method(method: str, engine, inst: SteinerInstance, cfg: AlgoConfig) -> CutReport:
+    """Solve inst with one of BENCH_METHODS and report its checked cut.
+
+    The baselines' cuts pass the drivers' check (``checked_report``), so no
+    method reports a cut that does not separate the terminals at its weight.
+    """
     if method in DRIVERS:
-        report = DRIVERS[method](engine, inst, cfg)
-        return report.cut, report.meter, report
+        return DRIVERS[method](engine, inst, cfg)
     meter = FlowMeter()
     if method == "naive":
-        return naive_steiner(engine, inst, meter), meter, None
-    if method != "stoer-wagner":
+        cut = naive_steiner(engine, inst, meter)
+    elif method != "stoer-wagner":
         raise InputError(f"unknown method {method!r}; choose from {BENCH_METHODS}")
-    if inst.terminals != inst.graph.full_set:
+    elif inst.terminals != inst.graph.full_set:
         raise InputError("stoer-wagner applies only when every vertex is terminal")
-    return stoer_wagner(inst.graph), meter, None
+    else:
+        cut = stoer_wagner(inst.graph)
+    return checked_report(inst, cut, meter, DriverTrace(method=method))
 
 
 def run_bench(
@@ -150,10 +155,11 @@ def run_bench(
             exact_weights: dict[str, int] = {}
             for method in methods:
                 start = time.perf_counter()
-                cut, meter, _ = run_method(method, engine, inst, cfg)
+                report = run_method(method, engine, inst, cfg)
                 seconds = time.perf_counter() - start
+                meter = report.meter
                 if method != "rand":
-                    exact_weights[method] = cut.weight
+                    exact_weights[method] = report.cut.weight
                 eq = meter.equivalent_calls
                 budget = det_call_budget(len(inst.terminals), cfg) if method == "det" else None
                 rows.append(
@@ -162,7 +168,7 @@ def run_bench(
                         n=n,
                         m=graph.m,
                         method=method,
-                        weight=cut.weight,
+                        weight=report.cut.weight,
                         raw_calls=meter.call_count,
                         equivalent_calls=eq,
                         recalled_calls=meter.recalled,

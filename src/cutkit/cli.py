@@ -24,9 +24,16 @@ from .bench import (
 from .errors import ContractViolation, DecompositionError, InputError
 from .expander import DemandVector, _check_phi, expander_decompose
 from .generators import FAMILIES, GeneratorSpec, generate
-from .graph import VertexSet, WeightedGraph, parse_edgelist, write_edgelist
+from .graph import (
+    VertexSet,
+    WeightedGraph,
+    parse_dimacs,
+    parse_edgelist,
+    write_dimacs,
+    write_edgelist,
+)
 from .isolating import minimum_isolating_cuts
-from .maxflow import ENGINE_NAMES, FlowMeter, get_engine, max_flow, parse_dimacs, write_dimacs
+from .maxflow import ENGINE_NAMES, FlowMeter, get_engine, max_flow
 from .oracles import enumerate_cuts, naive_isolating
 from .splitters import EXHAUSTIVE_LIMIT, isolator_family_min2
 from .steiner import AlgoConfig, SteinerInstance
@@ -195,18 +202,18 @@ def cmd_solve(args) -> int:
     graph = _read_graph(args)[0]
     inst = SteinerInstance(graph, _terminals(args, graph))
     engine = get_engine(args.engine)
-    cut, meter, report = run_method(args.method, engine, inst, _config_from(args, AlgoConfig()))
+    report = run_method(args.method, engine, inst, _config_from(args, AlgoConfig()))
+    meter = report.meter
     payload = {
-        **_cut_payload(cut),
+        **_cut_payload(report.cut),
         "raw_calls": meter.call_count,
         "recalled_calls": meter.recalled,
         "engine_invocations": meter.engine_invocations,
+        "equivalent_calls": report.equivalent_calls,
+        "fingerprint": report.fingerprint(),
+        "method": args.method,
+        "terminals": inst.terminals.members(),
     }
-    if report is not None:
-        payload["equivalent_calls"] = report.equivalent_calls
-        payload["fingerprint"] = report.fingerprint()
-    payload["method"] = args.method
-    payload["terminals"] = inst.terminals.members()
     _emit(payload, args.out)
     return 0
 
@@ -220,7 +227,7 @@ def cmd_verify(args) -> int:
     cfg = default_bench_config()
 
     def weight_of(method: str) -> int:
-        return run_method(method, engine, inst, cfg)[0].weight
+        return run_method(method, engine, inst, cfg).cut.weight
 
     weight = {m: weight_of(m) for m in ("det", "rand", "naive")}
     pairs = [("det", "naive"), ("rand", "naive")]

@@ -19,14 +19,10 @@ class DecompositionError(CutkitError, RuntimeError):
     """Expander decomposition could not produce a valid certified partition."""
 
 
-def require_int(name: str, value) -> None:
-    """Raise InputError unless value is an int; a bool does not count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an int, got {value!r}")
-
-
 def as_int(name: str, value) -> int:
     """value as a Python int; a NumPy integer counts, a bool or anything else raises InputError."""
+    if type(value) is int:  # the common case, checked first: graphs call this per edge entry
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an int, got {value!r}")
     return int(value)

@@ -339,14 +339,6 @@ def verify_expander(
     return ExpanderCheck(False, certified, side, sparsity(graph, side, demands))
 
 
-def _cluster_labels(n: int, clusters: tuple[VertexSet, ...]) -> np.ndarray:
-    """Index of the cluster holding each vertex, as an int64 array of length n."""
-    labels = np.full(n, -1, dtype=np.int64)
-    for i, cluster in enumerate(clusters):
-        labels[cluster.bools()] = i
-    return labels
-
-
 @dataclass
 class ExpanderDecomposition:
     clusters: tuple[VertexSet, ...]
@@ -399,6 +391,7 @@ def expander_decompose(
     splits = 0
     queue: deque[VertexSet] = deque([graph.full_set])
     done: list[tuple[VertexSet, bool]] = []
+    inner = 0  # weight of the edges inside final clusters
     while queue:
         cluster = queue.popleft()
         if len(cluster) == 1:
@@ -409,6 +402,7 @@ def expander_decompose(
         mask, certified = _violating_cut(sub, aug, phi, memo)
         if mask is None:
             done.append((cluster, certified))
+            inner += sub.total_weight
             continue
         splits += 1
         if splits > cap:
@@ -420,9 +414,7 @@ def expander_decompose(
     done.sort(key=lambda item: item[0].smallest())
     clusters = tuple(c for c, _ in done)
     certified_flags = tuple(flag for _, flag in done)
-    us, vs, ws = graph.edge_arrays
-    labels = _cluster_labels(n, clusters)
-    inter = int(ws[labels[us] != labels[vs]].sum())
+    inter = graph.total_weight - inner
     lg = (max(n, 1) - 1).bit_length()
     budget = phi * demands.total * lg * lg
     if inter > budget:

@@ -1,4 +1,8 @@
-"""Core graph types: weighted undirected graphs, vertex sets, cuts, contractions.
+"""Core graph types and the graph file formats.
+
+Weighted undirected graphs, vertex sets, cuts and contractions, plus the
+two text formats a graph file comes in, edge list and DIMACS: this module
+is the one place either is read or written.
 
 Weights are nonnegative integers throughout; all comparisons are exact. A graph
 stores its edges only as canonical int64 arrays, a vertex set as a bit mask;
@@ -131,11 +135,11 @@ class WeightedGraph:
         n = as_int("vertex count", n)
         if n < 0:
             raise InputError(f"negative vertex count {n}")
-        triples = list(edges)
-        for u, v, w in triples:
-            # numpy would truncate a float silently when it makes the arrays.
-            if not all(isinstance(x, (int, np.integer)) for x in (u, v, w)):
-                raise InputError(f"edge ({u},{v},{w}) has a non-integer entry")
+        triples = []
+        for u, v, w in edges:
+            # as_int refuses a bool, and a float numpy would truncate silently.
+            u, v, w = as_int("vertex id", u), as_int("vertex id", v), as_int("edge weight", w)
+            triples.append((u, v, w))
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) has vertex id outside [0, {n})")
             if w < 0:
@@ -341,39 +345,47 @@ def is_connected(graph: WeightedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text format:  comment lines start with 'c', a single header line
-# 'p <n> <m>' precedes exactly m lines 'u v w'.
+# Text formats. Both skip blank lines and comment lines, which start with 'c'.
+# Edge list (0-based ids): one header 'p <n> <m>', then exactly m lines 'u v w'.
+# DIMACS max flow (1-based ids): one header 'p max <n> <m>' first, 'n <id> s'
+# and 'n <id> t' once each, and exactly m lines 'a <u> <v> <cap>'. Each arc
+# is read as an undirected edge and parallel edges merge by adding their
+# weights, so arcs u->v and v->u add up: a symmetric network lists each
+# edge once.
 # ---------------------------------------------------------------------------
 
 
-def parse_edgelist(text: str) -> WeightedGraph:
-    n = None
-    m = None
-    triples: list[tuple[int, int, int]] = []
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tokens of every line that is neither blank nor a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("c"):
+            yield lineno, tokens
+
+
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise InputError(f"line {lineno}: {token!r} is not an integer") from exc
+
+
+def parse_edgelist(text: str) -> WeightedGraph:
+    n = m = None
+    triples: list[tuple[int, ...]] = []
+    for lineno, tokens in _lines(text):
+        if tokens[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate header")
-            if len(parts) != 3:
+            if len(tokens) != 3:
                 raise InputError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad header numbers") from exc
-            continue
-        if n is None:
+            n, m = (_int(x, lineno) for x in tokens[1:])
+        elif n is None:
             raise InputError(f"line {lineno}: edge before header")
-        if len(parts) != 3:
+        elif len(tokens) != 3:
             raise InputError(f"line {lineno}: edge must be 'u v w'")
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: bad edge numbers") from exc
-        triples.append((u, v, w))
+        else:
+            triples.append(tuple(_int(x, lineno) for x in tokens))
     if n is None:
         raise InputError("missing 'p <n> <m>' header")
     if m != len(triples):
@@ -384,4 +396,55 @@ def parse_edgelist(text: str) -> WeightedGraph:
 def write_edgelist(graph: WeightedGraph) -> str:
     lines = [f"p {graph.n} {graph.m}"]
     lines.extend(f"{u} {v} {w}" for u, v, w in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
+def parse_dimacs(text: str) -> tuple[WeightedGraph, int, int]:
+    """Graph, source and sink of a DIMACS max-flow file.
+
+    The one ``p`` line comes first, each of ``n <id> s`` and ``n <id> t``
+    appears once, and the header's arc count must equal the number of
+    ``a`` lines; anything else raises InputError.
+    """
+    n = m = None
+    ends = {"s": None, "t": None}
+    triples: list[tuple[int, int, int]] = []
+    for lineno, tokens in _lines(text):
+        tag = tokens[0]
+        if tag == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: duplicate 'p' line")
+            if len(tokens) != 4 or tokens[1] != "max":
+                raise InputError(f"line {lineno}: header must be 'p max <n> <m>'")
+            n, m = (_int(x, lineno) for x in tokens[2:])
+        elif tag not in ("n", "a"):
+            raise InputError(f"line {lineno}: unknown line tag {tag!r}")
+        elif n is None:
+            raise InputError(f"line {lineno}: {tag!r} line before the 'p' line")
+        elif tag == "n":
+            if len(tokens) != 3 or tokens[2] not in ends:
+                raise InputError(f"line {lineno}: node line must be 'n <id> s|t'")
+            if ends[tokens[2]] is not None:
+                raise InputError(f"line {lineno}: duplicate 'n <id> {tokens[2]}' line")
+            ends[tokens[2]] = _int(tokens[1], lineno) - 1
+        else:
+            if len(tokens) != 4:
+                raise InputError(f"line {lineno}: arc line must be 'a <u> <v> <cap>'")
+            u, v, c = (_int(x, lineno) for x in tokens[1:])
+            triples.append((u - 1, v - 1, c))
+    if n is None:
+        raise InputError("missing 'p max' header")
+    if m != len(triples):
+        raise InputError(f"header declares {m} arcs, found {len(triples)}")
+    if ends["s"] is None or ends["t"] is None:
+        raise InputError("missing source or sink designation")
+    return WeightedGraph(n, triples), ends["s"], ends["t"]
+
+
+def write_dimacs(graph: WeightedGraph, s: int, t: int) -> str:
+    """The DIMACS text of graph with source s and sink t, two distinct vertices."""
+    if not (0 <= s < graph.n and 0 <= t < graph.n) or s == t:
+        raise InputError(f"DIMACS needs two distinct vertices of [0, {graph.n}), got {s} and {t}")
+    lines = [f"p max {graph.n} {graph.m}", f"n {s + 1} s", f"n {t + 1} t"]
+    lines.extend(f"a {u + 1} {v + 1} {w}" for u, v, w in graph.edges)
     return "\n".join(lines) + "\n"

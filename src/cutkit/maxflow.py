@@ -435,71 +435,3 @@ def min_cut_separating(
     """
     return metered_cuts(engine, [separation_quotient(graph, side_a, side_b)], meter)[0]
 
-
-# ---------------------------------------------------------------------------
-# DIMACS max-flow format (1-based ids):
-#   c comment
-#   p max <n> <m>
-#   n <id> s / n <id> t
-#   a <u> <v> <cap>
-# Arcs are read as undirected edges (parallel arcs merge).
-# ---------------------------------------------------------------------------
-
-
-def _dimacs_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: {token!r} is not an integer") from exc
-
-
-def parse_dimacs(text: str) -> tuple[WeightedGraph, int, int]:
-    """Graph, source and sink of a DIMACS max-flow file.
-
-    The one ``p`` line comes first, each of ``n <id> s`` and ``n <id> t``
-    appears once, and the header's arc count must equal the number of
-    ``a`` lines; anything else raises InputError.
-    """
-    n = m = None
-    ends = {"s": None, "t": None}
-    triples: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == "p":
-            if n is not None:
-                raise InputError(f"line {lineno}: duplicate 'p' line")
-            if len(parts) != 4 or parts[1] != "max":
-                raise InputError(f"line {lineno}: header must be 'p max <n> <m>'")
-            n, m = (_dimacs_int(x, lineno) for x in parts[2:])
-        elif tag not in ("n", "a"):
-            raise InputError(f"line {lineno}: unknown line tag {tag!r}")
-        elif n is None:
-            raise InputError(f"line {lineno}: {tag!r} line before the 'p' line")
-        elif tag == "n":
-            if len(parts) != 3 or parts[2] not in ends:
-                raise InputError(f"line {lineno}: node line must be 'n <id> s|t'")
-            if ends[parts[2]] is not None:
-                raise InputError(f"line {lineno}: duplicate 'n <id> {parts[2]}' line")
-            ends[parts[2]] = _dimacs_int(parts[1], lineno) - 1
-        else:
-            if len(parts) != 4:
-                raise InputError(f"line {lineno}: arc line must be 'a <u> <v> <cap>'")
-            u, v, c = (_dimacs_int(x, lineno) for x in parts[1:])
-            triples.append((u - 1, v - 1, c))
-    if n is None:
-        raise InputError("missing 'p max' header")
-    if m != len(triples):
-        raise InputError(f"header declares {m} arcs, found {len(triples)}")
-    if ends["s"] is None or ends["t"] is None:
-        raise InputError("missing source or sink designation")
-    return WeightedGraph(n, triples), ends["s"], ends["t"]
-
-
-def write_dimacs(graph: WeightedGraph, s: int, t: int) -> str:
-    lines = [f"p max {graph.n} {graph.m}", f"n {s + 1} s", f"n {t + 1} t"]
-    lines.extend(f"a {u + 1} {v + 1} {w}" for u, v, w in graph.edges)
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ContractViolation, InputError, require_int
+from .errors import ContractViolation, InputError, as_int
 from .graph import VertexSet
 
 EXHAUSTIVE_LIMIT = 16
@@ -45,12 +45,12 @@ def _pool_size(n: int, k: int) -> int:
     return k * (k - 1) // 2 * log_term + 1
 
 
-def _check_args(n: int, k: int) -> None:
-    """Both ints and 1 <= k < n, so k partners exist for every padded singleton."""
-    require_int("n", n)
-    require_int("k", k)
+def _check_args(n: int, k: int) -> tuple[int, int]:
+    """n and k as Python ints; 1 <= k < n leaves k partners for each padded singleton."""
+    n, k = as_int("n", n), as_int("k", k)
     if not 1 <= k < n:
         raise InputError(f"need 1 <= k <= n - 1, got k={k}, n={n}")
+    return n, k
 
 
 def _cells(n: int, k: int) -> Iterator[int]:
@@ -105,7 +105,7 @@ def family_size_bound(n: int, k: int) -> int:
 
     Needs 1 <= k < n, like the family itself.
     """
-    _check_args(n, k)
+    n, k = _check_args(n, k)
     return k * sum(1 for _ in _cells(n, k))
 
 
@@ -117,7 +117,7 @@ def isolator_family_min2(n: int, k: int) -> SetFamily:
     in S rules out at most k - 1 of those pairs, so some replacement still
     meets S exactly in x. Needs 1 <= k < n so that k distinct partners exist.
     """
-    _check_args(n, k)
+    n, k = _check_args(n, k)
     masks: dict[int, None] = {}  # insertion-ordered set of distinct masks
     cells = 0
     for mask in _cells(n, k):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractViolation, DecompositionError, InputError, require_int
+from .errors import ContractViolation, DecompositionError, InputError, as_int
 from .expander import DemandVector, ExpanderDecomposition, _check_phi, expander_decompose
 from .graph import MAX_TOTAL_WEIGHT, Cut, VertexSet, WeightedGraph, components_after_removal
 from .isolating import minimum_isolating_cuts_family
@@ -66,15 +66,16 @@ class AlgoConfig:
 
     def __post_init__(self):
         _check_phi(self.phi)
+        # Keep the Python ints: random.Random refuses a NumPy seed.
         if self.k is not None:
-            require_int("k", self.k)
+            self.k = as_int("k", self.k)
             if self.k < 2:
                 raise InputError("k must be at least 2")
         if self.rand_reps is not None:
-            require_int("rand_reps", self.rand_reps)
+            self.rand_reps = as_int("rand_reps", self.rand_reps)
             if self.rand_reps < 1:
                 raise InputError("rand_reps must be positive")
-        require_int("seed", self.seed)
+        self.seed = as_int("seed", self.seed)
 
     def k_effective(self) -> int:
         if self.k is not None:
@@ -258,13 +259,15 @@ def _lighter(best: Cut | None, cut: Cut) -> Cut:
     return cut if best is None or cut.weight < best.weight else best
 
 
-def _finish(
+def checked_report(
     inst: SteinerInstance,
     cut: Cut,
     meter: FlowMeter,
     trace: DriverTrace,
 ) -> CutReport:
-    """Report a driver's answer after checking it is a Steiner cut of its weight.
+    """Report a solver's answer after checking it is a Steiner cut of its weight.
+
+    Both drivers and ``bench.run_method``'s baselines report through here.
 
     The run's flow memo is emptied here: the report keeps the meter, and
     callers often keep many reports. The meter's counts, recalled included,
@@ -293,7 +296,7 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        return _finish(inst, Cut(split, 0), meter, trace)
+        return checked_report(inst, Cut(split, 0), meter, trace)
 
     k = cfg.k_effective()
     best: Cut | None = None
@@ -349,7 +352,7 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
                 best = _lighter(best, cut)
                 trace.fallback_runs.append((guess, len(pool)))
 
-    return _finish(inst, best, meter, trace)
+    return checked_report(inst, best, meter, trace)
 
 
 def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = None) -> CutReport:
@@ -368,7 +371,7 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     split = _terminal_split_component(graph, terminals)
     if split is not None:
         trace.zero_cut = True
-        return _finish(inst, Cut(split, 0), meter, trace)
+        return checked_report(inst, Cut(split, 0), meter, trace)
 
     members = terminals.members()
     reps = cfg.reps_for(graph.n)
@@ -400,7 +403,7 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
 
     s, t = members[0], members[1]
     best = _lighter(best, max_flow(engine, graph, s, t, meter))
-    return _finish(inst, best, meter, trace)
+    return checked_report(inst, best, meter, trace)
 
 
 def global_mincut_det(engine, graph: WeightedGraph, cfg: AlgoConfig | None = None) -> CutReport:

@@ -72,6 +72,15 @@ def test_gen_stdout_dimacs(capsys):
     assert "n 1 s" in out and "n 4 t" in out
 
 
+def test_gen_dimacs_of_one_vertex_is_input_error(capsys):
+    # A one-vertex graph has no distinct source and sink to name.
+    code = main(["gen", "--family", "gnp", "--n", "1", "--format", "dimacs"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two distinct vertices" in captured.err
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -117,7 +126,7 @@ def test_maxflow_on_edgelist(dumbbell_path, capsys):
         ["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"],
     )
     assert code == 0
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert doc["weight"] == 1
     assert doc["side"] == [0, 1, 2, 3]
     assert doc["calls"] == 1
@@ -330,6 +339,31 @@ def test_steiner_terminals(dumbbell_path, capsys):
     )
 
 
+def test_every_method_reports_a_fingerprint(dumbbell_path, capsys):
+    for command, method in (("steiner", "naive"), ("mincut", "naive"), ("mincut", "stoer-wagner")):
+        argv = [command, "--graph", dumbbell_path, "--method", method]
+        if command == "steiner":
+            argv += ["--terminals", "1,6"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["weight"] == 1
+        assert len(doc["fingerprint"]) == 16
+        assert doc["equivalent_calls"] == doc["raw_calls"]
+
+
+def test_baseline_cut_of_wrong_weight_is_invariant_failure(dumbbell_path, monkeypatch, capsys):
+    real_naive = cutkit.bench.naive_steiner
+
+    def heavier_naive(engine, inst, meter):
+        cut = real_naive(engine, inst, meter)
+        return Cut(cut.side, cut.weight + 1)
+
+    monkeypatch.setattr(cutkit.bench, "naive_steiner", heavier_naive)
+    argv = ["steiner", "--graph", dumbbell_path, "--terminals", "1,6", "--method", "naive"]
+    assert main(argv) == 3
+    assert "reported weight does not match the side" in capsys.readouterr().err
+
+
 def test_steiner_bad_terminals(dumbbell_path, capsys):
     code = main(["steiner", "--graph", dumbbell_path, "--terminals", "0,99"])
     assert code == 2
@@ -428,7 +462,7 @@ def test_bench_subcommand(tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert len(doc["rows"]) == 2
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("family,n,m,method")

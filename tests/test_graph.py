@@ -68,6 +68,13 @@ def test_bad_edges_rejected():
             WeightedGraph(2, [edge])
 
 
+def test_bool_edge_entries_rejected():
+    # A bool is an int to isinstance; taken as one, (0, True, 2) is edge (0, 1, 2).
+    for edge in ((0, True, 2), (0, 1, True)):
+        with pytest.raises(InputError, match="must be an int, got True"):
+            WeightedGraph(3, [edge])
+
+
 def test_numpy_int_vertex_count_and_ids():
     g = WeightedGraph(np.int64(70), [(0, 69, 1)])
     assert type(g.n) is int
@@ -248,6 +255,13 @@ def test_edgelist_errors():
         parse_edgelist("p 3 1\n0 one 2\n")
     with pytest.raises(InputError, match="line 1: edge before header"):
         parse_edgelist("pizza 3 1\n0 1 5\n")
+
+
+def test_edgelist_bad_number_names_its_token():
+    with pytest.raises(InputError, match="line 1: 'x' is not an integer"):
+        parse_edgelist("p 3 x\n")
+    with pytest.raises(InputError, match="line 3: 'one' is not an integer"):
+        parse_edgelist("p 3 1\nc edge\n0 one 2\n")
 
 
 def test_derived_graphs_keep_merged_weights_beyond_edge_limit():

@@ -468,6 +468,22 @@ def test_dimacs_parse_errors():
             parse_dimacs(bad)
 
 
+def test_dimacs_antiparallel_arcs_add_up():
+    # Both directions of an arc are one undirected edge of their summed
+    # weight, so this flow is 10 where the directed network's is 5.
+    text = "p max 3 4\nn 1 s\nn 3 t\na 1 2 5\na 2 1 5\na 2 3 7\na 3 2 7\n"
+    g, s, t = parse_dimacs(text)
+    assert g.edges == ((0, 1, 10), (1, 2, 14))
+    assert max_flow(get_engine("dinic"), g, s, t, FlowMeter()).weight == 10
+
+
+def test_write_dimacs_needs_two_distinct_vertices():
+    g = WeightedGraph(2, [(0, 1, 3)])
+    for s, t in ((0, 0), (0, 2), (-1, 1)):
+        with pytest.raises(InputError, match="two distinct vertices"):
+            write_dimacs(g, s, t)
+
+
 _PINNED_COUNTERS = {
     # (graph, engine, driver): (fingerprint, recalled, engine_invocations, bundled)
     ("gnp24-all", "dinic", "det"): ("d16d94c309d21154", 34, 128, 143),

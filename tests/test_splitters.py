@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from cutkit import (
@@ -17,6 +18,11 @@ from cutkit import (
 def isolates(family, subset):
     smask = sum(1 << x for x in subset)
     return any((r.mask & smask).bit_count() == 1 for r in family)
+
+
+def test_numpy_int_arguments_build_the_same_family():
+    assert isolator_family_min2(np.int64(5), 2) == isolator_family_min2(5, 2)
+    assert family_size_bound(np.int64(5), np.int64(2)) == family_size_bound(5, 2)
 
 
 def test_k1_family_is_single_universe():

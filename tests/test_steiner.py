@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cutkit
@@ -66,6 +67,12 @@ def test_config_validation():
     for bad in ({"k": 3.0}, {"k": True}, {"rand_reps": 1.5}, {"rand_reps": True}, *bad_seeds):
         with pytest.raises(InputError):
             AlgoConfig(phi=Fraction(1, 4), **bad)
+
+
+def test_config_stores_numpy_ints_as_python_ints():
+    cfg = AlgoConfig(k=np.int64(3), rand_reps=np.int64(2), seed=np.int64(1))
+    assert (cfg.k, cfg.rand_reps, cfg.seed) == (3, 2, 1)
+    assert all(type(x) is int for x in (cfg.k, cfg.rand_reps, cfg.seed))
 
 
 def test_readme_config_table_lists_every_field():
