@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,16 +9,19 @@ from cutkit import (
     ContractViolation,
     DemandVector,
     InputError,
+    ScipyEngine,
     VertexSet,
     WeightedGraph,
     augmented_demands,
     cut_weight,
     expander_decompose,
+    global_mincut_det,
     induced_subgraph,
     sparsify_terminals,
     sparsity,
     verify_expander,
 )
+from cutkit.bench import bench_graph, default_bench_config
 from cutkit.expander import (
     EXHAUSTIVE_LIMIT,
     ExpanderCheck,
@@ -351,6 +355,53 @@ def test_spectral_search_triples_are_exact():
     # Most searches must return a cut, and the block-only quotients' cuts
     # must carry merged weights past 2^53.
     assert found >= 120 and heavy >= 3
+
+
+def test_spectral_search_choices_are_pinned():
+    """Every triple the search returns on a seeded corpus, digested.
+
+    Weights reach 2^40, demands 2^40, and unit weights with equal demands
+    give many tied sweep ratios, so a change to the choice or its tie
+    order moves the digest.
+    """
+    rng = random.Random(21)
+    results = []
+    for _ in range(150):
+        n = rng.randint(2, 80)
+        w_max = 1 << rng.choice((0, 1, 8, 40))
+        p = rng.choice((0.1, 0.3, 0.7, 1.0))
+        edges = [
+            (u, v, rng.randint(1, w_max))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        d_max = 1 << rng.choice((0, 2, 20, 40))
+        demands = tuple(rng.choice((0, rng.randint(1, d_max), d_max)) for _ in range(n))
+        results.append(_spectral_search(WeightedGraph(n, edges), demands))
+    assert sum(r is not None for r in results) == 149
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
+    assert digest == "7929ec820e22ecc4"
+
+
+_BENCH_FINGERPRINTS = {
+    ("dumbbell", 64): "f194410c9197f24b",
+    ("dumbbell", 256): "113942b2e7aaf3fe",
+    ("cycle", 64): "ffa9d716099c14a3",
+    ("cycle", 256): "9d51f2619c5b8a52",
+    ("grid", 64): "b695e0558dbaf296",
+    ("grid", 256): "05da439176e7993a",
+    ("gnp", 64): "7eec5d8701e0aec9",
+    ("gnp", 256): "b77fd3e8ad4c8d33",
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(_BENCH_FINGERPRINTS))
+def test_bench_scale_det_fingerprints_are_pinned(family, n):
+    """Det on bench instances whose thinning runs both the spectral and the
+    exhaustive search."""
+    report = global_mincut_det(ScipyEngine(), bench_graph(family, n), default_bench_config())
+    assert report.fingerprint() == _BENCH_FINGERPRINTS[family, n]
 
 
 def decomposition_fields(dec):
