@@ -11,7 +11,11 @@ Clusters of at most EXHAUSTIVE_LIMIT vertices are certified by enumerating
 every cut exactly; the cut-weight and demand tables over all 2^n masks are
 built by subset doubling in O(2^n) element operations. Larger clusters fall
 back to a deterministic spectral sweep plus single-vertex local moves and
-are flagged as uncertified.
+are flagged as uncertified. Both searches choose a cut by one rule
+(_sparsest): least cross / min(d(S), d(S-bar)) over cuts with a positive
+denominator, ties to fewer vertices, then lower member ids. The exhaustive
+search tests that choice against phi once; the spectral search first
+improves it by single-vertex moves.
 
 Scaling every demand by g > 0 scales every sparsity the spectral search
 compares by 1/g, so it picks the same cut; only the final test against phi
@@ -40,7 +44,6 @@ from .graph import (
 )
 
 EXHAUSTIVE_LIMIT = 20
-INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,40 @@ def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
     return weight
 
 
+def _sparsest(cross: np.ndarray, denom: np.ndarray, tie_key) -> int | None:
+    """Index of the least cross / denom over positive denom, or None.
+
+    Ties go to the least tie_key(indices), int64 keys that order cuts by
+    vertex count, then by ascending member lists. A float ratio preselects
+    near-ties with slack; their gcd-reduced ratios are compared exactly.
+    """
+    positive = denom > 0
+    if not positive.any():
+        return None
+    ratio = np.where(positive, cross / np.maximum(denom, 1), np.inf)
+    near = np.flatnonzero(ratio <= ratio.min() * (1 + 1e-9) + 1e-12)
+    gcd = np.gcd(cross[near], denom[near])
+    num, den = cross[near] // gcd, denom[near] // gcd
+    least = min(set(zip(num.tolist(), den.tolist())), key=lambda p: Fraction(*p))
+    tied = near[(num == least[0]) & (den == least[1])]
+    return int(tied[np.argmin(tie_key(tied))])
+
+
+def _mask_order(masks: np.ndarray, n: int) -> np.ndarray:
+    """int64 keys ordering n-bit masks by size, then by ascending member lists.
+
+    Of two sets of one size, the one holding the least vertex of their
+    symmetric difference comes first: an absent vertex v adds 2^(n-1-v).
+    """
+    size = np.zeros(masks.size, dtype=np.int64)
+    absent = np.zeros(masks.size, dtype=np.int64)
+    for v in range(n):
+        bit = (masks >> v) & 1
+        size += bit
+        absent |= (1 - bit) << (n - 1 - v)
+    return (size << n) | absent
+
+
 def _exhaustive_violating(
     graph: WeightedGraph, demands: list[int], phi: Fraction
 ) -> int | None:
@@ -121,9 +158,9 @@ def _exhaustive_violating(
     The cut-weight and demand tables are built by subset doubling: for
     S within {0..v-1}, cross[S + v] = cross[S] + deg(v) - 2 w(v, S), and
     w(v, .) is itself doubled out of row v of the weight matrix, so the
-    whole build is O(2^n) element operations. Candidate masks are
-    preselected by float ratio with slack, then compared with exact
-    rationals; ties go to fewer vertices, then lower member ids.
+    whole build is O(2^n) element operations. _sparsest picks the sparsest
+    cut; it violates phi exactly when some cut does, which is tested once,
+    in Python ints.
     """
     n = graph.n
     weight = _weight_matrix(graph)
@@ -142,35 +179,11 @@ def _exhaustive_violating(
         np.add(cross[:half], deg[v], out=cross[half : 2 * half])
         cross[half : 2 * half] -= 2 * to_v[:half]
         np.add(dsum[:half], demands[v], out=dsum[half : 2 * half])
-    total = sum(demands)
-    mindem = np.minimum(dsum, total - dsum)
-    num, den = phi.numerator, phi.denominator
-    # Compare in int64 when both products provably fit, exactly otherwise;
-    # the floor of 1 also keeps num and den themselves within int64.
-    cross_bound = max(int(cross.max()), 1) * den
-    demand_bound = num * max(int(mindem.max()), 1)
-    if cross_bound < INT64_LIMIT and demand_bound < INT64_LIMIT:
-        violating = cross * den < num * mindem
-    else:
-        violating = cross.astype(object) * den < num * mindem.astype(object)
-    if not violating.any():
+    mindem = np.minimum(dsum, sum(demands) - dsum)
+    mask = _sparsest(cross, mindem, lambda masks: _mask_order(masks, n))
+    if mask is None or int(cross[mask]) * phi.denominator >= phi.numerator * int(mindem[mask]):
         return None
-    ratio = np.where(violating, cross / np.maximum(mindem, 1), np.inf)
-    fmin = ratio.min()
-    cand = np.nonzero(ratio <= fmin * (1 + 1e-9) + 1e-12)[0]
-    best_mask = None
-    best_key = None
-    for m in cand:
-        m = int(m)
-        key = (
-            Fraction(int(cross[m]), int(mindem[m])),
-            m.bit_count(),
-            VertexSet(n, m).members(),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best_mask = m
-    return best_mask
+    return mask
 
 
 def _spectral_search(
@@ -180,15 +193,18 @@ def _spectral_search(
 
     Returns (mask, cross, denominator) of the sparsest cut found, whose
     sparsity is cross / denominator, or None when no sweep cut has positive
-    demand on both sides. Floats appear only in the vertex ordering; every
-    sparsity that decides anything is compared as an exact rational, so
+    demand on both sides. Floats only order the vertices and preselect in
+    _sparsest; every sparsity that decides anything is compared exactly, so
     scaling all demands by g returns the same mask and cross with the
     denominator scaled by g.
 
-    Cut weights move by gain[x] = deg(x) - 2 w(x, S), kept as an int64
-    vector: v joining S raises the cut weight by gain[v] and v leaving
-    lowers it by gain[v], and either move shifts gain by -/+ 2 weight[v].
-    |gain[x]| <= deg(x) < 2^62, so every value stays exact.
+    A sweep prefix's cut weight is its volume minus twice the weight of the
+    edges whose later endpoint it holds: int64 prefix sums, each below 2^63.
+    The moves keep gain[x] = deg(x) - 2 w(x, S) as an int64 vector: v joining
+    S raises the cut weight by gain[v] and v leaving lowers it by gain[v],
+    and either move shifts gain by -/+ 2 weight[v]; |gain[x]| <= deg(x) < 2^62.
+    A move that empties a side leaves it zero demand, so the denominator
+    test skips it.
     """
     n = graph.n
     total = sum(demands)
@@ -198,57 +214,39 @@ def _spectral_search(
     lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
     _, vecs = np.linalg.eigh(lap)
     fiedler = vecs[:, 1]
-    for x in fiedler:
-        if x != 0:
-            if x < 0:
-                fiedler = -fiedler
-            break
-    order = np.lexsort((np.arange(n), fiedler)).tolist()
+    nonzero = fiedler[fiedler != 0]
+    if nonzero.size and nonzero[0] < 0:
+        fiedler = -fiedler
+    order = np.lexsort((np.arange(n), fiedler))
 
     deg = weight.sum(axis=1)
-    gain = deg.copy()
-    best = None
-    best_s: Fraction | None = None
-    mask = 0
-    d_in = 0
-    cross = 0
-    for v in order[:-1]:
-        cross += int(gain[v])
-        gain -= 2 * weight[v]
-        mask |= 1 << v
-        d_in += demands[v]
-        denom = min(d_in, total - d_in)
-        if denom > 0:
-            s = Fraction(cross, denom)
-            if best_s is None or s < best_s:
-                best_s = s
-                best = (mask, cross, d_in)
-
-    if best is None:
+    us, vs, ws = graph.edge_arrays
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    inner = np.zeros(n, dtype=np.int64)
+    np.add.at(inner, np.maximum(rank[us], rank[vs]), ws)
+    prefix_cross = (np.cumsum(deg[order]) - 2 * np.cumsum(inner))[:-1]
+    prefix_din = np.cumsum(np.array(demands, dtype=np.int64)[order])[:-1]
+    order = order.tolist()
+    # Prefix i holds i + 1 vertices, so the index itself is the tie order.
+    i = _sparsest(prefix_cross, np.minimum(prefix_din, total - prefix_din), lambda i: i)
+    if i is None:
         return None
-    mask, cross, d_in = best
-    current = best_s
+    mask = sum(1 << v for v in order[: i + 1])
+    cross, d_in = int(prefix_cross[i]), int(prefix_din[i])
     gain = deg - 2 * weight[:, VertexSet(n, mask).bools()].sum(axis=1)
-    full = (1 << n) - 1
     for _ in range(4 * n):
         improved = False
         for v in range(n):
             inside = (mask >> v) & 1
-            new_mask = mask ^ (1 << v)
-            if new_mask == 0 or new_mask == full:
-                continue
             new_din = d_in - demands[v] if inside else d_in + demands[v]
             denom = min(new_din, total - new_din)
             if denom <= 0:
                 continue
             new_cross = cross - int(gain[v]) if inside else cross + int(gain[v])
-            s = Fraction(new_cross, denom)
-            if s < current:
-                mask, cross, d_in, current = new_mask, new_cross, new_din, s
-                if inside:
-                    gain += 2 * weight[v]
-                else:
-                    gain -= 2 * weight[v]
+            if new_cross * min(d_in, total - d_in) < cross * denom:
+                mask, cross, d_in = mask ^ (1 << v), new_cross, new_din
+                gain += (2 if inside else -2) * weight[v]
                 improved = True
         if not improved:
             break

@@ -20,6 +20,7 @@ from .errors import InputError, as_int
 
 MAX_EDGE_WEIGHT = 1 << 40
 MAX_TOTAL_WEIGHT = 1 << 62
+MAX_VERTICES = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,14 @@ class WeightedGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         n = as_int("vertex count", n)
-        if n < 0:
-            raise InputError(f"negative vertex count {n}")
+        if not 0 <= n <= MAX_VERTICES:
+            raise InputError(f"vertex count {n} outside [0, 2^31]")
         triples = []
-        for u, v, w in edges:
+        for edge in edges:
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a (u, v, weight) triple") from None
             # as_int refuses a bool, and a float numpy would truncate silently.
             u, v, w = as_int("vertex id", u), as_int("vertex id", v), as_int("edge weight", w)
             triples.append((u, v, w))
@@ -164,16 +169,17 @@ class WeightedGraph:
         return graph
 
     def _canonicalize(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
+        # Edges sort and merge on one int64 key lo * n + hi, exact as n <= 2^31.
         keep = (us != vs) & (ws != 0)
-        lo = np.minimum(us[keep], vs[keep])
-        hi = np.maximum(us[keep], vs[keep])
-        order = np.lexsort((hi, lo))
-        lo, hi, ws = lo[order], hi[order], ws[keep][order]
+        key = np.minimum(us[keep], vs[keep]) * n + np.maximum(us[keep], vs[keep])
+        order = np.argsort(key, kind="stable")
+        key, ws = key[order], ws[keep][order]
         if ws.size:
             first = np.ones(ws.size, dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            first[1:] = key[1:] != key[:-1]
             starts = np.flatnonzero(first)
-            lo, hi, ws = lo[starts], hi[starts], np.add.reduceat(ws, starts)
+            key, ws = key[starts], np.add.reduceat(ws, starts)
+        lo, hi = np.divmod(key, n)
         self.n = n
         self.edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = (lo, hi, ws)
         self.total_weight = int(ws.sum())
@@ -283,8 +289,8 @@ def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> Weighted
     if labels.size and not np.issubdtype(labels.dtype, np.integer):
         raise InputError(f"labels must be integers, got dtype {labels.dtype}")
     labels = labels.astype(np.int64, copy=False)
-    if labels.min(initial=0) < 0:
-        raise InputError("labels must be nonnegative")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= MAX_VERTICES:
+        raise InputError("labels must lie in [0, 2^31)")
     us, vs, ws = graph.edge_arrays
     return WeightedGraph._derived(int(labels.max(initial=-1)) + 1, labels[us], labels[vs], ws)
 

@@ -97,7 +97,7 @@ class FlowMeter:
 
     @property
     def recalled(self) -> int:
-        return sum(1 for n, m in self.calls if m and n > 2) - self.solved
+        return sum(1 for n, m in self.calls if not _trivial(n, m)) - self.solved
 
     @property
     def equivalent_calls(self) -> int:
@@ -119,8 +119,8 @@ class FlowMeter:
         return self.calls[mark:]
 
 
-def _trivial(graph: WeightedGraph) -> bool:
-    return graph.m == 0 or graph.n == 2
+def _trivial(n: int, m: int) -> bool:
+    return m == 0 or n == 2
 
 
 def _closed_form(graph: WeightedGraph, s: int) -> Cut | None:
@@ -129,7 +129,7 @@ def _closed_form(graph: WeightedGraph, s: int) -> Cut | None:
     Such an instance has {s} as its only minimal s-t cut side, of value the
     total edge weight, so neither engine runs a flow on it.
     """
-    if _trivial(graph):
+    if _trivial(graph.n, graph.m):
         return Cut(VertexSet(graph.n, 1 << s), graph.total_weight)
     return None
 
@@ -359,7 +359,7 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
     memo = meter.memo
     fresh = {}
     for graph, s, t in instances:
-        if not _trivial(graph):
+        if not _trivial(graph.n, graph.m):
             key = _memo_key(graph, s, t)
             if key not in memo:
                 fresh.setdefault(key, (graph, s, t))

@@ -145,15 +145,14 @@ class CutReport:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _terminal_split_component(
-    graph: WeightedGraph, terminals: VertexSet
-) -> VertexSet | None:
-    """Component holding the lowest terminal, if T spans several components."""
-    labels = components_after_removal(graph, np.zeros(graph.m, dtype=bool))
-    home = labels[terminals.smallest()]
-    if (labels[terminals.bools()] == home).all():
+def _zero_cut_report(inst: SteinerInstance, method: str) -> CutReport | None:
+    """Weight-0 report on the lowest terminal's component if T spans several."""
+    labels = components_after_removal(inst.graph, np.zeros(inst.graph.m, dtype=bool))
+    home = labels[inst.terminals.smallest()]
+    if (labels[inst.terminals.bools()] == home).all():
         return None
-    return VertexSet.from_bools(labels == home)
+    cut = Cut(VertexSet.from_bools(labels == home), 0)
+    return checked_report(inst, cut, FlowMeter(), DriverTrace(method=method, zero_cut=True))
 
 
 def _guess_ladder(graph: WeightedGraph, terminals: VertexSet) -> tuple[int, ...]:
@@ -288,15 +287,13 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     Uses polylogarithmically many flows (in the metered, size-normalized
     sense) when the unbalance threshold k is at its derived default.
     """
+    zero = _zero_cut_report(inst, "det")
+    if zero is not None:
+        return zero
     cfg = cfg or AlgoConfig()
     graph, terminals = inst.graph, inst.terminals
     meter = FlowMeter()
     trace = DriverTrace(method="det")
-
-    split = _terminal_split_component(graph, terminals)
-    if split is not None:
-        trace.zero_cut = True
-        return checked_report(inst, Cut(split, 0), meter, trace)
 
     k = cfg.k_effective()
     best: Cut | None = None
@@ -363,15 +360,13 @@ def steiner_mincut_rand(engine, inst: SteinerInstance, cfg: AlgoConfig | None = 
     one direct flow between the two lowest terminals. Deterministic for a
     fixed seed; repeated samples cost nothing extra.
     """
+    zero = _zero_cut_report(inst, "rand")
+    if zero is not None:
+        return zero
     cfg = cfg or AlgoConfig()
     graph, terminals = inst.graph, inst.terminals
     meter = FlowMeter()
     trace = DriverTrace(method="rand")
-
-    split = _terminal_split_component(graph, terminals)
-    if split is not None:
-        trace.zero_cut = True
-        return checked_report(inst, Cut(split, 0), meter, trace)
 
     members = terminals.members()
     reps = cfg.reps_for(graph.n)

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cutkit import (
@@ -26,6 +27,7 @@ from cutkit.expander import (
     EXHAUSTIVE_LIMIT,
     ExpanderCheck,
     _exhaustive_violating,
+    _mask_order,
     _spectral_search,
 )
 from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
@@ -300,6 +302,18 @@ def test_exhaustive_doubling_matches_per_mask_reference():
         found += expected is not None
     # Both answers must be well represented, or the comparison shows little.
     assert 40 <= found <= 160
+
+
+def test_exhaustive_ties_go_to_fewer_vertices_then_lower_ids():
+    for n in range(9):
+        keys = _mask_order(np.arange(1 << n, dtype=np.int64), n).tolist()
+        by_key = sorted(range(1 << n), key=keys.__getitem__)
+        assert by_key == sorted(range(1 << n), key=lambda m: (m.bit_count(), VertexSet(n, m).members()))
+    # Under uniform demand 100 every half of K20 has sparsity 100 / 1000,
+    # and the C(20, 10) tied halves resolve to the lowest ids.
+    check = verify_expander(clique_graph(20), DemandVector.uniform(20, 100), Fraction(1, 4))
+    assert check.witness == VertexSet.from_ids(20, range(10))
+    assert check.witness_sparsity == Fraction(1, 10)
 
 
 def heavy_quotient(groups: int, extra: int, rng: random.Random):

@@ -68,6 +68,39 @@ def test_bad_edges_rejected():
             WeightedGraph(2, [edge])
 
 
+def test_malformed_edges_rejected():
+    for edge in ((0, 1), (0, 1, 2, 3), 5, None):
+        with pytest.raises(InputError, match="is not a \\(u, v, weight\\) triple"):
+            WeightedGraph(3, [(0, 2, 1), edge])
+
+
+def test_vertex_count_limit():
+    assert WeightedGraph(1 << 31, [(0, (1 << 31) - 1, 1)]).edges == ((0, (1 << 31) - 1, 1),)
+    with pytest.raises(InputError, match="outside \\[0, 2\\^31\\]"):
+        WeightedGraph((1 << 31) + 1, [])
+    with pytest.raises(InputError, match="must lie in \\[0, 2\\^31\\)"):
+        contract(WeightedGraph(2, [(0, 1, 1)]), [0, 1 << 31])
+
+
+def test_canonical_edges_match_two_key_sort():
+    """The one-key sort gives the arrays a (lo, hi) lexsort would, byte for byte."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 300):
+        us, vs = rng.integers(0, n, size=(2, 4 * n))
+        ws = rng.integers(0, 1 << 40, size=4 * n)
+        g = WeightedGraph(n, list(zip(us.tolist(), vs.tolist(), ws.tolist())))
+        keep = (us != vs) & (ws != 0)
+        lo, hi = np.minimum(us, vs)[keep], np.maximum(us, vs)[keep]
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], ws[keep][order]
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.flatnonzero(first)
+        expected = (lo[starts], hi[starts], np.add.reduceat(w, starts) if w.size else w)
+        for got, want in zip(g.edge_arrays, expected):
+            assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+
+
 def test_bool_edge_entries_rejected():
     # A bool is an int to isinstance; taken as one, (0, True, 2) is edge (0, 1, 2).
     for edge in ((0, True, 2), (0, 1, True)):
