@@ -288,6 +288,20 @@ def test_scipy_rejects_capacities_merged_beyond_int32(tmp_path, capsys):
     assert doc["weight"] == 1 << 30
 
 
+def test_isolating_scipy_refuses_a_phase_b_sink_merge_past_int32(tmp_path, capsys):
+    # Only terminal 0's phase-B instance merges {1, 2} into a sink whose
+    # edge to vertex 3 weighs 2^31 + 2.
+    big = (1 << 30) + 1
+    path = tmp_path / "sink.graph"
+    path.write_text(f"p 4 3\n0 3 1\n1 3 {big}\n2 3 {big}\n")
+    argv = ["isolating", "--graph", str(path), "--terminals", "0,1,2", "--engine"]
+    assert main(argv + ["scipy"]) == 2
+    assert "int32" in capsys.readouterr().err
+    code, doc = run_json(capsys, argv + ["dinic"])
+    assert code == 0
+    assert [c["weight"] for c in doc["cuts"]] == [1, big, big]
+
+
 def test_mincut_det_fingerprint_stable(dumbbell_path, capsys):
     _, a = run_json(capsys, ["mincut", "--graph", dumbbell_path])
     _, b = run_json(capsys, ["mincut", "--graph", dumbbell_path])

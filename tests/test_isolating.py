@@ -233,3 +233,19 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
     monkeypatch.setattr("cutkit.oracles.max_flow", with_sink)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         naive_isolating(dinic, g, terminals)
+
+
+def _int32_sink_merge():
+    # Every phase-A instance fits int32; only terminal 0's phase-B instance,
+    # whose merged outside {1, 2} meets vertex 3 twice, passes 2^31.
+    big = (1 << 30) + 1
+    return WeightedGraph(4, [(0, 3, 1), (1, 3, big), (2, 3, big)]), VertexSet.from_ids(4, [0, 1, 2])
+
+
+def test_phase_b_sink_merge_past_int32_is_refused_on_scipy(dinic, scipy_eng):
+    g, terminals = _int32_sink_merge()
+    res = minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
+    big = (1 << 30) + 1
+    assert {v: e.cut.weight for v, e in res.entries.items()} == {0: 1, 1: big, 2: big}
+    with pytest.raises(InputError, match="int32"):
+        minimum_isolating_cuts(scipy_eng, g, terminals, FlowMeter())
