@@ -36,7 +36,7 @@ from .steiner import (
     steiner_mincut_rand,
 )
 
-SCHEMA = 5
+SCHEMA = 6
 BENCH_FAMILIES = ("dumbbell", "cycle", "clique", "grid", "gnp")
 BENCH_METHODS = ("det", "naive", "rand", "stoer-wagner")
 DRIVERS = {"det": steiner_mincut_det, "rand": steiner_mincut_rand}

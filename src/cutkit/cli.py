@@ -100,6 +100,15 @@ def _cut_payload(cut) -> dict:
     return {"weight": cut.weight, "side": cut.side.members()}
 
 
+def _cost_payload(meter: FlowMeter) -> dict:
+    return {
+        "raw_calls": meter.call_count,
+        "recalled_calls": meter.recalled,
+        "engine_invocations": meter.engine_invocations,
+        "equivalent_calls": meter.equivalent_calls,
+    }
+
+
 def _config_from(args, base: AlgoConfig) -> AlgoConfig:
     """base with every config flag the subcommand has and the user set swapped in."""
     flags = {"phi": "phi", "k": "k", "seed": "seed", "rand_reps": "reps"}
@@ -152,6 +161,7 @@ def cmd_isolating(args) -> int:
             ],
             "phase_a_calls": len(result.phase_a_calls),
             "phase_b_calls": len(result.phase_b_calls),
+            **_cost_payload(meter),
         },
         args.out,
     )
@@ -203,13 +213,9 @@ def cmd_solve(args) -> int:
     inst = SteinerInstance(graph, _terminals(args, graph))
     engine = get_engine(args.engine)
     report = run_method(args.method, engine, inst, _config_from(args, AlgoConfig()))
-    meter = report.meter
     payload = {
         **_cut_payload(report.cut),
-        "raw_calls": meter.call_count,
-        "recalled_calls": meter.recalled,
-        "engine_invocations": meter.engine_invocations,
-        "equivalent_calls": report.equivalent_calls,
+        **_cost_payload(report.meter),
         "fingerprint": report.fingerprint(),
         "method": args.method,
         "terminals": inst.terminals.members(),

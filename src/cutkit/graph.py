@@ -168,6 +168,22 @@ class WeightedGraph:
         graph._canonicalize(n, us, vs, ws)
         return graph
 
+    @classmethod
+    def _canonical(
+        cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray, total_weight: int
+    ) -> "WeightedGraph":
+        """Graph whose int64 arrays are already in ``edge_arrays`` form, kept as given.
+
+        Nothing is checked, sorted or copied: the caller guarantees the
+        canonical form and that total_weight is the sum of ws.
+        """
+        graph = object.__new__(cls)
+        graph.n = n
+        graph.edge_arrays = (us, vs, ws)
+        graph.total_weight = total_weight
+        graph._digest = None
+        return graph
+
     def _canonicalize(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         # Edges sort and merge on one int64 key lo * n + hi, exact as n <= 2^31.
         keep = (us != vs) & (ws != 0)

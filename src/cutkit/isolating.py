@@ -17,24 +17,37 @@ consecutive runs, and per chunk solves every new phase-A instance in one
 ``solve_ahead`` batch, reads the phase-A cuts from the memo to build every
 run's phase-B instances, solves those in a second batch, and only then
 meters each run's calls in run order (A1 B1 A2 B2 ...), where each call
-finds its cut in the memo. So the calls, fingerprints and bundled and
-recalled counts are those of the runs made one by one, and on the SciPy
-engine a chunk costs two ``maximum_flow`` invocations; the Dinic engine's
-batch runs one flow per new instance. A chunk closes before the run whose
-phase-A instances would take its phase-A edge total past
-``_BATCH_EDGES``. The cap bounds memory: a batch's glued arrays take a
-couple of hundred bytes per edge while they live, and without the cap the
-SciPy benchmark workloads peaked 6-12% higher.
+finds its cut in the memo. A chunk's phase-B instances come from one sort:
+every edge of every run becomes a row of each instance it touches, the
+rows sort and merge once, and each instance is a graph whose edge arrays
+are its slice of the sorted arrays, byte for byte what
+``separation_quotient`` would build (so digests and memo keys match). A
+cut lifts back through its component's ascending vertex ids. So the calls,
+fingerprints and bundled and recalled counts are those of the runs made
+one by one, and on the SciPy engine a chunk costs two ``maximum_flow``
+invocations; the Dinic engine's batch runs one flow per new instance. A
+chunk closes before the run whose phase-A instances would take its phase-A
+edge total past ``_BATCH_EDGES``. The cap bounds memory: a batch's glued
+arrays take a couple of hundred bytes per edge while they live, and
+without the cap the SciPy benchmark workloads peaked 6-12% higher.
 ``minimum_isolating_cuts`` is the family of one set.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
-from .maxflow import FlowMeter, known_cut, max_flow, metered_cuts, separation_quotient, solve_ahead
+from .maxflow import (
+    FlowMeter,
+    known_cut,
+    max_flow,
+    metered_cuts,
+    separation_quotient,
+    solve_ahead,
+)
 
 # Phase-A edges one chunk of isolating runs may glue into a batch.
 _BATCH_EDGES = 4096
@@ -82,15 +95,19 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
     return schedule
 
 
+# A separation instance and the lift of its cuts (``maxflow.lift_side``).
+_Instance = tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]
+
+
 @dataclass
 class _Run:
     """One isolating run of a chunk, from its phase-A build to its metering."""
 
     terminals: VertexSet
     members: list[int]
-    phase_a: list[tuple[WeightedGraph, np.ndarray]]
+    phase_a: list[_Instance]
     comps: list[VertexSet] = field(default_factory=list)
-    phase_b: list[tuple[WeightedGraph, np.ndarray]] = field(default_factory=list)
+    phase_b: list[_Instance] = field(default_factory=list)
 
 
 def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
@@ -101,14 +118,15 @@ def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
     return _Run(terminals, terminals.members(), phase_a)
 
 
-def _build_phase_b(graph: WeightedGraph, run: _Run, memo: dict) -> None:
-    """The run's components and phase-B instances, from its phase-A cuts in memo."""
+def _components(graph: WeightedGraph, run: _Run, memo: dict) -> np.ndarray:
+    """Component labels once the run's phase-A cut edges (cuts read from memo) are deleted."""
     us, vs, _ = graph.edge_arrays
     removed = np.zeros(graph.m, dtype=bool)
-    for quotient, labels in run.phase_a:
-        inside = known_cut(quotient, 0, 1, memo).side.bools()[labels]
+    for quotient, (side_a, rest) in run.phase_a:
+        # The cut side's lift (``lift_side``) as flags: A, and rest where the side holds it.
+        inside = side_a.bools()
+        inside[rest] = known_cut(quotient, 0, 1, memo).side.bools()[2:]
         removed |= inside[us] != inside[vs]
-
     labels = components_after_removal(graph, removed)
     held = labels[run.members].tolist()
     if len(set(held)) < len(held):
@@ -117,11 +135,94 @@ def _build_phase_b(graph: WeightedGraph, run: _Run, memo: dict) -> None:
         raise ContractViolation(
             f"component holds terminals {shared}; phase A cuts must separate R"
         )
-    run.comps = [VertexSet.from_bools(labels == label) for label in held]
-    run.phase_b = [
-        separation_quotient(graph, VertexSet(graph.n, 1 << v), comp.complement())
-        for v, comp in zip(run.members, run.comps)
-    ]
+    return labels
+
+
+def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
+    """Every run's components and phase-B instances, from one sort of the chunk's edges.
+
+    Run r's copy of vertex u is u + r * n, so the runs' components are
+    disjoint and the whole chunk is numbered at once. Instance j (terminal
+    v's) is numbered as ``separation_quotient`` numbers it: v is 0, the
+    merged outside of its component 1, the rest of the component from 2 up
+    in ascending id. The chunk lays the instances end to end, so instance
+    j's vertex i has chunk id base[j] + i. Every edge becomes a row of the
+    instance of each end whose component it touches, keyed by its two chunk
+    ids; the rows sort by key and equal keys merge, so instance j's slice
+    of the sorted arrays is exactly the ``edge_arrays`` that ``contract``
+    builds.
+    """
+    n = graph.n
+    us, vs, ws = graph.edge_arrays
+    shift = np.arange(len(runs), dtype=np.int64) * n
+    labels = np.concatenate([_components(graph, run, memo) + s for run, s in zip(runs, shift)])
+    terminals = np.concatenate(
+        [np.array(run.members, dtype=np.int64) + s for run, s in zip(runs, shift)]
+    )
+    owner = np.full(labels.size, -1, dtype=np.int64)
+    owner[labels[terminals]] = np.arange(terminals.size)
+    inst = owner[labels]  # -1 off every terminal's component
+    is_rest = inst >= 0
+    is_rest[terminals] = False
+    rest = np.flatnonzero(is_rest)
+    rest = rest[np.argsort(inst[rest], kind="stable")]
+    ends = np.cumsum(np.bincount(inst[rest], minlength=terminals.size))
+    # Instance j takes chunk ids base[j] .. base[j+1] - 1: its rest's
+    # positions in rest, moved up past two ids per instance up to j.
+    base = np.zeros(terminals.size + 1, dtype=np.int64)
+    base[1:] = ends + 2 * np.arange(1, terminals.size + 1)
+    chunk_id = np.empty(labels.size, dtype=np.int64)
+    chunk_id[terminals] = base[:-1]
+    chunk_id[rest] = np.arange(rest.size) + 2 * inst[rest] + 2
+    # Row j flags instance j's component, packed as VertexSet masks are.
+    covered = np.flatnonzero(inst >= 0)
+    flags = np.zeros((terminals.size, n), dtype=bool)
+    flags[inst[covered], covered % n] = True
+    comps = np.packbits(flags, axis=1, bitorder="little")
+
+    # Every copy of an edge is a row of u's instance, and of v's when that
+    # differs; an end outside the row's component is its merged outside,
+    # vertex 1. Where iu is -1 the row is dropped, so base[-1] is never kept.
+    eu, ev = (shift[:, None] + us).ravel(), (shift[:, None] + vs).ravel()
+    iu, iv, cu, cv = inst[eu], inst[ev], chunk_id[eu], chunk_id[ev]
+    at_u, at_v = iu >= 0, (iv >= 0) & (iv != iu)
+    near = np.concatenate([cu[at_u], cv[at_v]])
+    far = np.concatenate([np.where(iv == iu, cv, base[iu] + 1)[at_u], base[iv[at_v]] + 1])
+    ew = np.tile(ws, len(runs))
+    ew = np.concatenate([ew[at_u], ew[at_v]])
+    # Keys stay below total^2, and total <= 2 * labels.size: a key could
+    # pass 2^63 only once the int64 labels alone took 12 GB.
+    total = int(base[-1])
+    key = np.minimum(near, far) * total + np.maximum(near, far)
+    # Rows with equal keys merge, so an unstable sort gives the same arrays.
+    order = np.argsort(key)
+    key, ew = key[order], ew[order]
+    if ew.size:
+        first = np.ones(ew.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(first)
+        key, ew = key[starts], np.add.reduceat(ew, starts)
+    bounds = np.searchsorted(key, base * total)
+    lo, hi = np.divmod(key, total)
+    at = np.repeat(base[:-1], np.diff(bounds))
+    lo -= at
+    hi -= at
+    # The prefix sums wrap mod 2^64, but every instance's total is below
+    # 2^62, so each difference is exact.
+    prefix = np.zeros(ew.size + 1, dtype=np.uint64)
+    np.cumsum(ew.view(np.uint64), out=prefix[1:])
+    weights = np.diff(prefix[bounds]).tolist()
+    bounds = bounds.tolist()
+
+    pieces = zip(np.split(rest % n, ends[:-1]), comps, bounds, bounds[1:], weights)
+    for run in runs:
+        for v, piece in zip(run.members, islice(pieces, len(run.members))):
+            comp_rest, comp, a, b, weight = piece
+            quotient = WeightedGraph._canonical(
+                2 + comp_rest.size, lo[a:b], hi[a:b], ew[a:b], weight
+            )
+            run.phase_b.append((quotient, (VertexSet(n, 1 << v), comp_rest)))
+            run.comps.append(VertexSet(n, int.from_bytes(comp.tobytes(), "little")))
 
 
 def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> IsolatingCutResult:
@@ -162,8 +263,7 @@ def _run_chunk(
 ) -> list[IsolatingCutResult]:
     """Two batches solved ahead (all phase A, then all phase B), then every run metered in order."""
     solve_ahead(engine, [(quotient, 0, 1) for run in runs for quotient, _ in run.phase_a], meter)
-    for run in runs:
-        _build_phase_b(graph, run, meter.memo)
+    _build_phase_b(graph, runs, meter.memo)
     solve_ahead(engine, [(quotient, 0, 1) for run in runs for quotient, _ in run.phase_b], meter)
     return [_meter_run(engine, graph, run, meter) for run in runs]
 

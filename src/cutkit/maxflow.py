@@ -41,12 +41,15 @@ meter counts logical calls: a call answered from the memo still counts.
   with positive residual capacity then gives every instance its side.
 
 A caller that knows several independent separations ahead builds each
-quotient (``separation_quotient``), solves the new ones in one
-``solve_ahead`` batch, and then meters every call in order
-(``metered_cuts``). ``isolating`` does this phase by phase for a whole
-round of isolating runs, in chunks whose glued phase-A instances stay
-below a fixed edge count, which bounds the transient arrays of one SciPy
-batch.
+instance, solves the new ones in one ``solve_ahead`` batch, and then meters
+every call in order (``metered_cuts``), which lifts each cut back to the
+graph (``lift_side``). ``separation_quotient`` builds one instance by
+contraction. ``isolating`` does this phase by phase for a whole round of
+isolating runs, in chunks whose glued phase-A instances stay below a fixed
+edge count, which bounds the transient arrays of one SciPy batch. It builds
+phase A's instances with ``separation_quotient`` and all of a chunk's
+phase-B instances from one sort of the chunk's edges, each a slice of the
+sorted arrays with the digest the contraction would give.
 """
 
 from dataclasses import dataclass, field
@@ -391,33 +394,49 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
 
 def separation_quotient(
     graph: WeightedGraph, side_a: VertexSet, side_b: VertexSet
-) -> tuple[WeightedGraph, np.ndarray]:
-    """The flow instance separating A from B, and the labels that lift its cuts.
+) -> tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]:
+    """The flow instance separating A from B, and the lift of its cuts.
 
-    A and B are contracted to vertices 0 and 1, so the instance has
-    n - |A| - |B| + 2 vertices and at most m edges; labels[v] is the
-    instance vertex of graph vertex v.
+    A and B are contracted to vertices 0 and 1 and every other vertex gets
+    its own id from 2 up in ascending order, so the instance has
+    n - |A| - |B| + 2 vertices and at most m edges. The lift is (A, rest),
+    rest the ascending graph ids of instance vertices 2, 3, ... (``lift_side``).
     """
     if not side_a or not side_b:
         raise InputError("separation sides must be nonempty")
     if not side_a.isdisjoint(side_b):
         raise InputError("separation sides overlap")
     in_a, in_b = side_a.bools(), side_b.bools()
-    # A -> 0, B -> 1, every other vertex its own id from 2 in ascending order.
-    labels = np.cumsum(~(in_a | in_b)) + 1
+    rest = ~(in_a | in_b)
+    labels = np.cumsum(rest) + 1
     labels[in_a] = 0
     labels[in_b] = 1
-    return contract(graph, labels), labels
+    return contract(graph, labels), (side_a, np.flatnonzero(rest))
+
+
+def lift_side(side: VertexSet, lift: tuple[VertexSet, np.ndarray]) -> VertexSet:
+    """A side of a separation instance, holding vertex 0, as a side of the graph.
+
+    lift is (A, rest) as ``separation_quotient`` gives it: vertex 0 lifts to
+    A and each vertex i >= 2 of the side to rest[i - 2]. Vertex 1, the
+    merged B, lifts to nothing; no cut side holds it, and the whole
+    instance lifts to the complement of B.
+    """
+    source, rest = lift
+    mask = source.mask
+    for v in rest[side.bools()[2:]].tolist():
+        mask |= 1 << v
+    return VertexSet(source.n, mask)
 
 
 def metered_cuts(
-    engine, quotients: list[tuple[WeightedGraph, np.ndarray]], meter: FlowMeter
+    engine, quotients: list[tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]], meter: FlowMeter
 ) -> list[Cut]:
-    """One metered 0-1 call per (quotient, labels), in order, each cut lifted to the graph."""
+    """One metered 0-1 call per (quotient, lift), in order, each cut lifted to the graph."""
     lifted = []
-    for quotient, labels in quotients:
+    for quotient, lift in quotients:
         cut = max_flow(engine, quotient, 0, 1, meter)
-        lifted.append(Cut(VertexSet.from_bools(cut.side.bools()[labels]), cut.weight))
+        lifted.append(Cut(lift_side(cut.side, lift), cut.weight))
     return lifted
 
 

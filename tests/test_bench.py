@@ -93,7 +93,7 @@ def test_report_serializers():
         families=("dumbbell",), sizes=(8,), methods=("naive",), engine_name="dinic"
     )
     doc = report_to_json(report)
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert doc["engine"] == "dinic"
     assert doc["phi"] == "1/4"
     assert len(doc["rows"]) == 1

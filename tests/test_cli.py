@@ -126,7 +126,7 @@ def test_maxflow_on_edgelist(dumbbell_path, capsys):
         ["maxflow", "--graph", dumbbell_path, "--source", "0", "--sink", "7"],
     )
     assert code == 0
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert doc["weight"] == 1
     assert doc["side"] == [0, 1, 2, 3]
     assert doc["calls"] == 1
@@ -208,6 +208,20 @@ def test_isolating_fast_and_naive_agree(dumbbell_path, capsys):
     assert fast_cuts == naive_cuts
     assert fast["phase_a_calls"] == 2
     assert naive["phase_a_calls"] == 0
+
+
+def test_isolating_reports_flow_costs(dumbbell_path, capsys):
+    argv = ["isolating", "--graph", dumbbell_path, "--terminals", "0,2,5", "--method"]
+    costs = ("raw_calls", "recalled_calls", "engine_invocations", "equivalent_calls")
+    _, fast = run_json(capsys, argv + ["fast"])
+    _, naive = run_json(capsys, argv + ["naive"])
+    for doc in (fast, naive):
+        assert all(isinstance(doc[key], int) for key in costs), doc
+        assert doc["raw_calls"] == doc["phase_a_calls"] + doc["phase_b_calls"]
+        assert 0 < doc["engine_invocations"] <= doc["raw_calls"] - doc["recalled_calls"]
+    # Phase B counts as one equivalent call; naive's calls count one each.
+    assert fast["equivalent_calls"] == fast["phase_a_calls"] + 1
+    assert naive["equivalent_calls"] == naive["raw_calls"] == 3
 
 
 def test_splitter_gen_verified(capsys):
@@ -476,7 +490,7 @@ def test_bench_subcommand(tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert len(doc["rows"]) == 2
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("family,n,m,method")

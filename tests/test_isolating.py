@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cutkit import (
@@ -11,13 +12,15 @@ from cutkit import (
     WeightedGraph,
     bipartition_schedule,
     enumerate_cuts,
+    gnp_graph,
     minimum_isolating_cuts,
     minimum_isolating_cuts_family,
     naive_isolating,
 )
 
 from cutkit import isolating
-from cutkit.maxflow import metered_cuts
+from cutkit.graph import components_after_removal
+from cutkit.maxflow import lift_side, metered_cuts, separation_quotient, solve_ahead
 
 from helpers import rand_graph, rand_terminals
 
@@ -199,6 +202,78 @@ def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
     chunks, _, _ = _family_against_loop(any_engine, g, [big, small, small, big], monkeypatch)
     assert chunks[0][0] > isolating._BATCH_EDGES
     assert [len(chunk) for chunk in chunks] == [1, 2, 1]
+
+
+def _chunk_against_separation_quotient(engine, graph, sets) -> list:
+    """Build one chunk of runs over sets and check every phase-B instance.
+
+    Each instance must equal ``separation_quotient(graph, {v}, outside)``
+    byte for byte, each component must be v's component once phase A's cut
+    edges are deleted, and a solved cut must lift to the same side through
+    either lift. Returns the instances.
+    """
+    meter = FlowMeter()
+    runs = [isolating._start_run(graph, terminals) for terminals in sets]
+    solve_ahead(engine, [(q, 0, 1) for run in runs for q, _ in run.phase_a], meter)
+    isolating._build_phase_b(graph, runs, meter.memo)
+    solve_ahead(engine, [(q, 0, 1) for run in runs for q, _ in run.phase_b], meter)
+    us, vs, _ = graph.edge_arrays
+    built = []
+    for run in runs:
+        removed = np.zeros(graph.m, dtype=bool)
+        for quotient, lift in run.phase_a:
+            inside = lift_side(isolating.known_cut(quotient, 0, 1, meter.memo).side, lift).bools()
+            removed |= inside[us] != inside[vs]
+        labels = components_after_removal(graph, removed)
+        assert len(run.phase_b) == len(run.comps) == len(run.members)
+        for v, comp, (quotient, lift) in zip(run.members, run.comps, run.phase_b):
+            assert comp == VertexSet.from_bools(labels == labels[v])
+            source = VertexSet(graph.n, 1 << v)
+            want, want_lift = separation_quotient(graph, source, comp.complement())
+            assert (quotient.n, quotient.total_weight) == (want.n, want.total_weight)
+            assert quotient.digest == want.digest
+            for got, ref in zip(quotient.edge_arrays, want.edge_arrays):
+                assert got.dtype == ref.dtype == np.int64
+                assert got.tobytes() == ref.tobytes()
+            side = isolating.known_cut(quotient, 0, 1, meter.memo).side
+            assert lift_side(side, lift) == lift_side(side, want_lift)
+            built.append(quotient)
+    return built
+
+
+def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic):
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(6, 28)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(1, 1 << 40))
+            for _ in range(rng.randint(n, 4 * n))
+        ]
+        edges += edges[: len(edges) // 4]  # parallel edges merge
+        g = WeightedGraph(n, edges)
+        sets = [rand_terminals(n, rng.randint(2, min(n, 7)), 100 * seed + i) for i in range(5)]
+        _chunk_against_separation_quotient(dinic, g, sets)
+
+
+def test_chunk_build_equals_separation_quotient_on_disconnected_graphs(any_engine):
+    for seed in range(6):
+        g = gnp_graph(24, 0.08, seed=seed, connect=False)
+        sets = [rand_terminals(24, k, seed + k) for k in (2, 5, 9, 24)]
+        _chunk_against_separation_quotient(any_engine, g, sets)
+
+
+def test_chunk_build_closed_forms_and_empty_slices(any_engine):
+    # In the star every leaf terminal is alone in its component: a
+    # two-vertex instance whose one edge carries the leaf's degree. Vertices
+    # 5 and 6 have no edge; 6, the last terminal of the chunk, gets an empty
+    # slice at the end of the sorted arrays.
+    g = WeightedGraph(7, [(0, 1, 3), (0, 2, 5), (0, 3, 7), (1, 2, 1), (0, 4, 2), (0, 4, 2)])
+    sets = [VertexSet.from_ids(7, ids) for ids in ([1, 3], [3, 4, 5], [0, 3, 6], [1, 2, 3, 4, 6])]
+    built = _chunk_against_separation_quotient(any_engine, g, sets)
+    assert (built[0].n, built[0].edges) == (2, ((0, 1, 4),))  # leaf 1 of run one
+    assert (built[3].n, built[3].edges) == (2, ((0, 1, 4),))  # leaf 4: a merged pair
+    assert (built[-1].n, built[-1].m, built[-1].total_weight) == (2, 0, 0)
+    assert len(set(map(id, [q.edge_arrays[2].base for q in built]))) == 1
 
 
 def test_terminal_universe_must_match(dinic):

@@ -175,6 +175,28 @@ def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch)
     assert flows == [(n, m) for n, m in report.meter.calls if m and n > 2]
 
 
+def test_every_metered_call_reaches_engine_solve_once(any_engine, monkeypatch):
+    # perfbench's tracer counts one maxflow.solve span per metered call, so
+    # a call answered any other way would leave its trace short.
+    cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
+    solves = []
+    cls = type(any_engine)
+    solve = cls.solve
+
+    def counted(self, graph, s, t, memo):
+        solves.append((graph.n, graph.m))
+        return solve(self, graph, s, t, memo)
+
+    monkeypatch.setattr(cls, "solve", counted)
+    grid = generate(GeneratorSpec("grid", 64, rows=8))
+    for g in (grid, gnp_graph(24, 0.3, seed=0)):
+        solves.clear()
+        report = steiner_mincut_det(any_engine, SteinerInstance(g, g.full_set), cfg)
+        assert report.meter.call_count > 0
+        assert len(solves) == report.meter.call_count
+        assert solves == report.meter.calls
+
+
 def test_memo_keys_on_source_sink_and_every_weight(any_engine):
     edges = [(0, 1, 3), (1, 2, 2), (2, 3, 4), (3, 0, 1), (0, 2, 5)]
     g = WeightedGraph(4, edges)
