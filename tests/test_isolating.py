@@ -20,7 +20,7 @@ from cutkit import (
 
 from cutkit import isolating
 from cutkit.graph import components_after_removal
-from cutkit.maxflow import lift_side, metered_cuts, separation_quotient, solve_ahead
+from cutkit.maxflow import known_cut, lift_side, metered_cuts, separation_quotient, solve_ahead
 
 from helpers import rand_graph, rand_terminals
 
@@ -222,7 +222,7 @@ def _chunk_against_separation_quotient(engine, graph, sets) -> list:
     for run in runs:
         removed = np.zeros(graph.m, dtype=bool)
         for quotient, lift in run.phase_a:
-            inside = lift_side(isolating.known_cut(quotient, 0, 1, meter.memo).side, lift).bools()
+            inside = lift_side(known_cut(quotient, 0, 1, meter.memo).side, lift).bools()
             removed |= inside[us] != inside[vs]
         labels = components_after_removal(graph, removed)
         assert len(run.phase_b) == len(run.comps) == len(run.members)
@@ -235,7 +235,7 @@ def _chunk_against_separation_quotient(engine, graph, sets) -> list:
             for got, ref in zip(quotient.edge_arrays, want.edge_arrays):
                 assert got.dtype == ref.dtype == np.int64
                 assert got.tobytes() == ref.tobytes()
-            side = isolating.known_cut(quotient, 0, 1, meter.memo).side
+            side = known_cut(quotient, 0, 1, meter.memo).side
             assert lift_side(side, lift) == lift_side(side, want_lift)
             built.append(quotient)
     return built
