@@ -40,14 +40,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
-from .maxflow import (
-    FlowMeter,
-    known_cut,
-    max_flow,
-    metered_cuts,
-    separation_quotient,
-    solve_ahead,
-)
+from .maxflow import FlowMeter, known_cut, max_flow, metered_cuts, separation_quotient, solve_ahead
 
 # Phase-A edges one chunk of isolating runs may glue into a batch.
 _BATCH_EDGES = 4096

@@ -274,6 +274,8 @@ def test_chunk_build_closed_forms_and_empty_slices(any_engine):
     assert (built[3].n, built[3].edges) == (2, ((0, 1, 4),))  # leaf 4: a merged pair
     assert (built[-1].n, built[-1].m, built[-1].total_weight) == (2, 0, 0)
     assert len(set(map(id, [q.edge_arrays[2].base for q in built]))) == 1
+    # An edgeless graph: every instance is an empty slice of empty arrays.
+    _chunk_against_separation_quotient(any_engine, WeightedGraph(3, []), [VertexSet.full(3)] * 2)
 
 
 def test_terminal_universe_must_match(dinic):
