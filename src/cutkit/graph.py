@@ -335,17 +335,24 @@ def components_after_removal(graph: WeightedGraph, removed: np.ndarray) -> np.nd
 
     removed holds one bool per edge of ``edge_arrays``. A vertex's label is
     the smallest member of its component, as an int64 array of length n.
-    Hook-and-pointer-jump (Shiloach and Vishkin, J. Algorithms 1982) in
-    NumPy; no SciPy is imported, so the Dinic path stays free of it.
     """
     removed = np.asarray(removed, dtype=bool)
     if removed.shape != (graph.m,):
         raise InputError(f"need one flag per edge, got {removed.shape} for m={graph.m}")
     us, vs, _ = graph.edge_arrays
-    us, vs = us[~removed], vs[~removed]
+    return _component_labels(graph.n, us[~removed], vs[~removed])
+
+
+def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Smallest member of each vertex's component, over [0, n) and the edges (us[i], vs[i]).
+
+    The int64 ends need not be canonical. Hook-and-pointer-jump (Shiloach
+    and Vishkin, J. Algorithms 1982) in NumPy; no SciPy is imported, so the
+    Dinic path stays free of it.
+    """
     # Every label[x] <= x lies in x's component; between rounds each tree is
     # a star whose root is its smallest member.
-    labels = np.arange(graph.n, dtype=np.int64)
+    labels = np.arange(n, dtype=np.int64)
     while True:
         lu, lv = labels[us], labels[vs]
         apart = lu != lv

@@ -11,36 +11,48 @@ most n+|R| vertices and 2m+|R| edges, which is what makes the whole thing
 cheap.
 
 ``minimum_isolating_cuts_family`` runs many terminal sets on one graph,
-such as a round's isolator family. The runs are independent, so it solves
-them phase by phase: it splits the family, in order, into chunks of
-consecutive runs, and per chunk solves every new phase-A instance in one
-``solve_ahead`` batch, reads the phase-A cuts from the memo to build every
-run's phase-B instances, solves those in a second batch, and only then
+such as a round's isolator family. It checks every set before any flow
+runs. The runs are independent, so it solves them phase by phase: it
+splits the family, in order, into chunks of consecutive runs, and per
+chunk solves every new phase-A instance in one ``solve_ahead`` batch,
+reads the phase-A cuts from the memo to label every run's components and
+build its phase-B instances, solves those in a second batch, and only then
 meters each run's calls in run order (A1 B1 A2 B2 ...), where each call
-finds its cut in the memo. A chunk's phase-B instances come from one sort:
-every edge of every run becomes a row of each instance it touches, the
-rows sort and merge once, and each instance is a graph whose edge arrays
-are its slice of the sorted arrays, byte for byte what
-``separation_quotient`` would build (so digests and memo keys match). A
-cut lifts back through its component's ascending vertex ids. So the calls,
-fingerprints and bundled and recalled counts are those of the runs made
-one by one, and on the SciPy engine a chunk costs two ``maximum_flow``
-invocations; the Dinic engine's batch runs one flow per new instance. A
-chunk closes before the run whose phase-A instances would take its phase-A
-edge total past ``_BATCH_EDGES``. The cap bounds memory: a batch's glued
-arrays take a couple of hundred bytes per edge while they live, and
-without the cap the SciPy benchmark workloads peaked 6-12% higher.
+finds its cut in the memo. So the calls, fingerprints and bundled and
+recalled counts are those of the runs made one by one, and on the SciPy
+engine a chunk costs two ``maximum_flow`` invocations; the Dinic engine's
+batch runs one flow per new instance. A chunk closes before the run whose
+phase-A instances would take its phase-A edge total past
+``_BATCH_EDGES``. The cap bounds memory: a batch's glued arrays take a
+couple of hundred bytes per edge while they live, and without the cap the
+SciPy benchmark workloads peaked 6-12% higher.
+
+Every instance of either phase comes from one sort (``_sliced_instances``):
+the instances of a build are laid end to end, every edge becomes a row of
+each instance it touches, the rows sort and merge once, and each instance
+is a graph whose edge arrays are its slice of the sorted arrays, byte for
+byte what ``separation_quotient`` would build (so digests and memo keys
+match). A cut lifts back through side A, or terminal v, and the ascending
+ids of the instance's other vertices. Since a chunk closes on its runs'
+phase-A edge counts, phase A is built ahead of chunking, a group of
+consecutive runs at a time while their raw rows (bipartitions times m)
+stay within ``_BATCH_EDGES``; phase B is built per chunk. All of a chunk's
+components come from one labelling of the disjoint union of its runs'
+copies of the graph, each copy without its run's phase-A cut edges.
+
 ``minimum_isolating_cuts`` is the family of one set.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .graph import Cut, VertexSet, WeightedGraph, components_after_removal
-from .maxflow import FlowMeter, known_cut, max_flow, metered_cuts, separation_quotient, solve_ahead
+from .graph import Cut, VertexSet, WeightedGraph, _component_labels
+from .maxflow import FlowMeter, known_cut, max_flow, metered_cuts, solve_ahead
 
 # Phase-A edges one chunk of isolating runs may glue into a batch.
 _BATCH_EDGES = 4096
@@ -78,10 +90,13 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
     members = terminals.members()
     if len(members) < 2:
         raise InputError("need at least two terminals")
+    bits = [1 << v for v in members]
     schedule = []
     for i in range((len(members) - 1).bit_length()):
-        side_b = VertexSet.from_ids(terminals.n, (v for j, v in enumerate(members) if j >> i & 1))
-        side_a = terminals.difference(side_b)
+        # The bits are disjoint, so their sum is their union.
+        mask_b = sum(bit for j, bit in enumerate(bits) if j >> i & 1)
+        side_a = VertexSet(terminals.n, terminals.mask ^ mask_b)
+        side_b = VertexSet(terminals.n, mask_b)
         if not side_a or not side_b:
             raise ContractViolation("bipartition side empty despite dense labels")
         schedule.append((side_a, side_b))
@@ -94,11 +109,13 @@ _Instance = tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]
 
 @dataclass
 class _Run:
-    """One isolating run of a chunk, from its phase-A build to its metering."""
+    """One isolating run, from its checked terminal set to its metering."""
 
     terminals: VertexSet
     members: list[int]
-    phase_a: list[_Instance]
+    sources: list[VertexSet]  # side A of each bipartition, in schedule order
+    phase_a: list[_Instance] = field(default_factory=list)
+    phase_a_labels: np.ndarray | None = None  # row i: bipartition i's contraction labels
     comps: list[VertexSet] = field(default_factory=list)
     phase_b: list[_Instance] = field(default_factory=list)
 
@@ -107,48 +124,164 @@ def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
     if terminals.n != graph.n:
         raise InputError("terminal universe does not match graph")
     schedule = bipartition_schedule(terminals)  # raises on fewer than two terminals
-    phase_a = [separation_quotient(graph, side_a, side_b) for side_a, side_b in schedule]
-    return _Run(terminals, terminals.members(), phase_a)
+    return _Run(terminals, terminals.members(), [side_a for side_a, _ in schedule])
 
 
-def _components(graph: WeightedGraph, run: _Run, memo: dict) -> np.ndarray:
-    """Component labels once the run's phase-A cut edges (cuts read from memo) are deleted."""
+def _sliced_instances(
+    base: np.ndarray, near: np.ndarray, far: np.ndarray, ws: np.ndarray
+) -> list[WeightedGraph]:
+    """Instances laid end to end, each built from its slice of one sort of their rows.
+
+    Instance j's vertex i has id base[j] + i, so base holds one entry more
+    than there are instances. Row (near[x], far[x], ws[x]) is an edge
+    between two distinct ids of one instance. The rows sort by key and equal
+    keys merge, so instance j's slice of the sorted arrays, moved down by
+    base[j], is exactly the ``edge_arrays`` that ``contract`` builds.
+    """
+    # Keys stay below total^2. Each caller holds an int64 array of at least
+    # total / 2 entries, so a key could pass 2^63 only once that array alone
+    # took 12 GB.
+    total = int(base[-1])
+    key = np.minimum(near, far) * total + np.maximum(near, far)
+    # Rows with equal keys merge, so any sort gives the same arrays. The
+    # rows come in runs of ascending keys, which a stable sort exploits.
+    order = np.argsort(key, kind="stable")
+    key, ws = key[order], ws[order]
+    if ws.size:
+        first = np.ones(ws.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(first)
+        key, ws = key[starts], np.add.reduceat(ws, starts)
+    bounds = np.searchsorted(key, base * total)
+    lo = key // total
+    hi = key - lo * total
+    at = np.repeat(base[:-1], np.diff(bounds))
+    lo -= at
+    hi -= at
+    # The prefix sums wrap mod 2^64, but every instance's total is below
+    # 2^62, so each difference is exact.
+    prefix = np.zeros(ws.size + 1, dtype=np.uint64)
+    np.cumsum(ws.view(np.uint64), out=prefix[1:])
+    weights = np.diff(prefix[bounds]).tolist()
+    sizes = np.diff(base).tolist()
+    bounds = bounds.tolist()
+    return [
+        WeightedGraph._canonical(size, lo[a:b], hi[a:b], ws[a:b], weight)
+        for size, a, b, weight in zip(sizes, bounds, bounds[1:], weights)
+    ]
+
+
+def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
+    """Every phase-A instance of a group of runs, from one sort (``_sliced_instances``).
+
+    Instance j is bipartition bit[j] of run of[j]. Row j of labels numbers
+    its vertices as ``separation_quotient`` does: side A is 0, side B 1, and
+    each non-terminal 2 plus its rank among the non-terminals, so a side of
+    instance j lifts to the graph as ``side.bools()[labels[j]]``. Every edge
+    becomes a row of every instance, dropped where both its ends get one
+    label.
+    """
+    n = graph.n
+    us, vs, ws = graph.edge_arrays
+    counts = [len(run.members) for run in runs]
+    ks = [len(run.sources) for run in runs]
+    owner = np.repeat(np.arange(len(runs)), counts)
+    members = np.fromiter(chain.from_iterable(run.members for run in runs), np.int64, owner.size)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    rest = np.ones((len(runs), n), dtype=bool)
+    rest[owner, members] = False
+    # Per run, each non-terminal's label, and ~rank < 0 for each terminal.
+    code = np.cumsum(rest, axis=1) + 1
+    code[owner, members] = ~rank
+    of = np.repeat(np.arange(len(runs)), ks)
+    bit = np.arange(of.size) - np.repeat(np.cumsum(ks) - ks, ks)
+    labels = code[of]
+    labels = np.where(labels >= 0, labels, ~labels >> bit[:, None] & 1)
+    # Each instance has n - |R| + 2 <= n vertices, so total <= labels.size.
+    base = np.zeros(of.size + 1, dtype=np.int64)
+    base[1:] = np.cumsum(labels.max(axis=1) + 1)
+    ids = labels + base[:-1, None]
+    iu, iv = np.take(ids, us, axis=1), np.take(ids, vs, axis=1)
+    keep = iu != iv
+    ws = np.broadcast_to(ws, keep.shape)[keep]
+    quotients = iter(_sliced_instances(base, iu[keep], iv[keep], ws))
+    start = 0
+    for run, rest_ids in zip(runs, map(np.flatnonzero, rest)):
+        k = len(run.sources)
+        run.phase_a_labels = labels[start : start + k]
+        run.phase_a = [(q, (a, rest_ids)) for a, q in zip(run.sources, islice(quotients, k))]
+        start += k
+
+
+def _with_phase_a(graph: WeightedGraph, runs: deque) -> Iterator[_Run]:
+    """Take the runs off the deque in order, each with its phase-A instances.
+
+    They are built a group at a time: a group takes consecutive runs while
+    their raw rows (bipartitions times m) stay within ``_BATCH_EDGES``, and
+    at least one run.
+    """
+    while runs:
+        group = [runs.popleft()]
+        rows = len(group[0].sources) * graph.m
+        while runs and rows + len(runs[0].sources) * graph.m <= _BATCH_EDGES:
+            rows += len(runs[0].sources) * graph.m
+            group.append(runs.popleft())
+        _build_phase_a(graph, group)
+        yield from group
+
+
+def _chunk_components(graph: WeightedGraph, runs: list[_Run], memo: dict) -> np.ndarray:
+    """Component labels of every run of a chunk, from one labelling.
+
+    Run r's copy of vertex u is u + r * n. Each copy keeps the edges that
+    none of its run's phase-A cuts (read from memo) cross, and one
+    ``_component_labels`` call labels the disjoint union of the copies.
+    """
+    n = graph.n
     us, vs, _ = graph.edge_arrays
-    removed = np.zeros(graph.m, dtype=bool)
-    for quotient, (side_a, rest) in run.phase_a:
-        # The cut side's lift (``lift_side``) as flags: A, and rest where the side holds it.
-        inside = side_a.bools()
-        inside[rest] = known_cut(quotient, 0, 1, memo).side.bools()[2:]
-        removed |= inside[us] != inside[vs]
-    labels = components_after_removal(graph, removed)
-    held = labels[run.members].tolist()
-    if len(set(held)) < len(held):
-        first = min(label for label in held if held.count(label) > 1)
-        shared = [v for v, label in zip(run.members, held) if label == first]
-        raise ContractViolation(
-            f"component holds terminals {shared}; phase A cuts must separate R"
-        )
+    # Row j flags the cut side of phase-A instance j, lifted to the graph.
+    width = (n + 7) // 8  # an instance has at most n vertices
+    packed = b"".join(
+        known_cut(quotient, 0, 1, memo).side.mask.to_bytes(width, "little")
+        for run in runs
+        for quotient, _ in run.phase_a
+    )
+    sides = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+    sides = np.unpackbits(sides, axis=1, bitorder="little").view(bool)
+    labels = np.concatenate([run.phase_a_labels for run in runs])
+    inside = np.take_along_axis(sides, labels, axis=1)
+    crossing = np.take(inside, us, axis=1) != np.take(inside, vs, axis=1)
+    ks = [len(run.phase_a) for run in runs]
+    removed = np.logical_or.reduceat(crossing, np.cumsum(ks) - ks, axis=0)
+    copies, edges = np.nonzero(~removed)
+    labels = _component_labels(len(runs) * n, us[edges] + copies * n, vs[edges] + copies * n)
+    for r, run in enumerate(runs):
+        held = labels[r * n : (r + 1) * n][run.members].tolist()
+        if len(set(held)) < len(held):
+            first = min(label for label in held if held.count(label) > 1)
+            shared = [v for v, label in zip(run.members, held) if label == first]
+            raise ContractViolation(
+                f"component holds terminals {shared}; phase A cuts must separate R"
+            )
     return labels
 
 
 def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     """Every run's components and phase-B instances, from one sort of the chunk's edges.
 
-    Run r's copy of vertex u is u + r * n, so the runs' components are
-    disjoint and the whole chunk is numbered at once. Instance j (terminal
-    v's) is numbered as ``separation_quotient`` numbers it: v is 0, the
-    merged outside of its component 1, the rest of the component from 2 up
-    in ascending id. The chunk lays the instances end to end, so instance
-    j's vertex i has chunk id base[j] + i. Every edge becomes a row of the
-    instance of each end whose component it touches, keyed by its two chunk
-    ids; the rows sort by key and equal keys merge, so instance j's slice
-    of the sorted arrays is exactly the ``edge_arrays`` that ``contract``
-    builds.
+    Run r's copy of vertex u is u + r * n, so the runs' components
+    (``_chunk_components``) are disjoint and the whole chunk is numbered at
+    once. Instance j (terminal v's) is numbered as ``separation_quotient``
+    numbers it: v is 0, the merged outside of its component 1, the rest of
+    the component from 2 up in ascending id. The chunk lays the instances
+    end to end, so instance j's vertex i has chunk id base[j] + i. Every
+    edge becomes a row of the instance of each end whose component it
+    touches, keyed by its two chunk ids (``_sliced_instances``).
     """
     n = graph.n
     us, vs, ws = graph.edge_arrays
     shift = np.arange(len(runs), dtype=np.int64) * n
-    labels = np.concatenate([_components(graph, run, memo) + s for run, s in zip(runs, shift)])
+    labels = _chunk_components(graph, runs, memo)
     terminals = np.concatenate(
         [np.array(run.members, dtype=np.int64) + s for run, s in zip(runs, shift)]
     )
@@ -183,38 +316,14 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     far = np.concatenate([np.where(iv == iu, cv, base[iu] + 1)[at_u], base[iv[at_v]] + 1])
     ew = np.tile(ws, len(runs))
     ew = np.concatenate([ew[at_u], ew[at_v]])
-    # Keys stay below total^2, and total <= 2 * labels.size: a key could
-    # pass 2^63 only once the int64 labels alone took 12 GB.
-    total = int(base[-1])
-    key = np.minimum(near, far) * total + np.maximum(near, far)
-    # Rows with equal keys merge, so an unstable sort gives the same arrays.
-    order = np.argsort(key)
-    key, ew = key[order], ew[order]
-    if ew.size:
-        first = np.ones(ew.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        key, ew = key[starts], np.add.reduceat(ew, starts)
-    bounds = np.searchsorted(key, base * total)
-    lo, hi = np.divmod(key, total)
-    at = np.repeat(base[:-1], np.diff(bounds))
-    lo -= at
-    hi -= at
-    # The prefix sums wrap mod 2^64, but every instance's total is below
-    # 2^62, so each difference is exact.
-    prefix = np.zeros(ew.size + 1, dtype=np.uint64)
-    np.cumsum(ew.view(np.uint64), out=prefix[1:])
-    weights = np.diff(prefix[bounds]).tolist()
-    bounds = bounds.tolist()
+    instances = _sliced_instances(base, near, far, ew)
 
-    pieces = zip(np.split(rest % n, ends[:-1]), comps, bounds, bounds[1:], weights)
+    rest %= n
+    ends = [0] + ends.tolist()
+    pieces = zip(ends, ends[1:], comps, instances)
     for run in runs:
-        for v, piece in zip(run.members, islice(pieces, len(run.members))):
-            comp_rest, comp, a, b, weight = piece
-            quotient = WeightedGraph._canonical(
-                2 + comp_rest.size, lo[a:b], hi[a:b], ew[a:b], weight
-            )
-            run.phase_b.append((quotient, (VertexSet(n, 1 << v), comp_rest)))
+        for v, (a, b, comp, quotient) in zip(run.members, islice(pieces, len(run.members))):
+            run.phase_b.append((quotient, (VertexSet(n, 1 << v), rest[a:b])))
             run.comps.append(VertexSet(n, int.from_bytes(comp.tobytes(), "little")))
 
 
@@ -273,11 +382,12 @@ def minimum_isolating_cuts_family(
     ``minimum_isolating_cuts`` call per set on the same meter; only
     ``meter.engine_invocations`` differs (on the SciPy engine, it falls).
     """
+    # Every set is checked here, before any flow runs.
+    pending = deque(_start_run(graph, terminals) for terminals in terminal_sets)
     results: list[IsolatingCutResult] = []
     chunk: list[_Run] = []
     edges = 0
-    for terminals in terminal_sets:
-        run = _start_run(graph, terminals)
+    for run in _with_phase_a(graph, pending):
         run_edges = sum(quotient.m for quotient, _ in run.phase_a)
         if chunk and edges + run_edges > _BATCH_EDGES:
             results += _run_chunk(engine, graph, chunk, meter)

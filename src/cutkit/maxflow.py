@@ -47,9 +47,10 @@ graph (``lift_side``). ``separation_quotient`` builds one instance by
 contraction. ``isolating`` does this phase by phase for a whole round of
 isolating runs, in chunks whose glued phase-A instances stay below a fixed
 edge count, which bounds the transient arrays of one SciPy batch. It builds
-phase A's instances with ``separation_quotient`` and all of a chunk's
-phase-B instances from one sort of the chunk's edges, each a slice of the
-sorted arrays with the digest the contraction would give.
+the instances of both phases without ``separation_quotient``: the phase-A
+instances of a group of runs, and the phase-B instances of a chunk, each
+come from one sort of their edges, each instance a slice of the sorted
+arrays with the digest the contraction would give.
 """
 
 from dataclasses import dataclass, field

@@ -15,6 +15,7 @@ from cutkit import (
     parse_edgelist,
     write_edgelist,
 )
+from cutkit.graph import _component_labels
 
 # 2^13 edges of the 2^40 limit plus one of weight 1: odd, and above 2^53.
 ODD_BEYOND_FLOAT = (1 << 53) + 1
@@ -256,6 +257,43 @@ def test_components_after_removal_matches_scipy():
     path = WeightedGraph(20000, [(u, v, 1) for u, v in zip(order, order[1:])])
     labels = components_after_removal(path, np.zeros(path.m, dtype=bool))
     assert not labels.any()
+
+
+def test_component_labels_of_a_disjoint_union_of_shifted_copies():
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(20261)
+    for trial in range(120):
+        n = trial % 23
+        m = int(rng.integers(0, 2 * n + 1))
+        ends = rng.integers(0, max(n, 1), size=(m, 2)).tolist()
+        g = WeightedGraph(n, [(u, v, 1) for u, v in ends])
+        us, vs, _ = g.edge_arrays
+        # R copies, each with its own removed mask; a mask may drop every edge.
+        copies = int(rng.integers(1, 5))
+        masks = [rng.random(g.m) < rng.random() for _ in range(copies)]
+        masks[-1][:] = trial % 3 == 0
+        keep = [np.flatnonzero(~mask) for mask in masks]
+        union_us = np.concatenate([us[k] + r * n for r, k in enumerate(keep)])
+        union_vs = np.concatenate([vs[k] + r * n for r, k in enumerate(keep)])
+        labels = _component_labels(copies * n, union_us, union_vs)
+        assert labels.dtype == np.int64 and labels.shape == (copies * n,)
+        adjacency = coo_matrix(
+            (np.ones(union_us.size), (union_us, union_vs)), shape=(copies * n, copies * n)
+        )
+        _, ref = connected_components(adjacency, directed=False)
+        for v in range(copies * n):
+            members = np.flatnonzero(ref == ref[v])
+            assert labels[v] == members[0]
+            assert np.array_equal(np.flatnonzero(labels == labels[v]), members)
+        for r, mask in enumerate(masks):
+            alone = components_after_removal(g, mask)
+            assert np.array_equal(labels[r * n : (r + 1) * n], alone + r * n)
+    # Isolated vertices keep their own ids, and n = 0 gives an empty array.
+    empty = np.zeros(0, dtype=np.int64)
+    assert _component_labels(4, empty, empty).tolist() == [0, 1, 2, 3]
+    assert _component_labels(0, empty, empty).shape == (0,)
 
 
 def test_induced_subgraph():

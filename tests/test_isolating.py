@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -204,24 +205,51 @@ def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
     assert [len(chunk) for chunk in chunks] == [1, 2, 1]
 
 
-def _chunk_against_separation_quotient(engine, graph, sets) -> list:
-    """Build one chunk of runs over sets and check every phase-B instance.
+def _same_instance(memo, got, got_lift, want, want_lift) -> None:
+    """got equals want byte for byte, and a solved side lifts the same through either lift."""
+    assert (got.n, got.total_weight) == (want.n, want.total_weight)
+    assert got.digest == want.digest
+    for a, b in zip(got.edge_arrays, want.edge_arrays):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+    side = known_cut(got, 0, 1, memo).side
+    assert lift_side(side, got_lift) == lift_side(side, want_lift)
 
-    Each instance must equal ``separation_quotient(graph, {v}, outside)``
-    byte for byte, each component must be v's component once phase A's cut
-    edges are deleted, and a solved cut must lift to the same side through
-    either lift. Returns the instances.
+
+def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tuple[list, list]:
+    """Build one chunk of runs over sets and check every instance of both phases.
+
+    Phase A is built group by group, as the family builds it, and the one
+    chunk holds every run, so it may span several groups. Each phase-A
+    instance must equal ``separation_quotient(graph, A, B)`` of its
+    bipartition and each phase-B instance ``separation_quotient(graph, {v},
+    outside)``, byte for byte; each component must be v's component once
+    phase A's cut edges are deleted; and a solved cut must lift to the same
+    side through either lift. Returns the phase-B instances and the run
+    count of each phase-A group.
     """
+    groups = []
+    build_phase_a = isolating._build_phase_a
+
+    def recording(graph, runs):
+        groups.append(len(runs))
+        build_phase_a(graph, runs)
+
+    monkeypatch.setattr(isolating, "_build_phase_a", recording)
     meter = FlowMeter()
-    runs = [isolating._start_run(graph, terminals) for terminals in sets]
+    pending = deque(isolating._start_run(graph, terminals) for terminals in sets)
+    runs = list(isolating._with_phase_a(graph, pending))
     solve_ahead(engine, [(q, 0, 1) for run in runs for q, _ in run.phase_a], meter)
     isolating._build_phase_b(graph, runs, meter.memo)
     solve_ahead(engine, [(q, 0, 1) for run in runs for q, _ in run.phase_b], meter)
     us, vs, _ = graph.edge_arrays
     built = []
-    for run in runs:
+    for run, terminals in zip(runs, sets):
+        schedule = bipartition_schedule(terminals)
+        assert len(run.phase_a) == len(schedule)
         removed = np.zeros(graph.m, dtype=bool)
-        for quotient, lift in run.phase_a:
+        for (quotient, lift), (side_a, side_b) in zip(run.phase_a, schedule):
+            _same_instance(meter.memo, quotient, lift, *separation_quotient(graph, side_a, side_b))
             inside = lift_side(known_cut(quotient, 0, 1, meter.memo).side, lift).bools()
             removed |= inside[us] != inside[vs]
         labels = components_after_removal(graph, removed)
@@ -229,19 +257,15 @@ def _chunk_against_separation_quotient(engine, graph, sets) -> list:
         for v, comp, (quotient, lift) in zip(run.members, run.comps, run.phase_b):
             assert comp == VertexSet.from_bools(labels == labels[v])
             source = VertexSet(graph.n, 1 << v)
-            want, want_lift = separation_quotient(graph, source, comp.complement())
-            assert (quotient.n, quotient.total_weight) == (want.n, want.total_weight)
-            assert quotient.digest == want.digest
-            for got, ref in zip(quotient.edge_arrays, want.edge_arrays):
-                assert got.dtype == ref.dtype == np.int64
-                assert got.tobytes() == ref.tobytes()
-            side = known_cut(quotient, 0, 1, meter.memo).side
-            assert lift_side(side, lift) == lift_side(side, want_lift)
+            _same_instance(
+                meter.memo, quotient, lift, *separation_quotient(graph, source, comp.complement())
+            )
             built.append(quotient)
-    return built
+    assert sum(groups) == len(sets)
+    return built, groups
 
 
-def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic):
+def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic, monkeypatch):
     for seed in range(12):
         rng = random.Random(seed)
         n = rng.randint(6, 28)
@@ -252,30 +276,67 @@ def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic):
         edges += edges[: len(edges) // 4]  # parallel edges merge
         g = WeightedGraph(n, edges)
         sets = [rand_terminals(n, rng.randint(2, min(n, 7)), 100 * seed + i) for i in range(5)]
-        _chunk_against_separation_quotient(dinic, g, sets)
+        _chunk_against_separation_quotient(dinic, g, sets, monkeypatch)
 
 
-def test_chunk_build_equals_separation_quotient_on_disconnected_graphs(any_engine):
+def test_chunk_build_equals_separation_quotient_on_disconnected_graphs(any_engine, monkeypatch):
     for seed in range(6):
         g = gnp_graph(24, 0.08, seed=seed, connect=False)
         sets = [rand_terminals(24, k, seed + k) for k in (2, 5, 9, 24)]
-        _chunk_against_separation_quotient(any_engine, g, sets)
+        _chunk_against_separation_quotient(any_engine, g, sets, monkeypatch)
 
 
-def test_chunk_build_closed_forms_and_empty_slices(any_engine):
+def test_chunk_build_closed_forms_and_empty_slices(any_engine, monkeypatch):
     # In the star every leaf terminal is alone in its component: a
     # two-vertex instance whose one edge carries the leaf's degree. Vertices
     # 5 and 6 have no edge; 6, the last terminal of the chunk, gets an empty
     # slice at the end of the sorted arrays.
     g = WeightedGraph(7, [(0, 1, 3), (0, 2, 5), (0, 3, 7), (1, 2, 1), (0, 4, 2), (0, 4, 2)])
     sets = [VertexSet.from_ids(7, ids) for ids in ([1, 3], [3, 4, 5], [0, 3, 6], [1, 2, 3, 4, 6])]
-    built = _chunk_against_separation_quotient(any_engine, g, sets)
+    built, groups = _chunk_against_separation_quotient(any_engine, g, sets, monkeypatch)
+    assert groups == [4]
     assert (built[0].n, built[0].edges) == (2, ((0, 1, 4),))  # leaf 1 of run one
     assert (built[3].n, built[3].edges) == (2, ((0, 1, 4),))  # leaf 4: a merged pair
     assert (built[-1].n, built[-1].m, built[-1].total_weight) == (2, 0, 0)
     assert len(set(map(id, [q.edge_arrays[2].base for q in built]))) == 1
-    # An edgeless graph: every instance is an empty slice of empty arrays.
-    _chunk_against_separation_quotient(any_engine, WeightedGraph(3, []), [VertexSet.full(3)] * 2)
+    # An edgeless graph: every instance of either phase is an empty slice of
+    # empty arrays, and every run shares one phase-A group.
+    _chunk_against_separation_quotient(
+        any_engine, WeightedGraph(3, []), [VertexSet.full(3)] * 2, monkeypatch
+    )
+    full = VertexSet.full(5)
+    _, groups = _chunk_against_separation_quotient(
+        any_engine, WeightedGraph(5, []), [full, VertexSet.from_ids(5, [1, 4]), full], monkeypatch
+    )
+    assert groups == [3]
+
+
+def test_chunk_build_with_an_oversized_run_and_a_chunk_over_two_groups(any_engine, monkeypatch):
+    # Phase A groups runs while bipartitions * m stays within the cap: the
+    # 8-terminal run takes 3 * m > cap rows and forms its own group, and two
+    # 2-terminal runs (m rows each) share one. The one chunk spans them all.
+    g = rand_graph(80, 11, p=0.6)
+    cap = isolating._BATCH_EDGES
+    assert 3 * g.m > cap >= 2 * g.m
+    big = rand_terminals(80, 8, 11)
+    small = rand_terminals(80, 2, 12)
+    _, groups = _chunk_against_separation_quotient(
+        any_engine, g, [small, big, small, rand_terminals(80, 2, 13)], monkeypatch
+    )
+    assert groups == [1, 1, 2]
+
+
+def test_family_checks_every_set_before_any_flow(any_engine):
+    # Each 8-terminal run is a chunk of its own, so one by one the first
+    # three would run their flows before the fourth set is read.
+    g = rand_graph(80, 11, p=0.6)
+    runs = [rand_terminals(80, 8, seed) for seed in range(3)]
+    for bad in (VertexSet.from_ids(80, [5]), VertexSet.from_ids(81, [0, 5])):
+        meter = FlowMeter()
+        with pytest.raises(InputError):
+            minimum_isolating_cuts_family(any_engine, g, runs + [bad, runs[0]], meter)
+        assert meter.calls == []
+        assert meter.engine_invocations == 0
 
 
 def test_terminal_universe_must_match(dinic):
