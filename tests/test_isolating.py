@@ -205,6 +205,9 @@ def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
     assert [len(chunk) for chunk in chunks] == [1, 2, 1]
 
 
+_BUILD_PHASE_A = isolating._build_phase_a
+
+
 def _same_instance(memo, got, got_lift, want, want_lift) -> None:
     """got equals want byte for byte, and a solved side lifts the same through either lift."""
     assert (got.n, got.total_weight) == (want.n, want.total_weight)
@@ -229,11 +232,10 @@ def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tupl
     count of each phase-A group.
     """
     groups = []
-    build_phase_a = isolating._build_phase_a
 
     def recording(graph, runs):
         groups.append(len(runs))
-        build_phase_a(graph, runs)
+        _BUILD_PHASE_A(graph, runs)
 
     monkeypatch.setattr(isolating, "_build_phase_a", recording)
     meter = FlowMeter()
@@ -311,7 +313,7 @@ def test_chunk_build_closed_forms_and_empty_slices(any_engine, monkeypatch):
     assert groups == [3]
 
 
-def test_chunk_build_with_an_oversized_run_and_a_chunk_over_two_groups(any_engine, monkeypatch):
+def test_chunk_build_with_an_oversized_run_and_a_chunk_over_several_groups(any_engine, monkeypatch):
     # Phase A groups runs while bipartitions * m stays within the cap: the
     # 8-terminal run takes 3 * m > cap rows and forms its own group, and two
     # 2-terminal runs (m rows each) share one. The one chunk spans them all.
