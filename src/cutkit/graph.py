@@ -260,7 +260,7 @@ class Cut:
     weight: int
 
     def __post_init__(self):
-        if not self.side or not self.side.complement():
+        if self.side.mask in (0, (1 << self.side.n) - 1):
             raise InputError("cut side must be a nonempty proper subset")
         if self.weight < 0:
             raise InputError("negative cut weight")

@@ -12,20 +12,22 @@ cheap.
 
 ``minimum_isolating_cuts_family`` runs many terminal sets on one graph,
 such as a round's isolator family. It checks every set before any flow
-runs. The runs are independent, so it solves them phase by phase: it
-splits the family, in order, into chunks of consecutive runs, and per
-chunk solves every new phase-A instance in one ``solve_ahead`` batch,
+runs. The runs are independent, so it solves them phase by phase in a
+pipeline over chunks of consecutive runs. It solves the first chunk's new
+phase-A instances in one ``solve_ahead`` batch. Then, for each chunk, it
 reads the phase-A cuts from the memo to label every run's components and
-build its phase-B instances, solves those in a second batch, and only then
-meters each run's calls in run order (A1 B1 A2 B2 ...), where each call
-finds its cut in the memo. So the calls, fingerprints and bundled and
-recalled counts are those of the runs made one by one, and on the SciPy
-engine a chunk costs two ``maximum_flow`` invocations; the Dinic engine's
-batch runs one flow per new instance. A chunk closes before the run whose
+build its phase-B instances, solves those in one batch with the next
+chunk's new phase-A instances, and only then meters the chunk's calls in
+run order (A1 B1 A2 B2 ...), where each call finds its cut in the memo.
+So the calls, fingerprints and bundled and recalled counts are those of
+the runs made one by one, and on the SciPy engine a family of C chunks
+costs at most C + 1 ``maximum_flow`` invocations; the Dinic engine's batch
+runs one flow per new instance. A chunk closes before the run whose
 phase-A instances would take its phase-A edge total past
-``_BATCH_EDGES``. The cap bounds memory: a batch's glued arrays take a
-couple of hundred bytes per edge while they live, and without the cap the
-SciPy benchmark workloads peaked 6-12% higher.
+``_BATCH_EDGES`` (``maxflow``'s cap on the edges of one batch). A batch
+of one chunk's phase B (at most 2m + |R| edges per run) and the next
+chunk's phase A may glue a few times the cap. Only the chunk being
+metered and the next one are held at a time.
 
 Every instance of either phase comes from one sort (``_sliced_instances``):
 the instances of a build are laid end to end, every edge becomes a row of
@@ -52,10 +54,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, _component_labels
-from .maxflow import FlowMeter, known_cut, max_flow, metered_cuts, solve_ahead
-
-# Phase-A edges one chunk of isolating runs may glue into a batch.
-_BATCH_EDGES = 4096
+from .maxflow import _BATCH_EDGES, FlowMeter, known_cut, max_flow, metered_cuts, solve_ahead
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,8 @@ def _chunk_components(graph: WeightedGraph, runs: list[_Run], memo: dict) -> np.
     sides = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
     sides = np.unpackbits(sides, axis=1, bitorder="little").view(bool)
     labels = np.concatenate([run.phase_a_labels for run in runs])
+    for run in runs:
+        run.phase_a_labels = None  # a run waiting to be metered keeps no label rows
     inside = np.take_along_axis(sides, labels, axis=1)
     crossing = np.take(inside, us, axis=1) != np.take(inside, vs, axis=1)
     ks = [len(run.phase_a) for run in runs]
@@ -360,13 +361,38 @@ def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> Iso
     return IsolatingCutResult(run.terminals, entries, list(phase_a), list(phase_b))
 
 
+def _chunks(graph: WeightedGraph, runs: deque) -> Iterator[list[_Run]]:
+    """The runs in chunks of consecutive runs, each run with its phase-A instances.
+
+    A chunk closes before the run whose phase-A instances would take its
+    phase-A edge total past ``_BATCH_EDGES``, so a run over the cap is a
+    chunk of its own.
+    """
+    chunk: list[_Run] = []
+    edges = 0
+    for run in _with_phase_a(graph, runs):
+        run_edges = sum(quotient.m for quotient, _ in run.phase_a)
+        if chunk and edges + run_edges > _BATCH_EDGES:
+            yield chunk
+            chunk, edges = [], 0
+        chunk.append(run)
+        edges += run_edges
+    if chunk:
+        yield chunk
+
+
 def _run_chunk(
-    engine, graph: WeightedGraph, runs: list[_Run], meter: FlowMeter
+    engine, graph: WeightedGraph, runs: list[_Run], following: list[_Run], meter: FlowMeter
 ) -> list[IsolatingCutResult]:
-    """Two batches solved ahead (all phase A, then all phase B), then every run metered in order."""
-    solve_ahead(engine, [(quotient, 0, 1) for run in runs for quotient, _ in run.phase_a], meter)
+    """One batch for the chunk's phase B and the following chunk's phase A, then the chunk metered.
+
+    The chunk's own phase A must be solved already; the runs are metered in
+    order (A1 B1 A2 B2 ...), each call finding its cut in the memo.
+    """
     _build_phase_b(graph, runs, meter.memo)
-    solve_ahead(engine, [(quotient, 0, 1) for run in runs for quotient, _ in run.phase_b], meter)
+    ahead = [quotient for run in runs for quotient, _ in run.phase_b]
+    ahead += [quotient for run in following for quotient, _ in run.phase_a]
+    solve_ahead(engine, [(quotient, 0, 1) for quotient in ahead], meter)
     return [_meter_run(engine, graph, run, meter) for run in runs]
 
 
@@ -383,19 +409,14 @@ def minimum_isolating_cuts_family(
     ``meter.engine_invocations`` differs (on the SciPy engine, it falls).
     """
     # Every set is checked here, before any flow runs.
-    pending = deque(_start_run(graph, terminals) for terminals in terminal_sets)
+    chunks = _chunks(graph, deque(_start_run(graph, terminals) for terminals in terminal_sets))
+    chunk = next(chunks, [])
+    solve_ahead(engine, [(quotient, 0, 1) for run in chunk for quotient, _ in run.phase_a], meter)
     results: list[IsolatingCutResult] = []
-    chunk: list[_Run] = []
-    edges = 0
-    for run in _with_phase_a(graph, pending):
-        run_edges = sum(quotient.m for quotient, _ in run.phase_a)
-        if chunk and edges + run_edges > _BATCH_EDGES:
-            results += _run_chunk(engine, graph, chunk, meter)
-            chunk, edges = [], 0
-        chunk.append(run)
-        edges += run_edges
-    if chunk:
-        results += _run_chunk(engine, graph, chunk, meter)
+    while chunk:
+        following = next(chunks, [])
+        results += _run_chunk(engine, graph, chunk, following, meter)
+        chunk = following
     return results
 
 

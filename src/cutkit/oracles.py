@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal, contract
 from .isolating import IsolatingCutEntry, IsolatingCutResult
-from .maxflow import FlowMeter, max_flow
+from .maxflow import _BATCH_EDGES, FlowMeter, max_flow, solve_ahead
 
 ENUM_LIMIT = 20
 
@@ -158,19 +158,29 @@ def naive_steiner(engine, inst, meter: FlowMeter | None = None) -> Cut:
     """Minimum terminal-separating cut via |T| - 1 full-size flow calls.
 
     Fixes the lowest terminal as the source and runs one max flow to every
-    other terminal, keeping the strictly best cut seen.
+    other terminal, keeping the strictly best cut seen. The flows are
+    independent, so each group of max(1, ``_BATCH_EDGES`` // m) consecutive
+    sinks is solved ahead as one ``solve_ahead`` batch (one engine
+    invocation on SciPy, one per flow on Dinic), and then each of its calls
+    is metered through ``max_flow``.
     """
     if meter is None:
         meter = FlowMeter()
+    graph = inst.graph
     members = inst.terminals.members()
     if len(members) < 2:
         raise InputError("need at least two terminals")
     s = members[0]
+    flows = [(graph, s, t) for t in members[1:]]
+    step = max(1, _BATCH_EDGES // max(graph.m, 1))
     best: Cut | None = None
-    for t in members[1:]:
-        cut = max_flow(engine, inst.graph, s, t, meter)
-        if best is None or cut.weight < best.weight:
-            best = cut
+    for i in range(0, len(flows), step):
+        group = flows[i : i + step]
+        solve_ahead(engine, group, meter)
+        for _, _, t in group:
+            cut = max_flow(engine, graph, s, t, meter)
+            if best is None or cut.weight < best.weight:
+                best = cut
     assert best is not None
     return best
 

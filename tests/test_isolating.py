@@ -21,7 +21,15 @@ from cutkit import (
 
 from cutkit import isolating
 from cutkit.graph import components_after_removal
-from cutkit.maxflow import known_cut, lift_side, metered_cuts, separation_quotient, solve_ahead
+from cutkit.maxflow import (
+    ScipyEngine,
+    _memo_key,
+    known_cut,
+    lift_side,
+    metered_cuts,
+    separation_quotient,
+    solve_ahead,
+)
 
 from helpers import rand_graph, rand_terminals
 
@@ -161,9 +169,9 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
     chunks = []
     run_chunk = isolating._run_chunk
 
-    def recording(engine, graph, runs, meter):
+    def recording(engine, graph, runs, *rest):
         chunks.append([sum(quotient.m for quotient, _ in run.phase_a) for run in runs])
-        return run_chunk(engine, graph, runs, meter)
+        return run_chunk(engine, graph, runs, *rest)
 
     monkeypatch.setattr(isolating, "_run_chunk", recording)
     meter = FlowMeter()
@@ -203,6 +211,58 @@ def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
     chunks, _, _ = _family_against_loop(any_engine, g, [big, small, small, big], monkeypatch)
     assert chunks[0][0] > isolating._BATCH_EDGES
     assert [len(chunk) for chunk in chunks] == [1, 2, 1]
+
+
+def test_family_solves_each_phase_b_with_the_next_chunks_phase_a(scipy_eng, monkeypatch):
+    # The family of test_family_equals_one_run_per_set, which checks it
+    # against the one-run-per-set loop.
+    import scipy.sparse.csgraph as csgraph
+
+    g = rand_graph(40, 7, p=0.5)
+    rng = random.Random(7)
+    sets = [rand_terminals(40, rng.randint(2, 6), seed) for seed in range(24)]
+    sets.insert(9, sets[2])
+    staged, batches, flows = [], [], [0]
+    run_chunk = isolating._run_chunk
+    solve_batch = ScipyEngine.solve_batch
+    maximum_flow = csgraph.maximum_flow
+
+    def recording(engine, graph, runs, following, meter):
+        staged.append((runs, following))
+        return run_chunk(engine, graph, runs, following, meter)
+
+    def keyed(instances):
+        batches.append([_memo_key(*instance) for instance in instances])
+        return solve_batch(instances)
+
+    def counted(*args, **kwargs):
+        flows[0] += 1
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr(isolating, "_run_chunk", recording)
+    monkeypatch.setattr(ScipyEngine, "solve_batch", staticmethod(keyed))
+    monkeypatch.setattr(csgraph, "maximum_flow", counted)
+    meter = FlowMeter()
+    minimum_isolating_cuts_family(scipy_eng, g, sets, meter)
+    chunks = [runs for runs, _ in staged]
+    assert len(chunks) >= 3
+    assert [following for _, following in staged] == chunks[1:] + [[]]
+    # Batch 0 holds chunk 1's phase A, batch c chunk c's phase B and chunk
+    # c + 1's phase A, and the last batch the last chunk's phase B, each
+    # without the trivial instances and those already solved.
+    stages = [[q for run in chunks[0] for q, _ in run.phase_a]]
+    stages += [
+        [q for run in runs for q, _ in run.phase_b] + [q for run in after for q, _ in run.phase_a]
+        for runs, after in zip(chunks, chunks[1:] + [[]])
+    ]
+    solved, want = set(), []
+    for stage in stages:
+        fresh = [_memo_key(q, 0, 1) for q in stage if q.m and q.n > 2]
+        fresh = [key for key in dict.fromkeys(fresh) if key not in solved]
+        solved.update(fresh)
+        want += [fresh] if fresh else []
+    assert batches == want
+    assert flows[0] == meter.engine_invocations == len(chunks) + 1
 
 
 _BUILD_PHASE_A = isolating._build_phase_a

@@ -13,6 +13,7 @@ from cutkit import (
     stoer_wagner,
 )
 from cutkit.generators import cycle_graph, dumbbell_graph
+from cutkit.maxflow import _BATCH_EDGES, max_flow
 
 from helpers import rand_graph, rand_terminals
 
@@ -117,6 +118,33 @@ def test_naive_steiner_meters_and_agrees(any_engine):
         assert cut.verify(g)
         assert cut.side.intersection(t)
         assert cut.side.complement().intersection(t)
+
+
+def test_naive_steiner_batches_its_flows_without_moving_the_calls(any_engine):
+    # 29 sinks in groups of _BATCH_EDGES // m, the last group short; an
+    # edgeless graph runs no flow at all.
+    g = rand_graph(30, 3, p=0.5)
+    step = _BATCH_EDGES // g.m
+    assert 1 < step < 29 and 29 % step
+    for graph in (g, WeightedGraph(5, [])):
+        terminals = graph.full_set
+        meter = FlowMeter()
+        cut = naive_steiner(any_engine, SteinerInstance(graph, terminals), meter)
+        alone, best = FlowMeter(), None
+        for t in terminals.members()[1:]:
+            flow = max_flow(any_engine, graph, 0, t, alone)
+            if best is None or flow.weight < best.weight:
+                best = flow
+        assert cut == best
+        assert (meter.calls, meter.solved, meter.recalled) == (
+            alone.calls, alone.solved, alone.recalled
+        )
+        if not graph.m:
+            assert meter.engine_invocations == 0
+        elif any_engine.name == "dinic":
+            assert meter.engine_invocations == alone.engine_invocations == 29
+        else:
+            assert meter.engine_invocations == -(-29 // step) < alone.engine_invocations
 
 
 def test_naive_steiner_needs_two_terminals(dinic):
