@@ -8,6 +8,8 @@ Weights are nonnegative integers throughout; all comparisons are exact. A graph
 stores its edges only as canonical int64 arrays, a vertex set as a bit mask;
 VertexSet.bools()/from_bools() convert. A partition is one int64 label per
 vertex: components_after_removal() returns one, contract() takes one.
+``canonical_graphs`` is the one sort and merge of edge rows: input graphs,
+contractions and isolating flow instances all take their arrays from it.
 """
 
 import hashlib
@@ -155,18 +157,10 @@ class WeightedGraph:
         if sum(w for u, v, w in triples if u != v) >= MAX_TOTAL_WEIGHT:
             raise InputError("total weight exceeds limit 2^62")
         us, vs, ws = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-        self._canonicalize(n, us, vs, ws)
-
-    @classmethod
-    def _derived(cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> "WeightedGraph":
-        """Graph on the edges of an already checked graph, without input checks.
-
-        Merged parallel edges may pass the 2^40 edge limit; the total weight
-        never passes the parent's.
-        """
-        graph = object.__new__(cls)
-        graph._canonicalize(n, us, vs, ws)
-        return graph
+        keep = (us != vs) & (ws != 0)
+        (graph,) = canonical_graphs(np.array([0, n]), us[keep], vs[keep], ws[keep])
+        self.n, self.edge_arrays, self.total_weight = n, graph.edge_arrays, graph.total_weight
+        self._digest: bytes | None = None
 
     @classmethod
     def _canonical(
@@ -175,7 +169,8 @@ class WeightedGraph:
         """Graph whose int64 arrays are already in ``edge_arrays`` form, kept as given.
 
         Nothing is checked, sorted or copied: the caller guarantees the
-        canonical form and that total_weight is the sum of ws.
+        canonical form and that total_weight is the sum of ws. This is the
+        one unchecked constructor (``canonical_graphs``, ``induced_subgraph``).
         """
         graph = object.__new__(cls)
         graph.n = n
@@ -183,23 +178,6 @@ class WeightedGraph:
         graph.total_weight = total_weight
         graph._digest = None
         return graph
-
-    def _canonicalize(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
-        # Edges sort and merge on one int64 key lo * n + hi, exact as n <= 2^31.
-        keep = (us != vs) & (ws != 0)
-        key = np.minimum(us[keep], vs[keep]) * n + np.maximum(us[keep], vs[keep])
-        order = np.argsort(key, kind="stable")
-        key, ws = key[order], ws[keep][order]
-        if ws.size:
-            first = np.ones(ws.size, dtype=bool)
-            first[1:] = key[1:] != key[:-1]
-            starts = np.flatnonzero(first)
-            key, ws = key[starts], np.add.reduceat(ws, starts)
-        lo, hi = np.divmod(key, n)
-        self.n = n
-        self.edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = (lo, hi, ws)
-        self.total_weight = int(ws.sum())
-        self._digest: bytes | None = None
 
     @property
     def m(self) -> int:
@@ -250,6 +228,53 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def canonical_graphs(
+    base: np.ndarray, near: np.ndarray, far: np.ndarray, ws: np.ndarray
+) -> list[WeightedGraph]:
+    """Graphs laid end to end, each built from its slice of one sort of their edge rows.
+
+    Graph j's vertex i has id base[j] + i, so the int64 array base holds one
+    entry more than there are graphs (one graph of n vertices: [0, n]). Row
+    (near[x], far[x], ws[x]) is an edge of positive weight between two
+    distinct ids of one graph. The rows sort on the int64 key min * total +
+    max, total = base[-1], and equal keys merge by weight summation, so
+    graph j's slice, moved down by base[j], is its ``edge_arrays``. Merged
+    weights may pass the 2^40 edge limit; each graph's total stays below 2^62.
+
+    Keys stay below total^2: for one graph, n <= 2^31 keeps them below
+    2^62. The isolating builds each hold an int64 array of at least
+    total / 2 entries, so a key could pass 2^63 only once it took 12 GB.
+    """
+    total = int(base[-1])
+    key = np.minimum(near, far) * total + np.maximum(near, far)
+    # Rows with equal keys merge, so any sort gives the same arrays. Rows
+    # often come in runs of ascending keys, which a stable sort exploits.
+    order = np.argsort(key, kind="stable")
+    key, ws = key[order], ws[order]
+    if ws.size:
+        first = np.ones(ws.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(first)
+        key, ws = key[starts], np.add.reduceat(ws, starts)
+    bounds = np.searchsorted(key, base * total)
+    lo = key // total
+    hi = key - lo * total
+    at = np.repeat(base[:-1], np.diff(bounds))
+    lo -= at
+    hi -= at
+    # The prefix sums wrap mod 2^64, but every graph's total is below
+    # 2^62, so each difference is exact.
+    prefix = np.zeros(ws.size + 1, dtype=np.uint64)
+    np.cumsum(ws.view(np.uint64), out=prefix[1:])
+    weights = np.diff(prefix[bounds]).tolist()
+    sizes = np.diff(base).tolist()
+    bounds = bounds.tolist()
+    return [
+        WeightedGraph._canonical(size, lo[a:b], hi[a:b], ws[a:b], weight)
+        for size, a, b, weight in zip(sizes, bounds, bounds[1:], weights)
+    ]
 
 
 @dataclass(frozen=True)
@@ -308,7 +333,10 @@ def contract(graph: WeightedGraph, labels: "np.ndarray | list[int]") -> Weighted
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= MAX_VERTICES:
         raise InputError("labels must lie in [0, 2^31)")
     us, vs, ws = graph.edge_arrays
-    return WeightedGraph._derived(int(labels.max(initial=-1)) + 1, labels[us], labels[vs], ws)
+    lu, lv = labels[us], labels[vs]
+    keep = lu != lv
+    n = int(labels.max(initial=-1)) + 1
+    return canonical_graphs(np.array([0, n]), lu[keep], lv[keep], ws[keep])[0]
 
 
 def induced_subgraph(
@@ -326,7 +354,9 @@ def induced_subgraph(
     inside = side.bools()
     index = np.cumsum(inside) - 1
     keep = inside[us] & inside[vs]
-    sub = WeightedGraph._derived(len(side), index[us[keep]], index[vs[keep]], ws[keep])
+    # index rises with the vertex id, so the kept edges are already canonical.
+    ws = ws[keep]
+    sub = WeightedGraph._canonical(len(side), index[us[keep]], index[vs[keep]], ws, int(ws.sum()))
     return sub, np.flatnonzero(inside).tolist()
 
 

@@ -29,18 +29,20 @@ of one chunk's phase B (at most 2m + |R| edges per run) and the next
 chunk's phase A may glue a few times the cap. Only the chunk being
 metered and the next one are held at a time.
 
-Every instance of either phase comes from one sort (``_sliced_instances``):
-the instances of a build are laid end to end, every edge becomes a row of
-each instance it touches, the rows sort and merge once, and each instance
-is a graph whose edge arrays are its slice of the sorted arrays, byte for
-byte what ``separation_quotient`` would build (so digests and memo keys
-match). A cut lifts back through side A, or terminal v, and the ascending
-ids of the instance's other vertices. Since a chunk closes on its runs'
-phase-A edge counts, phase A is built ahead of chunking, a group of
-consecutive runs at a time while their raw rows (bipartitions times m)
-stay within ``_BATCH_EDGES``; phase B is built per chunk. All of a chunk's
-components come from one labelling of the disjoint union of its runs'
-copies of the graph, each copy without its run's phase-A cut edges.
+Every instance of either phase comes from one sort
+(``graph.canonical_graphs``): the instances of a build are laid end to
+end, every edge becomes a row of each instance it touches, the rows sort
+and merge once, and each instance is a graph whose edge arrays are its
+slice of the sorted arrays, byte for byte what ``separation_quotient``
+would build (so digests and memo keys match). A phase-A cut lifts back
+through its instance's row of contraction labels; a phase-B cut through
+terminal v and the ascending ids of the instance's other vertices. Since
+a chunk closes on its runs' phase-A edge counts, phase A is built ahead
+of chunking, a group of consecutive runs at a time while their raw rows
+(bipartitions times m) stay within ``_BATCH_EDGES``; phase B is built per
+chunk. All of a chunk's components come from one labelling of the
+disjoint union of its runs' copies of the graph, each copy without its
+run's phase-A cut edges.
 
 ``minimum_isolating_cuts`` is the family of one set.
 """
@@ -53,7 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .graph import Cut, VertexSet, WeightedGraph, _component_labels
+from .graph import Cut, VertexSet, WeightedGraph, _component_labels, canonical_graphs
 from .maxflow import _BATCH_EDGES, FlowMeter, known_cut, max_flow, metered_cuts, solve_ahead
 
 
@@ -102,7 +104,7 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
     return schedule
 
 
-# A separation instance and the lift of its cuts (``maxflow.lift_side``).
+# A phase-B instance and the lift of its cuts (``maxflow.lift_side``).
 _Instance = tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]
 
 
@@ -112,8 +114,8 @@ class _Run:
 
     terminals: VertexSet
     members: list[int]
-    sources: list[VertexSet]  # side A of each bipartition, in schedule order
-    phase_a: list[_Instance] = field(default_factory=list)
+    bits: int  # ceil(lg|R|), the number of bipartitions (``bipartition_schedule``)
+    phase_a: list[WeightedGraph] = field(default_factory=list)  # in schedule order
     phase_a_labels: np.ndarray | None = None  # row i: bipartition i's contraction labels
     comps: list[VertexSet] = field(default_factory=list)
     phase_b: list[_Instance] = field(default_factory=list)
@@ -122,56 +124,14 @@ class _Run:
 def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
     if terminals.n != graph.n:
         raise InputError("terminal universe does not match graph")
-    schedule = bipartition_schedule(terminals)  # raises on fewer than two terminals
-    return _Run(terminals, terminals.members(), [side_a for side_a, _ in schedule])
-
-
-def _sliced_instances(
-    base: np.ndarray, near: np.ndarray, far: np.ndarray, ws: np.ndarray
-) -> list[WeightedGraph]:
-    """Instances laid end to end, each built from its slice of one sort of their rows.
-
-    Instance j's vertex i has id base[j] + i, so base holds one entry more
-    than there are instances. Row (near[x], far[x], ws[x]) is an edge
-    between two distinct ids of one instance. The rows sort by key and equal
-    keys merge, so instance j's slice of the sorted arrays, moved down by
-    base[j], is exactly the ``edge_arrays`` that ``contract`` builds.
-    """
-    # Keys stay below total^2. Each caller holds an int64 array of at least
-    # total / 2 entries, so a key could pass 2^63 only once that array alone
-    # took 12 GB.
-    total = int(base[-1])
-    key = np.minimum(near, far) * total + np.maximum(near, far)
-    # Rows with equal keys merge, so any sort gives the same arrays. The
-    # rows come in runs of ascending keys, which a stable sort exploits.
-    order = np.argsort(key, kind="stable")
-    key, ws = key[order], ws[order]
-    if ws.size:
-        first = np.ones(ws.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        key, ws = key[starts], np.add.reduceat(ws, starts)
-    bounds = np.searchsorted(key, base * total)
-    lo = key // total
-    hi = key - lo * total
-    at = np.repeat(base[:-1], np.diff(bounds))
-    lo -= at
-    hi -= at
-    # The prefix sums wrap mod 2^64, but every instance's total is below
-    # 2^62, so each difference is exact.
-    prefix = np.zeros(ws.size + 1, dtype=np.uint64)
-    np.cumsum(ws.view(np.uint64), out=prefix[1:])
-    weights = np.diff(prefix[bounds]).tolist()
-    sizes = np.diff(base).tolist()
-    bounds = bounds.tolist()
-    return [
-        WeightedGraph._canonical(size, lo[a:b], hi[a:b], ws[a:b], weight)
-        for size, a, b, weight in zip(sizes, bounds, bounds[1:], weights)
-    ]
+    members = terminals.members()
+    if len(members) < 2:
+        raise InputError("need at least two terminals")
+    return _Run(terminals, members, (len(members) - 1).bit_length())
 
 
 def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
-    """Every phase-A instance of a group of runs, from one sort (``_sliced_instances``).
+    """Every phase-A instance of a group of runs, from one sort (``canonical_graphs``).
 
     Instance j is bipartition bit[j] of run of[j]. Row j of labels numbers
     its vertices as ``separation_quotient`` does: side A is 0, side B 1, and
@@ -183,7 +143,7 @@ def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
     n = graph.n
     us, vs, ws = graph.edge_arrays
     counts = [len(run.members) for run in runs]
-    ks = [len(run.sources) for run in runs]
+    ks = [run.bits for run in runs]
     owner = np.repeat(np.arange(len(runs)), counts)
     members = np.fromiter(chain.from_iterable(run.members for run in runs), np.int64, owner.size)
     rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -193,7 +153,8 @@ def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
     code = np.cumsum(rest, axis=1) + 1
     code[owner, members] = ~rank
     of = np.repeat(np.arange(len(runs)), ks)
-    bit = np.arange(of.size) - np.repeat(np.cumsum(ks) - ks, ks)
+    firsts = np.cumsum(ks) - ks
+    bit = np.arange(of.size) - np.repeat(firsts, ks)
     labels = code[of]
     labels = np.where(labels >= 0, labels, ~labels >> bit[:, None] & 1)
     # Each instance has n - |R| + 2 <= n vertices, so total <= labels.size.
@@ -203,13 +164,10 @@ def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
     iu, iv = np.take(ids, us, axis=1), np.take(ids, vs, axis=1)
     keep = iu != iv
     ws = np.broadcast_to(ws, keep.shape)[keep]
-    quotients = iter(_sliced_instances(base, iu[keep], iv[keep], ws))
-    start = 0
-    for run, rest_ids in zip(runs, map(np.flatnonzero, rest)):
-        k = len(run.sources)
-        run.phase_a_labels = labels[start : start + k]
-        run.phase_a = [(q, (a, rest_ids)) for a, q in zip(run.sources, islice(quotients, k))]
-        start += k
+    quotients = canonical_graphs(base, iu[keep], iv[keep], ws)
+    for run, first in zip(runs, firsts.tolist()):
+        run.phase_a_labels = labels[first : first + run.bits]
+        run.phase_a = quotients[first : first + run.bits]
 
 
 def _with_phase_a(graph: WeightedGraph, runs: deque) -> Iterator[_Run]:
@@ -221,9 +179,9 @@ def _with_phase_a(graph: WeightedGraph, runs: deque) -> Iterator[_Run]:
     """
     while runs:
         group = [runs.popleft()]
-        rows = len(group[0].sources) * graph.m
-        while runs and rows + len(runs[0].sources) * graph.m <= _BATCH_EDGES:
-            rows += len(runs[0].sources) * graph.m
+        rows = group[0].bits * graph.m
+        while runs and rows + runs[0].bits * graph.m <= _BATCH_EDGES:
+            rows += runs[0].bits * graph.m
             group.append(runs.popleft())
         _build_phase_a(graph, group)
         yield from group
@@ -243,7 +201,7 @@ def _chunk_components(graph: WeightedGraph, runs: list[_Run], memo: dict) -> np.
     packed = b"".join(
         known_cut(quotient, 0, 1, memo).side.mask.to_bytes(width, "little")
         for run in runs
-        for quotient, _ in run.phase_a
+        for quotient in run.phase_a
     )
     sides = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
     sides = np.unpackbits(sides, axis=1, bitorder="little").view(bool)
@@ -277,7 +235,7 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     the component from 2 up in ascending id. The chunk lays the instances
     end to end, so instance j's vertex i has chunk id base[j] + i. Every
     edge becomes a row of the instance of each end whose component it
-    touches, keyed by its two chunk ids (``_sliced_instances``).
+    touches, keyed by its two chunk ids (``canonical_graphs``).
     """
     n = graph.n
     us, vs, ws = graph.edge_arrays
@@ -317,7 +275,7 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     far = np.concatenate([np.where(iv == iu, cv, base[iu] + 1)[at_u], base[iv[at_v]] + 1])
     ew = np.tile(ws, len(runs))
     ew = np.concatenate([ew[at_u], ew[at_v]])
-    instances = _sliced_instances(base, near, far, ew)
+    instances = canonical_graphs(base, near, far, ew)
 
     rest %= n
     ends = [0] + ends.tolist()
@@ -331,7 +289,7 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
 def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> IsolatingCutResult:
     """Meter the run's calls, phase A then phase B, and check its cuts."""
     mark_a = meter.call_count
-    for quotient, _ in run.phase_a:
+    for quotient in run.phase_a:
         max_flow(engine, quotient, 0, 1, meter)
     phase_a = meter.delta(mark_a)
     if len(phase_a) != len(run.phase_a):
@@ -371,7 +329,7 @@ def _chunks(graph: WeightedGraph, runs: deque) -> Iterator[list[_Run]]:
     chunk: list[_Run] = []
     edges = 0
     for run in _with_phase_a(graph, runs):
-        run_edges = sum(quotient.m for quotient, _ in run.phase_a)
+        run_edges = sum(quotient.m for quotient in run.phase_a)
         if chunk and edges + run_edges > _BATCH_EDGES:
             yield chunk
             chunk, edges = [], 0
@@ -391,7 +349,7 @@ def _run_chunk(
     """
     _build_phase_b(graph, runs, meter.memo)
     ahead = [quotient for run in runs for quotient, _ in run.phase_b]
-    ahead += [quotient for run in following for quotient, _ in run.phase_a]
+    ahead += [quotient for run in following for quotient in run.phase_a]
     solve_ahead(engine, [(quotient, 0, 1) for quotient in ahead], meter)
     return [_meter_run(engine, graph, run, meter) for run in runs]
 
@@ -411,7 +369,7 @@ def minimum_isolating_cuts_family(
     # Every set is checked here, before any flow runs.
     chunks = _chunks(graph, deque(_start_run(graph, terminals) for terminals in terminal_sets))
     chunk = next(chunks, [])
-    solve_ahead(engine, [(quotient, 0, 1) for run in chunk for quotient, _ in run.phase_a], meter)
+    solve_ahead(engine, [(quotient, 0, 1) for run in chunk for quotient in run.phase_a], meter)
     results: list[IsolatingCutResult] = []
     while chunk:
         following = next(chunks, [])

@@ -52,10 +52,11 @@ whose glued phase-A instances stay within the cap: one batch for the
 first chunk's phase A, then one per chunk for its phase B together with
 the next chunk's phase A. It builds the instances of both phases without
 ``separation_quotient``: the phase-A instances of a group of runs, and the
-phase-B instances of a chunk, each come from one sort of their edges, each
-instance a slice of the sorted arrays with the digest the contraction
-would give. ``oracles.naive_steiner`` solves its |T| - 1 flows on one
-graph in batches of ``_BATCH_EDGES // m`` sinks.
+phase-B instances of a chunk, each come from one ``graph.canonical_graphs``
+sort of their edges (the sort ``contract`` uses too), each instance a
+slice of the sorted arrays with the digest the contraction would give.
+``oracles.naive_steiner`` and ``oracles.naive_isolating`` solve their
+flows on one graph in batches of max(1, ``_BATCH_EDGES // m``) flows.
 """
 
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ from .graph import Cut, VertexSet, WeightedGraph, contract
 INT32_LIMIT = 1 << 31
 
 # Edges that one batch of independent flows may glue together (``isolating``
-# and ``oracles.naive_steiner``). The cap bounds memory: a batch's glued
+# and the naive baselines of ``oracles``). The cap bounds memory: a batch's glued
 # arrays take a couple of hundred bytes per edge while they live, and
 # without the cap the SciPy benchmark workloads peaked 6-12% higher.
 _BATCH_EDGES = 4096

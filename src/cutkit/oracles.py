@@ -195,7 +195,9 @@ def naive_isolating(
 
     For each v, contracts R minus v to a single sink and takes the minimal
     min cut side. Used as the correctness oracle for the two-phase routine;
-    each entry's component is recorded as the side itself.
+    each entry's component is recorded as the side itself. Each group of
+    max(1, ``_BATCH_EDGES`` // m) consecutive terminals' flows is solved as
+    one ``solve_ahead`` batch, then each call is metered through ``max_flow``.
     """
     if meter is None:
         meter = FlowMeter()
@@ -206,17 +208,23 @@ def naive_isolating(
         raise InputError("need at least two terminals")
     mark = meter.call_count
     entries: dict[int, IsolatingCutEntry] = {}
-    for v in members:
-        rest = terminals.difference(VertexSet(graph.n, 1 << v))
-        keep = graph.full_set.difference(rest).members()
-        labels = [len(keep)] * graph.n
-        for i, x in enumerate(keep):
-            labels[x] = i
-        cut = max_flow(engine, contract(graph, labels), labels[v], len(keep), meter)
-        side = VertexSet.from_bools(cut.side.bools()[labels])
-        if side.intersection(terminals).mask != 1 << v:
-            raise ContractViolation(f"isolating side must meet R in exactly {v}")
-        entries[v] = IsolatingCutEntry(v, Cut(side, cut.weight), side)
+    sink = graph.n - len(members) + 1  # the kept vertices take ids 0 .. sink - 1
+    step = max(1, _BATCH_EDGES // max(graph.m, 1))
+    for i in range(0, len(members), step):
+        group = []
+        for v in members[i : i + step]:
+            rest = terminals.bools()
+            rest[v] = False
+            labels = np.cumsum(~rest) - 1
+            labels[rest] = sink
+            group.append((v, labels, (contract(graph, labels), int(labels[v]), sink)))
+        solve_ahead(engine, [flow for _, _, flow in group], meter)
+        for v, labels, flow in group:
+            cut = max_flow(engine, *flow, meter)
+            side = VertexSet.from_bools(cut.side.bools()[labels])
+            if side.intersection(terminals).mask != 1 << v:
+                raise ContractViolation(f"isolating side must meet R in exactly {v}")
+            entries[v] = IsolatingCutEntry(v, Cut(side, cut.weight), side)
     calls = meter.delta(mark)
     if len(calls) != len(members):
         raise ContractViolation("naive isolating must meter exactly |R| calls")

@@ -83,23 +83,45 @@ def test_vertex_count_limit():
         contract(WeightedGraph(2, [(0, 1, 1)]), [0, 1 << 31])
 
 
+def _assert_canonical(graph, us, vs, ws):
+    """graph's arrays are those a (lo, hi) lexsort and merge of the rows give, byte for byte."""
+    keep = (us != vs) & (ws != 0)
+    lo, hi = np.minimum(us, vs)[keep], np.maximum(us, vs)[keep]
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], ws[keep][order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(first)
+    expected = (lo[starts], hi[starts], np.add.reduceat(w, starts) if w.size else w)
+    for got, want in zip(graph.edge_arrays, expected):
+        assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+    assert graph.total_weight == int(w.sum())
+
+
 def test_canonical_edges_match_two_key_sort():
-    """The one-key sort gives the arrays a (lo, hi) lexsort would, byte for byte."""
+    """The one-key sort gives the arrays a (lo, hi) lexsort would, byte for byte.
+
+    An input graph and a contraction with random labels go through the sort;
+    an induced subgraph on a random side keeps its parent's order unsorted.
+    """
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 300):
         us, vs = rng.integers(0, n, size=(2, 4 * n))
         ws = rng.integers(0, 1 << 40, size=4 * n)
         g = WeightedGraph(n, list(zip(us.tolist(), vs.tolist(), ws.tolist())))
-        keep = (us != vs) & (ws != 0)
-        lo, hi = np.minimum(us, vs)[keep], np.maximum(us, vs)[keep]
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], ws[keep][order]
-        first = np.ones(lo.size, dtype=bool)
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        starts = np.flatnonzero(first)
-        expected = (lo[starts], hi[starts], np.add.reduceat(w, starts) if w.size else w)
-        for got, want in zip(g.edge_arrays, expected):
-            assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+        _assert_canonical(g, us, vs, ws)
+        gu, gv, gw = g.edge_arrays
+        labels = rng.integers(0, n // 3 + 2, size=n)
+        quotient = contract(g, labels)
+        assert quotient.n == int(labels.max()) + 1
+        _assert_canonical(quotient, labels[gu], labels[gv], gw)
+        inside = rng.random(n) < 0.5
+        inside[rng.integers(n)] = True
+        sub, ids = induced_subgraph(g, VertexSet.from_bools(inside))
+        index = np.cumsum(inside) - 1
+        kept = inside[gu] & inside[gv]
+        assert (sub.n, ids) == (int(inside.sum()), np.flatnonzero(inside).tolist())
+        _assert_canonical(sub, index[gu[kept]], index[gv[kept]], gw[kept])
 
 
 def test_bool_edge_entries_rejected():

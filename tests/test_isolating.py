@@ -170,7 +170,7 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
     run_chunk = isolating._run_chunk
 
     def recording(engine, graph, runs, *rest):
-        chunks.append([sum(quotient.m for quotient, _ in run.phase_a) for run in runs])
+        chunks.append([sum(quotient.m for quotient in run.phase_a) for run in runs])
         return run_chunk(engine, graph, runs, *rest)
 
     monkeypatch.setattr(isolating, "_run_chunk", recording)
@@ -250,9 +250,9 @@ def test_family_solves_each_phase_b_with_the_next_chunks_phase_a(scipy_eng, monk
     # Batch 0 holds chunk 1's phase A, batch c chunk c's phase B and chunk
     # c + 1's phase A, and the last batch the last chunk's phase B, each
     # without the trivial instances and those already solved.
-    stages = [[q for run in chunks[0] for q, _ in run.phase_a]]
+    stages = [[q for run in chunks[0] for q in run.phase_a]]
     stages += [
-        [q for run in runs for q, _ in run.phase_b] + [q for run in after for q, _ in run.phase_a]
+        [q for run in runs for q, _ in run.phase_b] + [q for run in after for q in run.phase_a]
         for runs, after in zip(chunks, chunks[1:] + [[]])
     ]
     solved, want = set(), []
@@ -268,15 +268,14 @@ def test_family_solves_each_phase_b_with_the_next_chunks_phase_a(scipy_eng, monk
 _BUILD_PHASE_A = isolating._build_phase_a
 
 
-def _same_instance(memo, got, got_lift, want, want_lift) -> None:
-    """got equals want byte for byte, and a solved side lifts the same through either lift."""
+def _same_instance(memo, got, want) -> VertexSet:
+    """got equals want byte for byte; returns got's solved side."""
     assert (got.n, got.total_weight) == (want.n, want.total_weight)
     assert got.digest == want.digest
     for a, b in zip(got.edge_arrays, want.edge_arrays):
         assert a.dtype == b.dtype == np.int64
         assert a.tobytes() == b.tobytes()
-    side = known_cut(got, 0, 1, memo).side
-    assert lift_side(side, got_lift) == lift_side(side, want_lift)
+    return known_cut(got, 0, 1, memo).side
 
 
 def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tuple[list, list]:
@@ -288,8 +287,9 @@ def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tupl
     bipartition and each phase-B instance ``separation_quotient(graph, {v},
     outside)``, byte for byte; each component must be v's component once
     phase A's cut edges are deleted; and a solved cut must lift to the same
-    side through either lift. Returns the phase-B instances and the run
-    count of each phase-A group.
+    side through the run's lift (a phase-A label row, or a phase-B lift) as
+    through ``separation_quotient``'s. Returns the phase-B instances and the
+    run count of each phase-A group.
     """
     groups = []
 
@@ -301,27 +301,30 @@ def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tupl
     meter = FlowMeter()
     pending = deque(isolating._start_run(graph, terminals) for terminals in sets)
     runs = list(isolating._with_phase_a(graph, pending))
-    solve_ahead(engine, [(q, 0, 1) for run in runs for q, _ in run.phase_a], meter)
+    solve_ahead(engine, [(q, 0, 1) for run in runs for q in run.phase_a], meter)
+    label_rows = [run.phase_a_labels for run in runs]  # _build_phase_b clears them
     isolating._build_phase_b(graph, runs, meter.memo)
     solve_ahead(engine, [(q, 0, 1) for run in runs for q, _ in run.phase_b], meter)
     us, vs, _ = graph.edge_arrays
     built = []
-    for run, terminals in zip(runs, sets):
+    for run, rows, terminals in zip(runs, label_rows, sets):
         schedule = bipartition_schedule(terminals)
-        assert len(run.phase_a) == len(schedule)
+        assert len(run.phase_a) == len(rows) == len(schedule)
         removed = np.zeros(graph.m, dtype=bool)
-        for (quotient, lift), (side_a, side_b) in zip(run.phase_a, schedule):
-            _same_instance(meter.memo, quotient, lift, *separation_quotient(graph, side_a, side_b))
-            inside = lift_side(known_cut(quotient, 0, 1, meter.memo).side, lift).bools()
+        for quotient, row, (side_a, side_b) in zip(run.phase_a, rows, schedule):
+            want, want_lift = separation_quotient(graph, side_a, side_b)
+            side = _same_instance(meter.memo, quotient, want)
+            inside = side.bools()[row]
+            assert VertexSet.from_bools(inside) == lift_side(side, want_lift)
             removed |= inside[us] != inside[vs]
         labels = components_after_removal(graph, removed)
         assert len(run.phase_b) == len(run.comps) == len(run.members)
         for v, comp, (quotient, lift) in zip(run.members, run.comps, run.phase_b):
             assert comp == VertexSet.from_bools(labels == labels[v])
             source = VertexSet(graph.n, 1 << v)
-            _same_instance(
-                meter.memo, quotient, lift, *separation_quotient(graph, source, comp.complement())
-            )
+            want, want_lift = separation_quotient(graph, source, comp.complement())
+            side = _same_instance(meter.memo, quotient, want)
+            assert lift_side(side, lift) == lift_side(side, want_lift)
             built.append(quotient)
     assert sum(groups) == len(sets)
     return built, groups

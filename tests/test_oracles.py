@@ -8,6 +8,7 @@ from cutkit import (
     WeightedGraph,
     enumerate_cuts,
     enumerate_min_cut_sides,
+    minimum_isolating_cuts,
     naive_isolating,
     naive_steiner,
     stoer_wagner,
@@ -164,3 +165,21 @@ def test_naive_isolating_meters_and_matches(any_engine):
         assert res.entries[v].cut.weight == best.weight
         assert res.entries[v].cut.side == best.side
         assert res.entries[v].component == res.entries[v].cut.side
+    # |R| flows in groups of _BATCH_EDGES // m terminals: one engine
+    # invocation per group on SciPy, one per flow on Dinic. On the second
+    # graph there are three groups, the last one short.
+    big = rand_graph(40, 3, p=0.6)
+    big_t = VertexSet.from_ids(40, range(0, 40, 2))
+    assert 1 < _BATCH_EDGES // big.m < 20 and 20 % (_BATCH_EDGES // big.m)
+    for g, t in ((g, t), (big, big_t)):
+        meter = FlowMeter()
+        res = naive_isolating(any_engine, g, t, meter)
+        assert meter.call_count == meter.solved == len(t)
+        fast = minimum_isolating_cuts(any_engine, g, t, FlowMeter())
+        assert {v: e.cut for v, e in res.entries.items()} == {
+            v: e.cut for v, e in fast.entries.items()
+        }
+        if any_engine.name == "dinic":
+            assert meter.engine_invocations == len(t)
+        else:
+            assert meter.engine_invocations == -(-len(t) // (_BATCH_EDGES // g.m))
