@@ -127,12 +127,13 @@ class WeightedGraph:
     The one stored form of the edges is ``edge_arrays``, a canonical
     (us, vs, ws) triple of int64 arrays: us < vs, sorted ascending by
     (u, v), parallel edges merged by weight summation, self loops and zero
-    weights dropped. ``edges`` and ``degrees`` are computed from it
-    on every access, so read each once per function; ``digest`` is computed
-    on first access and kept, since the arrays never change.
+    weights dropped. ``m`` is its length, set with it. ``edges`` and
+    ``degrees`` are computed from it on every access, so read each once per
+    function; ``digest`` is computed on first access and kept, since the
+    arrays never change.
     """
 
-    __slots__ = ("n", "edge_arrays", "total_weight", "_digest")
+    __slots__ = ("n", "m", "edge_arrays", "total_weight", "_digest")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         n = as_int("vertex count", n)
@@ -159,7 +160,8 @@ class WeightedGraph:
         us, vs, ws = np.array(triples, dtype=np.int64).reshape(-1, 3).T
         keep = (us != vs) & (ws != 0)
         (graph,) = canonical_graphs(np.array([0, n]), us[keep], vs[keep], ws[keep])
-        self.n, self.edge_arrays, self.total_weight = n, graph.edge_arrays, graph.total_weight
+        self.n, self.m, self.edge_arrays = n, graph.m, graph.edge_arrays
+        self.total_weight = graph.total_weight
         self._digest: bytes | None = None
 
     @classmethod
@@ -174,14 +176,11 @@ class WeightedGraph:
         """
         graph = object.__new__(cls)
         graph.n = n
+        graph.m = len(ws)
         graph.edge_arrays = (us, vs, ws)
         graph.total_weight = total_weight
         graph._digest = None
         return graph
-
-    @property
-    def m(self) -> int:
-        return len(self.edge_arrays[2])
 
     @property
     def digest(self) -> bytes:

@@ -42,7 +42,9 @@ of chunking, a group of consecutive runs at a time while their raw rows
 (bipartitions times m) stay within ``_BATCH_EDGES``; phase B is built per
 chunk. All of a chunk's components come from one labelling of the
 disjoint union of its runs' copies of the graph, each copy without its
-run's phase-A cut edges.
+run's phase-A cut edges. Label rows and copies cover only the vertices
+that some edge touches (and the terminals), so the arrays of a group or
+chunk grow with runs times min(n, 2m), not with runs times n.
 
 ``minimum_isolating_cuts`` is the family of one set.
 """
@@ -105,7 +107,7 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
 
 
 # A phase-B instance and the lift of its cuts (``maxflow.lift_side``).
-_Instance = tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]
+_Instance = tuple[WeightedGraph, tuple[VertexSet, list[int]]]
 
 
 @dataclass
@@ -116,7 +118,8 @@ class _Run:
     members: list[int]
     bits: int  # ceil(lg|R|), the number of bipartitions (``bipartition_schedule``)
     phase_a: list[WeightedGraph] = field(default_factory=list)  # in schedule order
-    phase_a_labels: np.ndarray | None = None  # row i: bipartition i's contraction labels
+    # Row i: bipartition i's contraction labels of the touched vertices.
+    phase_a_labels: np.ndarray | None = None
     comps: list[VertexSet] = field(default_factory=list)
     phase_b: list[_Instance] = field(default_factory=list)
 
@@ -130,41 +133,59 @@ def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
     return _Run(terminals, members, (len(members) - 1).bit_length())
 
 
+def _touched(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which vertices some edge touches: a flag per vertex, the touched ids, and an index.
+
+    A vertex's index is the number of touched vertices up to it, less one:
+    a touched vertex's position among them, and for any vertex one less
+    than the position of the first touched vertex above it.
+    """
+    us, vs, _ = graph.edge_arrays
+    touched = np.zeros(graph.n, dtype=bool)
+    touched[us] = touched[vs] = True
+    return touched, np.flatnonzero(touched), np.cumsum(touched) - 1
+
+
 def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
     """Every phase-A instance of a group of runs, from one sort (``canonical_graphs``).
 
-    Instance j is bipartition bit[j] of run of[j]. Row j of labels numbers
-    its vertices as ``separation_quotient`` does: side A is 0, side B 1, and
-    each non-terminal 2 plus its rank among the non-terminals, so a side of
-    instance j lifts to the graph as ``side.bools()[labels[j]]``. Every edge
-    becomes a row of every instance, dropped where both its ends get one
-    label.
+    Instance j is bipartition bit[j] of run of[j]. It numbers its vertices
+    as ``separation_quotient`` does: side A is 0, side B 1, and each
+    non-terminal 2 plus its rank among the non-terminals, so it has
+    n - |R| + 2 vertices. Only the touched vertices (``_touched``) are
+    labelled, so the arrays grow with instances times min(n, 2m): row i of
+    a run's ``phase_a_labels`` holds bipartition i's labels of the touched
+    vertices, and a side of that instance lifts to them as
+    ``side.bools()[row]``. Every edge becomes a row of every instance,
+    dropped where both its ends get one label.
     """
     n = graph.n
     us, vs, ws = graph.edge_arrays
-    counts = [len(run.members) for run in runs]
+    touched, ends, index = _touched(graph)
+    counts = np.array([len(run.members) for run in runs])
     ks = [run.bits for run in runs]
+    members = np.fromiter(chain.from_iterable(run.members for run in runs), np.int64, counts.sum())
     owner = np.repeat(np.arange(len(runs)), counts)
-    members = np.fromiter(chain.from_iterable(run.members for run in runs), np.int64, owner.size)
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    rest = np.ones((len(runs), n), dtype=bool)
-    rest[owner, members] = False
+    rank = np.arange(members.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # below[r, i]: how many of run r's terminals lie below ends[i].
+    below = np.zeros((len(runs), ends.size + 1), dtype=np.int64)
+    np.add.at(below, (owner, index[members] + 1), 1)
+    below = np.cumsum(below[:, :-1], axis=1)
     # Per run, each non-terminal's label, and ~rank < 0 for each terminal.
-    code = np.cumsum(rest, axis=1) + 1
-    code[owner, members] = ~rank
+    code = ends + 2 - below
+    hit = touched[members]
+    code[owner[hit], index[members[hit]]] = ~rank[hit]
     of = np.repeat(np.arange(len(runs)), ks)
     firsts = np.cumsum(ks) - ks
     bit = np.arange(of.size) - np.repeat(firsts, ks)
     labels = code[of]
     labels = np.where(labels >= 0, labels, ~labels >> bit[:, None] & 1)
-    # Each instance has n - |R| + 2 <= n vertices, so total <= labels.size.
     base = np.zeros(of.size + 1, dtype=np.int64)
-    base[1:] = np.cumsum(labels.max(axis=1) + 1)
+    base[1:] = np.cumsum(n - counts[of] + 2)
     ids = labels + base[:-1, None]
-    iu, iv = np.take(ids, us, axis=1), np.take(ids, vs, axis=1)
+    iu, iv = np.take(ids, index[us], axis=1), np.take(ids, index[vs], axis=1)
     keep = iu != iv
-    ws = np.broadcast_to(ws, keep.shape)[keep]
-    quotients = canonical_graphs(base, iu[keep], iv[keep], ws)
+    quotients = canonical_graphs(base, iu[keep], iv[keep], np.broadcast_to(ws, keep.shape)[keep])
     for run, first in zip(runs, firsts.tolist()):
         run.phase_a_labels = labels[first : first + run.bits]
         run.phase_a = quotients[first : first + run.bits]
@@ -187,88 +208,99 @@ def _with_phase_a(graph: WeightedGraph, runs: deque) -> Iterator[_Run]:
         yield from group
 
 
-def _chunk_components(graph: WeightedGraph, runs: list[_Run], memo: dict) -> np.ndarray:
-    """Component labels of every run of a chunk, from one labelling.
+def _cut_edges(graph: WeightedGraph, runs: list[_Run], memo: dict, index: np.ndarray) -> np.ndarray:
+    """Row r flags the edges that some phase-A cut of run r (read from memo) crosses.
 
-    Run r's copy of vertex u is u + r * n. Each copy keeps the edges that
-    none of its run's phase-A cuts (read from memo) cross, and one
-    ``_component_labels`` call labels the disjoint union of the copies.
+    index is ``_touched``'s, whose vertices the runs' label rows cover.
+    Each phase-A side is read bit by bit from its packed mask, only at
+    those vertices.
     """
-    n = graph.n
     us, vs, _ = graph.edge_arrays
-    # Row j flags the cut side of phase-A instance j, lifted to the graph.
-    width = (n + 7) // 8  # an instance has at most n vertices
+    width = (graph.n + 7) // 8  # an instance has at most n vertices
     packed = b"".join(
         known_cut(quotient, 0, 1, memo).side.mask.to_bytes(width, "little")
         for run in runs
         for quotient in run.phase_a
     )
     sides = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
-    sides = np.unpackbits(sides, axis=1, bitorder="little").view(bool)
     labels = np.concatenate([run.phase_a_labels for run in runs])
     for run in runs:
         run.phase_a_labels = None  # a run waiting to be metered keeps no label rows
-    inside = np.take_along_axis(sides, labels, axis=1)
-    crossing = np.take(inside, us, axis=1) != np.take(inside, vs, axis=1)
+    row = np.arange(len(sides))[:, None]
+    inside = sides[row, labels >> 3] >> (labels & 7) & 1
+    crossing = np.take(inside, index[us], axis=1) != np.take(inside, index[vs], axis=1)
     ks = [len(run.phase_a) for run in runs]
-    removed = np.logical_or.reduceat(crossing, np.cumsum(ks) - ks, axis=0)
-    copies, edges = np.nonzero(~removed)
-    labels = _component_labels(len(runs) * n, us[edges] + copies * n, vs[edges] + copies * n)
-    for r, run in enumerate(runs):
-        held = labels[r * n : (r + 1) * n][run.members].tolist()
-        if len(set(held)) < len(held):
-            first = min(label for label in held if held.count(label) > 1)
-            shared = [v for v, label in zip(run.members, held) if label == first]
-            raise ContractViolation(
-                f"component holds terminals {shared}; phase A cuts must separate R"
-            )
-    return labels
+    return np.logical_or.reduceat(crossing, np.cumsum(ks) - ks, axis=0)
 
 
 def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     """Every run's components and phase-B instances, from one sort of the chunk's edges.
 
-    Run r's copy of vertex u is u + r * n, so the runs' components
-    (``_chunk_components``) are disjoint and the whole chunk is numbered at
-    once. Instance j (terminal v's) is numbered as ``separation_quotient``
+    Each run gets a copy of the touched vertices (``_touched``): run r's
+    copy of ends[i] is r * len(ends) + i, and a terminal that no edge
+    touches gets an id of its own after all the copies. So the arrays grow
+    with runs times min(n, 2m) and with terminals, not with runs times n.
+    Each copy keeps the edges that none of its run's phase-A cuts cross
+    (``_cut_edges``), and one ``_component_labels`` call labels the
+    disjoint union of the copies.
+
+    Instance j (terminal v's) is numbered as ``separation_quotient``
     numbers it: v is 0, the merged outside of its component 1, the rest of
     the component from 2 up in ascending id. The chunk lays the instances
     end to end, so instance j's vertex i has chunk id base[j] + i. Every
-    edge becomes a row of the instance of each end whose component it
-    touches, keyed by its two chunk ids (``canonical_graphs``).
+    copy of an edge becomes a row of the instance of each end whose
+    component it touches, keyed by its two chunk ids (``canonical_graphs``).
     """
     n = graph.n
     us, vs, ws = graph.edge_arrays
-    shift = np.arange(len(runs), dtype=np.int64) * n
-    labels = _chunk_components(graph, runs, memo)
-    terminals = np.concatenate(
-        [np.array(run.members, dtype=np.int64) + s for run, s in zip(runs, shift)]
-    )
+    touched, ends, index = _touched(graph)
+    removed = _cut_edges(graph, runs, memo, index)
+    e = ends.size
+    shift = np.arange(len(runs))[:, None] * e
+    eu, ev = (shift + index[us]).ravel(), (shift + index[vs]).ravel()
+    members = np.fromiter(chain.from_iterable(run.members for run in runs), np.int64)
+    run_of = np.repeat(np.arange(len(runs)), [len(run.members) for run in runs])
+    hit = touched[members]
+    terminals = np.empty(members.size, dtype=np.int64)
+    terminals[hit] = run_of[hit] * e + index[members[hit]]
+    lone = np.flatnonzero(~hit)
+    terminals[lone] = len(runs) * e + np.arange(lone.size)
+    kept = ~removed.ravel()
+    labels = _component_labels(len(runs) * e + lone.size, eu[kept], ev[kept])
+
+    held = labels[terminals]
     owner = np.full(labels.size, -1, dtype=np.int64)
-    owner[labels[terminals]] = np.arange(terminals.size)
+    owner[held] = np.arange(terminals.size)
+    shared = np.flatnonzero(owner[held] != np.arange(terminals.size))
+    if shared.size:
+        shared = members[held == held[shared[0]]].tolist()
+        raise ContractViolation(f"component holds terminals {shared}; phase A cuts must separate R")
     inst = owner[labels]  # -1 off every terminal's component
     is_rest = inst >= 0
     is_rest[terminals] = False
+    # Within a copy, ids ascend with graph ids, and only terminals lie past
+    # the copies, so each instance's rest comes in ascending id.
     rest = np.flatnonzero(is_rest)
     rest = rest[np.argsort(inst[rest], kind="stable")]
-    ends = np.cumsum(np.bincount(inst[rest], minlength=terminals.size))
+    sizes = np.cumsum(np.bincount(inst[rest], minlength=terminals.size))
     # Instance j takes chunk ids base[j] .. base[j+1] - 1: its rest's
     # positions in rest, moved up past two ids per instance up to j.
     base = np.zeros(terminals.size + 1, dtype=np.int64)
-    base[1:] = ends + 2 * np.arange(1, terminals.size + 1)
+    base[1:] = sizes + 2 * np.arange(1, terminals.size + 1)
     chunk_id = np.empty(labels.size, dtype=np.int64)
     chunk_id[terminals] = base[:-1]
     chunk_id[rest] = np.arange(rest.size) + 2 * inst[rest] + 2
-    # Row j flags instance j's component, packed as VertexSet masks are.
-    covered = np.flatnonzero(inst >= 0)
-    flags = np.zeros((terminals.size, n), dtype=bool)
-    flags[inst[covered], covered % n] = True
-    comps = np.packbits(flags, axis=1, bitorder="little")
+    rest_ids = ends[rest % max(e, 1)]  # with no edges there is no rest
+    # Row j holds instance j's component, packed as VertexSet masks are.
+    width = (n + 7) // 8
+    comps = np.zeros(terminals.size * width, dtype=np.uint8)
+    for j, x in ((inst[rest], rest_ids), (np.arange(terminals.size), members)):
+        np.bitwise_or.at(comps, j * width + (x >> 3), (1 << (x & 7)).astype(np.uint8))
+    comps = comps.tobytes()
 
     # Every copy of an edge is a row of u's instance, and of v's when that
     # differs; an end outside the row's component is its merged outside,
     # vertex 1. Where iu is -1 the row is dropped, so base[-1] is never kept.
-    eu, ev = (shift[:, None] + us).ravel(), (shift[:, None] + vs).ravel()
     iu, iv, cu, cv = inst[eu], inst[ev], chunk_id[eu], chunk_id[ev]
     at_u, at_v = iu >= 0, (iv >= 0) & (iv != iu)
     near = np.concatenate([cu[at_u], cv[at_v]])
@@ -277,17 +309,18 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     ew = np.concatenate([ew[at_u], ew[at_v]])
     instances = canonical_graphs(base, near, far, ew)
 
-    rest %= n
-    ends = [0] + ends.tolist()
-    pieces = zip(ends, ends[1:], comps, instances)
+    rest_ids = rest_ids.tolist()
+    sizes = [0] + sizes.tolist()
+    pieces = enumerate(zip(sizes, sizes[1:], instances))
     for run in runs:
-        for v, (a, b, comp, quotient) in zip(run.members, islice(pieces, len(run.members))):
-            run.phase_b.append((quotient, (VertexSet(n, 1 << v), rest[a:b])))
-            run.comps.append(VertexSet(n, int.from_bytes(comp.tobytes(), "little")))
+        for v, (j, (a, b, quotient)) in zip(run.members, islice(pieces, len(run.members))):
+            run.phase_b.append((quotient, (VertexSet(n, 1 << v), rest_ids[a:b])))
+            comp = int.from_bytes(comps[j * width : (j + 1) * width], "little")
+            run.comps.append(VertexSet(n, comp))
 
 
 def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> IsolatingCutResult:
-    """Meter the run's calls, phase A then phase B, and check its cuts."""
+    """Meter the run's calls, phase A then phase B, and check its cuts on their masks."""
     mark_a = meter.call_count
     for quotient in run.phase_a:
         max_flow(engine, quotient, 0, 1, meter)
@@ -297,11 +330,13 @@ def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> Iso
 
     mark_b = meter.call_count
     cuts = metered_cuts(engine, run.phase_b, meter)
+    terminals = run.terminals.mask
     entries: dict[int, IsolatingCutEntry] = {}
     for v, comp, cut in zip(run.members, run.comps, cuts):
-        if not cut.side.issubset(comp):
+        side = cut.side.mask
+        if side & ~comp.mask:
             raise ContractViolation("isolating side escaped its component")
-        if cut.side.intersection(run.terminals).mask != 1 << v:
+        if side & terminals != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")
         entries[v] = IsolatingCutEntry(v, cut, comp)
     phase_b = meter.delta(mark_b)

@@ -12,15 +12,17 @@ batch is one flow (SciPy) or one flow per instance (Dinic).
 trivial instance, else memo's entry (``known_cut``), and raises
 ContractViolation for a nontrivial instance not yet solved.
 
-Flows run in one place, ``solve_ahead``: it sends every new
-nontrivial instance it is given to ``solve_batch`` once and stores the cuts
-in ``FlowMeter.memo``, under the key (n, m, s, t, the graph's ``digest``:
-16 bytes of BLAKE2b over its ``edge_arrays``). A digest keeps each entry
-small where the arrays themselves would cost 24 bytes per edge. The memo
-lives as long as the meter: one driver run, which empties it before
-returning its report. ``max_flow`` solves its one instance ahead, then
-meters the call and reads the answer through ``engine.solve``, so the
-meter counts logical calls: a call answered from the memo still counts.
+Flows run in one place, ``_solve_fresh``: it sends a batch of new
+nontrivial instances to ``solve_batch`` and stores the cuts in
+``FlowMeter.memo``, under the key (n, m, s, t, the graph's ``digest``:
+16 bytes of BLAKE2b over its ``edge_arrays``). ``solve_ahead`` gives it
+every new nontrivial instance of a list, each once. A digest keeps each
+entry small where the arrays themselves would cost 24 bytes per edge. The
+memo lives as long as the meter: one driver run, which empties it before
+returning its report. ``max_flow`` builds its instance's key once, solves
+the instance as a batch of one if the memo lacks it, then meters the call
+and reads the answer through ``engine.solve``, so the meter counts logical
+calls: a call answered from the memo still counts.
 
 - Shared base case: both answer an edgeless or two-vertex instance in
   closed form (``_closed_form``); its only minimal side is {s}, of value
@@ -38,12 +40,17 @@ meter counts logical calls: a call answered from the memo still counts.
   one call: it glues every source into vertex 0 and every sink into vertex
   1, gives each instance's other vertices ids of their own, leaves direct
   s-t edges out and adds their weight back. One csgraph BFS over the arcs
-  with positive residual capacity then gives every instance its side.
+  with positive residual capacity then gives every instance its side. The
+  glue is one vectorized pass over the batch's concatenated edge arrays,
+  with no NumPy call per instance, and SciPy's COO to CSR conversion sorts
+  the arcs; one gather of the BFS reach gives every side, and one prefix
+  sum every cut weight.
 
 A caller that knows several independent flows ahead builds each
 instance, solves the new ones in one ``solve_ahead`` batch, and then meters
 every call in order (``max_flow``, or ``metered_cuts``, which lifts each
-cut back to the graph through ``lift_side``). Callers size their batches
+cut back to the graph through ``lift_side``, from the bits of the
+instance's side). Callers size their batches
 by ``_BATCH_EDGES`` glued edges, which bounds the transient arrays of one
 SciPy batch to within a small factor. ``separation_quotient`` builds one
 instance by contraction.
@@ -60,6 +67,7 @@ flows on one graph in batches of max(1, ``_BATCH_EDGES // m``) flows.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -73,6 +81,9 @@ INT32_LIMIT = 1 << 31
 # arrays take a couple of hundred bytes per edge while they live, and
 # without the cap the SciPy benchmark workloads peaked 6-12% higher.
 _BATCH_EDGES = 4096
+
+# Maps the digits of ``bin`` to the bytes 0 and 1 (``lift_side``).
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass
@@ -303,52 +314,69 @@ class ScipyEngine:
         After a maximum flow no residual path reaches vertex 1, so the BFS
         from vertex 0 passes between instances only through 0 and reaches,
         in each, the side a flow on that instance alone would give.
+
+        Every step is one pass over the whole batch. The instances' vertices
+        are laid end to end, each instance from a byte boundary, so vertex x
+        of instance i sits at first[i] + x. One cumulative sum numbers the
+        glued vertices and one gather glues every edge; SciPy's COO to CSR
+        conversion sorts the arcs. One gather of the BFS reach gives every
+        side, packed into bytes a side at a time, and one prefix sum over the
+        crossing edges every cut weight.
         """
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
         if not instances:
             return []
         for graph, _, _ in instances:
             _check_int32(graph)
-        ids, glued, size = [], [], 2
-        for graph, s, t in instances:
-            # s -> 0, t -> 1, every other vertex its own id from size upward.
-            rest = np.ones(graph.n, dtype=bool)
-            rest[s] = rest[t] = False
-            local = np.cumsum(rest) + (size - 1)
-            local[s], local[t] = 0, 1
-            size += graph.n - 2
-            us, vs, ws = graph.edge_arrays
-            gu, gv = local[us], local[vs]
-            keep = gu + gv != 1  # only the pair {0, 1} sums to 1
-            ids.append(local)
-            glued.append((gu[keep], gv[keep], ws[keep]))
-        us, vs, ws = (np.concatenate(part) for part in zip(*glued))
-        # Rows ascending and, within a row, heads ascending and distinct. The
-        # arcs come nearly in key order, so a stable (run-merging) sort is cheap.
-        rows, heads = np.concatenate([us, vs]), np.concatenate([vs, us])
-        order = np.argsort(rows * size + heads, kind="stable")
-        indices = heads[order].astype(np.int32)
-        cap = np.concatenate([ws, ws])[order].astype(np.int32)
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        flow = maximum_flow(csr_matrix((cap, indices, indptr), shape=(size, size)), 0, 1).flow
-        if not (np.array_equal(flow.indptr, indptr) and np.array_equal(flow.indices, indices)):
+        graphs = [graph for graph, _, _ in instances]
+        ns, ms, ss, ts = np.array([(g.n, g.m, s, t) for g, s, t in instances]).T
+        width = (ns + 7) // 8
+        first = 8 * (np.cumsum(width) - width)
+        # Instance i takes n slots from first[i], then pads to a byte boundary.
+        spans = np.stack([ns, 8 * width - ns], axis=1).ravel()
+        real = np.repeat(np.tile([True, False], len(instances)), spans)
+        rest = real.copy()
+        rest[first + ss] = rest[first + ts] = False
+        # s -> 0, t -> 1, every other vertex its own id from 2 upward, as
+        # csgraph's int32 indices.
+        local = np.cumsum(rest, dtype=np.int32) + 1
+        local[first + ss], local[first + ts] = 0, 1
+        size = int(ns.sum()) - 2 * len(instances) + 2
+        at = np.repeat(first, ms)
+        us = np.concatenate([g.edge_arrays[0] for g in graphs]) + at
+        vs = np.concatenate([g.edge_arrays[1] for g in graphs]) + at
+        ws = np.concatenate([g.edge_arrays[2] for g in graphs])
+        gu, gv = local[us], local[vs]
+        keep = gu + gv != 1  # only the pair {0, 1} sums to 1
+        gu, gv, wk = gu[keep], gv[keep], ws[keep].astype(np.int32)
+        arcs = (np.concatenate([wk, wk]), (np.concatenate([gu, gv]), np.concatenate([gv, gu])))
+        # Rows ascending and, within a row, heads ascending and distinct.
+        glued = coo_matrix(arcs, shape=(size, size)).tocsr()
+        flow = maximum_flow(glued, 0, 1).flow
+        layout = (flow.indptr, flow.indices), (glued.indptr, glued.indices)
+        if not all(map(np.array_equal, *layout)):
             raise ContractViolation("maximum_flow returned a different CSR layout")
         # The flow matrix becomes the residual one in place. float64 is
         # csgraph's own dtype, so the BFS works on it without a copy.
         residual = flow
-        residual.data = np.subtract(cap, flow.data, dtype=np.float64)
+        residual.data = np.subtract(glued.data, flow.data, dtype=np.float64)
         residual.eliminate_zeros()
         reached = np.zeros(size, dtype=bool)
         reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
-        cuts = []
-        for (graph, _, _), local in zip(instances, ids):
-            inside = reached[local]
-            us, vs, ws = graph.edge_arrays
-            cuts.append(Cut(VertexSet.from_bools(inside), int(ws[inside[us] != inside[vs]].sum())))
-        return cuts
+        inside = reached[local] & real
+        # Each graph's total is below 2^62, so its difference of the prefix
+        # sums, which wrap mod 2^64, is exact.
+        prefix = np.zeros(ws.size + 1, dtype=np.uint64)
+        np.cumsum((ws * (inside[us] != inside[vs])).view(np.uint64), out=prefix[1:])
+        weights = np.diff(prefix[np.concatenate([[0], np.cumsum(ms)])]).tolist()
+        sides = np.packbits(inside, bitorder="little").tobytes()
+        byte_ends = np.cumsum(width).tolist()
+        return [
+            Cut(VertexSet(n, int.from_bytes(sides[b - w : b], "little")), weight)
+            for n, w, b, weight in zip(ns.tolist(), width.tolist(), byte_ends, weights)
+        ]
 
 
 _ENGINES = {"dinic": DinicEngine, "scipy": ScipyEngine}
@@ -380,16 +408,21 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
             if key not in memo:
                 fresh.setdefault(key, (graph, s, t))
     if fresh:
-        memo.update(zip(fresh, engine.solve_batch(list(fresh.values()))))
-        meter.solved += len(fresh)
-        meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
+        _solve_fresh(engine, fresh, meter)
+
+
+def _solve_fresh(engine, fresh: dict, meter: FlowMeter) -> None:
+    """Solve the instances of fresh, keyed and new to the memo, as one batch; store their cuts."""
+    meter.memo.update(zip(fresh, engine.solve_batch(list(fresh.values()))))
+    meter.solved += len(fresh)
+    meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
 
 
 def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> Cut:
     """Solve one s-t max flow, recording exactly one meter entry (n, m).
 
-    A nontrivial instance missing from the memo is solved first
-    (``solve_ahead``), and then the call always reaches
+    A nontrivial instance missing from the memo is solved first, as a
+    batch of one, and then the call always reaches
     ``engine.solve(graph, s, t, meter.memo)`` and is always metered, so the
     meter counts logical calls.
     """
@@ -397,8 +430,10 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
         raise InputError("source or sink id outside graph")
     if s == t:
         raise InputError("source equals sink")
-    if not _trivial(graph.n, graph.m) and _memo_key(graph, s, t) not in meter.memo:
-        solve_ahead(engine, [(graph, s, t)], meter)
+    if not _trivial(graph.n, graph.m):
+        key = _memo_key(graph, s, t)
+        if key not in meter.memo:
+            _solve_fresh(engine, {key: (graph, s, t)}, meter)
     cut = engine.solve(graph, s, t, meter.memo)
     meter.record(graph.n, graph.m)
     if t in cut.side:
@@ -408,7 +443,7 @@ def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> 
 
 def separation_quotient(
     graph: WeightedGraph, side_a: VertexSet, side_b: VertexSet
-) -> tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]:
+) -> tuple[WeightedGraph, tuple[VertexSet, list[int]]]:
     """The flow instance separating A from B, and the lift of its cuts.
 
     A and B are contracted to vertices 0 and 1 and every other vertex gets
@@ -425,26 +460,32 @@ def separation_quotient(
     labels = np.cumsum(rest) + 1
     labels[in_a] = 0
     labels[in_b] = 1
-    return contract(graph, labels), (side_a, np.flatnonzero(rest))
+    return contract(graph, labels), (side_a, np.flatnonzero(rest).tolist())
 
 
-def lift_side(side: VertexSet, lift: tuple[VertexSet, np.ndarray]) -> VertexSet:
+def lift_side(side: VertexSet, lift: tuple[VertexSet, list[int]]) -> VertexSet:
     """A side of a separation instance, holding vertex 0, as a side of the graph.
 
     lift is (A, rest) as ``separation_quotient`` gives it: vertex 0 lifts to
     A and each vertex i >= 2 of the side to rest[i - 2]. Vertex 1, the
     merged B, lifts to nothing; no cut side holds it, and the whole
-    instance lifts to the complement of B.
+    instance lifts to the complement of B. The side's bits from vertex 2 up
+    select from rest in C (``itertools.compress``), so Python steps once per
+    member.
     """
     source, rest = lift
     mask = source.mask
-    for v in rest[side.bools()[2:]].tolist():
-        mask |= 1 << v
+    bits = side.mask >> 2
+    if bits:
+        # One byte per bit, lowest first: 1 for a member, 0 otherwise.
+        flags = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
+        for v in compress(rest, flags):
+            mask |= 1 << v
     return VertexSet(source.n, mask)
 
 
 def metered_cuts(
-    engine, quotients: list[tuple[WeightedGraph, tuple[VertexSet, np.ndarray]]], meter: FlowMeter
+    engine, quotients: list[tuple[WeightedGraph, tuple[VertexSet, list[int]]]], meter: FlowMeter
 ) -> list[Cut]:
     """One metered 0-1 call per (quotient, lift), in order, each cut lifted to the graph."""
     lifted = []

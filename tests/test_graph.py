@@ -15,7 +15,7 @@ from cutkit import (
     parse_edgelist,
     write_edgelist,
 )
-from cutkit.graph import _component_labels
+from cutkit.graph import _component_labels, canonical_graphs
 
 # 2^13 edges of the 2^40 limit plus one of weight 1: odd, and above 2^53.
 ODD_BEYOND_FLOAT = (1 << 53) + 1
@@ -122,6 +122,22 @@ def test_canonical_edges_match_two_key_sort():
         kept = inside[gu] & inside[gv]
         assert (sub.n, ids) == (int(inside.sum()), np.flatnonzero(inside).tolist())
         _assert_canonical(sub, index[gu[kept]], index[gv[kept]], gw[kept])
+
+
+def test_m_is_the_edge_count_of_every_constructor():
+    rng = np.random.default_rng(9)
+    n = 40
+    us, vs = rng.integers(0, n, size=(2, 3 * n))
+    ws = rng.integers(0, 9, size=3 * n)  # zero weights and self loops are dropped
+    g = WeightedGraph(n, list(zip(us.tolist(), vs.tolist(), ws.tolist())))
+    gu, gv, gw = g.edge_arrays
+    base = np.array([0, n, 2 * n])
+    pair = canonical_graphs(base, np.r_[gu, gu + n], np.r_[gv, gv + n], np.r_[gw, gw])
+    graphs = [g, *pair, contract(g, rng.integers(0, 9, size=n))]
+    graphs.append(induced_subgraph(g, VertexSet.from_bools(rng.random(n) < 0.5))[0])
+    for h in graphs:
+        assert h.m == len(h.edge_arrays[2])
+    assert g.m > 0 and pair[0] == pair[1] == g
 
 
 def test_bool_edge_entries_rejected():

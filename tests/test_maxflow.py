@@ -22,6 +22,7 @@ from cutkit import (
     max_flow,
     maxflow,
     min_cut_separating,
+    minimum_isolating_cuts,
     parse_dimacs,
     steiner_mincut_det,
     steiner_mincut_rand,
@@ -259,7 +260,7 @@ def _batch_case(rng: random.Random) -> tuple:
     return WeightedGraph(n, triples), s, t
 
 
-def test_scipy_batches_equal_single_solves(scipy_eng):
+def test_scipy_batches_equal_single_solves(scipy_eng, monkeypatch):
     rng = random.Random(16)
     direct = trivial = 0
     for _ in range(300):
@@ -274,6 +275,27 @@ def test_scipy_batches_equal_single_solves(scipy_eng):
             direct += any({u, v} == {s, t} for u, v, _ in g.edges)
             trivial += g.m == 0 or g.n == 2
     assert min(direct, trivial) > 100
+
+    # One real isolating chunk in steiner-subset's shape, both phases as one
+    # batch: 20 of 320 sparse-gnp vertices as terminals.
+    solve_batch, batches = ScipyEngine.solve_batch, []
+
+    def recording(instances):
+        batches.append(instances)
+        return solve_batch(instances)
+
+    g = generate(GeneratorSpec("gnp", 320, seed=1, p=6 / 320))
+    terminals = VertexSet.from_ids(320, random.Random(1).sample(range(320), 20))
+    monkeypatch.setattr(ScipyEngine, "solve_batch", staticmethod(recording))
+    minimum_isolating_cuts(scipy_eng, g, terminals, FlowMeter())
+    monkeypatch.undo()
+    phase_a, phase_b = batches
+    chunk = phase_a + phase_b
+    keys = {maxflow._memo_key(*instance) for instance in chunk}
+    assert (len(phase_a), len(chunk)) == (5, len(keys))
+    got = ScipyEngine.solve_batch(chunk)
+    assert got == [max_flow(scipy_eng, g, s, t, FlowMeter()) for g, s, t in chunk]
+    assert got == DinicEngine.solve_batch(chunk)
 
 
 def test_scipy_batch_sums_flows_past_int32(dinic):
