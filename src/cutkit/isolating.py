@@ -11,23 +11,24 @@ most n+|R| vertices and 2m+|R| edges, which is what makes the whole thing
 cheap.
 
 ``minimum_isolating_cuts_family`` runs many terminal sets on one graph,
-such as a round's isolator family. It checks every set before any flow
-runs. The runs are independent, so it solves them phase by phase in a
-pipeline over chunks of consecutive runs. It solves the first chunk's new
-phase-A instances in one ``solve_ahead`` batch. Then, for each chunk, it
-reads the phase-A cuts from the memo to label every run's components and
-build its phase-B instances, solves those in one batch with the next
-chunk's new phase-A instances, and only then meters the chunk's calls in
-run order (A1 B1 A2 B2 ...), where each call finds its cut in the memo.
-So the calls, fingerprints and bundled and recalled counts are those of
-the runs made one by one, and on the SciPy engine a family of C chunks
-costs at most C + 1 ``maximum_flow`` invocations; the Dinic engine's batch
-runs one flow per new instance. A chunk closes before the run whose
-phase-A instances would take its phase-A edge total past
-``_BATCH_EDGES`` (``maxflow``'s cap on the edges of one batch). A batch
-of one chunk's phase B (at most 2m + |R| edges per run) and the next
-chunk's phase A may glue a few times the cap. Only the chunk being
-metered and the next one are held at a time.
+such as a round's isolator family, in one loop. It checks every set before
+any flow runs. The runs are independent, so it takes them in order in
+groups and chunks of consecutive runs, by ``maxflow.batches``'s cap on the
+edges of one batch: a group's phase-A instances are built together, sized
+by its runs' raw rows (bipartitions times m), and a chunk takes built runs
+by their phase-A edges. It solves the first chunk's new phase-A
+instances in one ``solve_ahead`` batch. Then, for each chunk, it reads the
+phase-A cuts from the memo to label every run's components and build its
+phase-B instances, solves those in one batch with the next chunk's new
+phase-A instances, and only then meters the chunk's calls in run order
+(A1 B1 A2 B2 ...), where each call finds its cut in the memo. So the calls,
+fingerprints and bundled and recalled counts are those of the runs made
+one by one, and on the SciPy engine a family of C chunks costs at most
+C + 1 ``maximum_flow`` invocations; the Dinic engine's batch runs one flow
+per new instance. A batch of one chunk's phase B (at most 2m + |R| edges
+per run) and the next chunk's phase A may glue a few times the cap. Runs
+leave the queue as they are drawn, so only the chunk being metered and the
+next one are held at a time.
 
 Every instance of either phase comes from one sort
 (``graph.canonical_graphs``): the instances of a build are laid end to
@@ -36,15 +37,12 @@ and merge once, and each instance is a graph whose edge arrays are its
 slice of the sorted arrays, byte for byte what ``separation_quotient``
 would build (so digests and memo keys match). A phase-A cut lifts back
 through its instance's row of contraction labels; a phase-B cut through
-terminal v and the ascending ids of the instance's other vertices. Since
-a chunk closes on its runs' phase-A edge counts, phase A is built ahead
-of chunking, a group of consecutive runs at a time while their raw rows
-(bipartitions times m) stay within ``_BATCH_EDGES``; phase B is built per
-chunk. All of a chunk's components come from one labelling of the
-disjoint union of its runs' copies of the graph, each copy without its
-run's phase-A cut edges. Label rows and copies cover only the vertices
-that some edge touches (and the terminals), so the arrays of a group or
-chunk grow with runs times min(n, 2m), not with runs times n.
+terminal v and the ascending ids of the instance's other vertices. All of
+a chunk's components come from one labelling of the disjoint union of its
+runs' copies of the graph, each copy without its run's phase-A cut edges.
+Label rows and copies cover only the vertices that some edge touches (and
+the terminals), so the arrays of a group or chunk grow with runs times
+min(n, 2m), not with runs times n.
 
 ``minimum_isolating_cuts`` is the family of one set.
 """
@@ -52,13 +50,12 @@ chunk grow with runs times min(n, 2m), not with runs times n.
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, _component_labels, canonical_graphs
-from .maxflow import _BATCH_EDGES, FlowMeter, known_cut, max_flow, metered_cuts, solve_ahead
+from .maxflow import FlowMeter, batches, known_cut, max_flow, metered_cuts, solve_ahead
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,7 @@ def _touched(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return touched, np.flatnonzero(touched), np.cumsum(touched) - 1
 
 
-def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
+def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> list[_Run]:
     """Every phase-A instance of a group of runs, from one sort (``canonical_graphs``).
 
     Instance j is bipartition bit[j] of run of[j]. It numbers its vertices
@@ -189,23 +186,7 @@ def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> None:
     for run, first in zip(runs, firsts.tolist()):
         run.phase_a_labels = labels[first : first + run.bits]
         run.phase_a = quotients[first : first + run.bits]
-
-
-def _with_phase_a(graph: WeightedGraph, runs: deque) -> Iterator[_Run]:
-    """Take the runs off the deque in order, each with its phase-A instances.
-
-    They are built a group at a time: a group takes consecutive runs while
-    their raw rows (bipartitions times m) stay within ``_BATCH_EDGES``, and
-    at least one run.
-    """
-    while runs:
-        group = [runs.popleft()]
-        rows = group[0].bits * graph.m
-        while runs and rows + runs[0].bits * graph.m <= _BATCH_EDGES:
-            rows += runs[0].bits * graph.m
-            group.append(runs.popleft())
-        _build_phase_a(graph, group)
-        yield from group
+    return runs
 
 
 def _cut_edges(graph: WeightedGraph, runs: list[_Run], memo: dict, index: np.ndarray) -> np.ndarray:
@@ -354,41 +335,6 @@ def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> Iso
     return IsolatingCutResult(run.terminals, entries, list(phase_a), list(phase_b))
 
 
-def _chunks(graph: WeightedGraph, runs: deque) -> Iterator[list[_Run]]:
-    """The runs in chunks of consecutive runs, each run with its phase-A instances.
-
-    A chunk closes before the run whose phase-A instances would take its
-    phase-A edge total past ``_BATCH_EDGES``, so a run over the cap is a
-    chunk of its own.
-    """
-    chunk: list[_Run] = []
-    edges = 0
-    for run in _with_phase_a(graph, runs):
-        run_edges = sum(quotient.m for quotient in run.phase_a)
-        if chunk and edges + run_edges > _BATCH_EDGES:
-            yield chunk
-            chunk, edges = [], 0
-        chunk.append(run)
-        edges += run_edges
-    if chunk:
-        yield chunk
-
-
-def _run_chunk(
-    engine, graph: WeightedGraph, runs: list[_Run], following: list[_Run], meter: FlowMeter
-) -> list[IsolatingCutResult]:
-    """One batch for the chunk's phase B and the following chunk's phase A, then the chunk metered.
-
-    The chunk's own phase A must be solved already; the runs are metered in
-    order (A1 B1 A2 B2 ...), each call finding its cut in the memo.
-    """
-    _build_phase_b(graph, runs, meter.memo)
-    ahead = [quotient for run in runs for quotient, _ in run.phase_b]
-    ahead += [quotient for run in following for quotient in run.phase_a]
-    solve_ahead(engine, [(quotient, 0, 1) for quotient in ahead], meter)
-    return [_meter_run(engine, graph, run, meter) for run in runs]
-
-
 def minimum_isolating_cuts_family(
     engine,
     graph: WeightedGraph,
@@ -402,13 +348,22 @@ def minimum_isolating_cuts_family(
     ``meter.engine_invocations`` differs (on the SciPy engine, it falls).
     """
     # Every set is checked here, before any flow runs.
-    chunks = _chunks(graph, deque(_start_run(graph, terminals) for terminals in terminal_sets))
+    pending = deque(_start_run(graph, terminals) for terminals in terminal_sets)
+    # A run leaves the queue as it is drawn, so once metered it is freed.
+    drawn = (pending.popleft() for _ in range(len(pending)))
+    groups = batches(drawn, lambda run: run.bits * graph.m)
+    built = chain.from_iterable(_build_phase_a(graph, group) for group in groups)
+    chunks = batches(built, lambda run: sum(quotient.m for quotient in run.phase_a))
     chunk = next(chunks, [])
     solve_ahead(engine, [(quotient, 0, 1) for run in chunk for quotient in run.phase_a], meter)
     results: list[IsolatingCutResult] = []
     while chunk:
         following = next(chunks, [])
-        results += _run_chunk(engine, graph, chunk, following, meter)
+        _build_phase_b(graph, chunk, meter.memo)
+        ahead = [quotient for run in chunk for quotient, _ in run.phase_b]
+        ahead += [quotient for run in following for quotient in run.phase_a]
+        solve_ahead(engine, [(quotient, 0, 1) for quotient in ahead], meter)
+        results += [_meter_run(engine, graph, run, meter) for run in chunk]
         chunk = following
     return results
 

@@ -38,36 +38,26 @@ calls: a call answered from the memo still counts.
   SciPy overhead per batch (one ``maximum_flow`` call) plus the same
   algorithm compiled, so ``solve_batch`` solves independent instances in
   one call: it glues every source into vertex 0 and every sink into vertex
-  1, gives each instance's other vertices ids of their own, leaves direct
-  s-t edges out and adds their weight back. One csgraph BFS over the arcs
-  with positive residual capacity then gives every instance its side. The
-  glue is one vectorized pass over the batch's concatenated edge arrays,
-  with no NumPy call per instance, and SciPy's COO to CSR conversion sorts
-  the arcs; one gather of the BFS reach gives every side, and one prefix
-  sum every cut weight.
+  1, gives each instance's other vertices that some edge touches ids of
+  their own, leaves direct s-t edges out and adds their weight back. One
+  csgraph BFS over the arcs with positive residual capacity then gives
+  every instance its side. The glue is one vectorized pass over the
+  batch's concatenated edge arrays, with no NumPy call per instance, and
+  SciPy's COO to CSR conversion sorts the arcs; one gather of the BFS
+  reach gives every side, and one prefix sum every cut weight.
 
 A caller that knows several independent flows ahead builds each
 instance, solves the new ones in one ``solve_ahead`` batch, and then meters
 every call in order (``max_flow``, or ``metered_cuts``, which lifts each
 cut back to the graph through ``lift_side``, from the bits of the
-instance's side). Callers size their batches
-by ``_BATCH_EDGES`` glued edges, which bounds the transient arrays of one
-SciPy batch to within a small factor. ``separation_quotient`` builds one
-instance by contraction.
-``isolating`` solves a whole round of isolating runs this way, in chunks
-whose glued phase-A instances stay within the cap: one batch for the
-first chunk's phase A, then one per chunk for its phase B together with
-the next chunk's phase A. It builds the instances of both phases without
-``separation_quotient``: the phase-A instances of a group of runs, and the
-phase-B instances of a chunk, each come from one ``graph.canonical_graphs``
-sort of their edges (the sort ``contract`` uses too), each instance a
-slice of the sorted arrays with the digest the contraction would give.
-``oracles.naive_steiner`` and ``oracles.naive_isolating`` solve their
-flows on one graph in batches of max(1, ``_BATCH_EDGES // m``) flows.
+instance's side). Callers group their flows with ``batches``, the one rule
+that sizes a batch. ``separation_quotient`` builds one instance by
+contraction.
 """
 
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -76,10 +66,10 @@ from .graph import Cut, VertexSet, WeightedGraph, contract
 
 INT32_LIMIT = 1 << 31
 
-# Edges that one batch of independent flows may glue together (``isolating``
-# and the naive baselines of ``oracles``). The cap bounds memory: a batch's glued
-# arrays take a couple of hundred bytes per edge while they live, and
-# without the cap the SciPy benchmark workloads peaked 6-12% higher.
+# Edges that one batch of independent flows may glue together (``batches``).
+# The cap bounds memory: a batch's glued arrays take a couple of hundred
+# bytes per edge while they live, and without the cap the SciPy benchmark
+# workloads peaked 6-12% higher.
 _BATCH_EDGES = 4096
 
 # Maps the digits of ``bin`` to the bytes 0 and 1 (``lift_side``).
@@ -144,6 +134,28 @@ class FlowMeter:
 
     def delta(self, mark: int) -> list[tuple[int, int]]:
         return self.calls[mark:]
+
+
+def batches(items: Iterable, size_of: Callable[..., int]) -> Iterator[list]:
+    """The items in groups of consecutive items, for one flow batch each.
+
+    A group takes items while their sizes (edges) sum to at most
+    ``_BATCH_EDGES``, and at least one, so an item over the cap is a group
+    of its own. Each item's size is read once, when the item is drawn, and
+    a group is yielded once the item after it is drawn, so the items may be
+    built as they are drawn.
+    """
+    group: list = []
+    total = 0
+    for item in items:
+        size = size_of(item)
+        if group and total + size > _BATCH_EDGES:
+            yield group
+            group, total = [], 0
+        group.append(item)
+        total += size
+    if group:
+        yield group
 
 
 def _trivial(n: int, m: int) -> bool:
@@ -306,11 +318,13 @@ class ScipyEngine:
         """The Cut of every (graph, s, t) instance, from one maximum_flow call.
 
         The instances are glued into one graph: every s becomes vertex 0,
-        every t vertex 1, and each instance's other vertices get ids of
-        their own in ascending order, so two instances share only 0 and 1
-        and no glued edge is parallel to another. A direct s-t edge is left
-        out of the flow; it crosses every s-t cut, so the cut weight (the
-        weight of the instance's edges that leave its side) counts it back.
+        every t vertex 1, and each instance's other vertices that some edge
+        touches get ids of their own in ascending order, so two instances
+        share only 0 and 1 and no glued edge is parallel to another. No
+        residual path reaches a vertex without edges, so it is never on a
+        side and needs no id. A direct s-t edge is left out of the flow; it
+        crosses every s-t cut, so the cut weight (the weight of the
+        instance's edges that leave its side) counts it back.
         After a maximum flow no residual path reaches vertex 1, so the BFS
         from vertex 0 passes between instances only through 0 and reaches,
         in each, the side a flow on that instance alone would give.
@@ -333,21 +347,21 @@ class ScipyEngine:
         graphs = [graph for graph, _, _ in instances]
         ns, ms, ss, ts = np.array([(g.n, g.m, s, t) for g, s, t in instances]).T
         width = (ns + 7) // 8
-        first = 8 * (np.cumsum(width) - width)
         # Instance i takes n slots from first[i], then pads to a byte boundary.
-        spans = np.stack([ns, 8 * width - ns], axis=1).ravel()
-        real = np.repeat(np.tile([True, False], len(instances)), spans)
-        rest = real.copy()
-        rest[first + ss] = rest[first + ts] = False
-        # s -> 0, t -> 1, every other vertex its own id from 2 upward, as
-        # csgraph's int32 indices.
-        local = np.cumsum(rest, dtype=np.int32) + 1
-        local[first + ss], local[first + ts] = 0, 1
-        size = int(ns.sum()) - 2 * len(instances) + 2
+        first = 8 * (np.cumsum(width) - width)
         at = np.repeat(first, ms)
         us = np.concatenate([g.edge_arrays[0] for g in graphs]) + at
         vs = np.concatenate([g.edge_arrays[1] for g in graphs]) + at
         ws = np.concatenate([g.edge_arrays[2] for g in graphs])
+        kept = np.zeros(8 * int(width.sum()), dtype=bool)
+        kept[us] = kept[vs] = kept[first + ss] = kept[first + ts] = True
+        rest = kept.copy()
+        rest[first + ss] = rest[first + ts] = False
+        # s -> 0, t -> 1, every other kept vertex its own id from 2 upward,
+        # as csgraph's int32 indices.
+        local = np.cumsum(rest, dtype=np.int32) + 1
+        local[first + ss], local[first + ts] = 0, 1
+        size = np.count_nonzero(rest) + 2
         gu, gv = local[us], local[vs]
         keep = gu + gv != 1  # only the pair {0, 1} sums to 1
         gu, gv, wk = gu[keep], gv[keep], ws[keep].astype(np.int32)
@@ -365,7 +379,7 @@ class ScipyEngine:
         residual.eliminate_zeros()
         reached = np.zeros(size, dtype=bool)
         reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
-        inside = reached[local] & real
+        inside = reached[local] & kept
         # Each graph's total is below 2^62, so its difference of the prefix
         # sums, which wrap mod 2^64, is exact.
         prefix = np.zeros(ws.size + 1, dtype=np.uint64)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, components_after_removal, contract
 from .isolating import IsolatingCutEntry, IsolatingCutResult
-from .maxflow import _BATCH_EDGES, FlowMeter, max_flow, solve_ahead
+from .maxflow import FlowMeter, batches, max_flow, solve_ahead
 
 ENUM_LIMIT = 20
 
@@ -159,8 +159,8 @@ def naive_steiner(engine, inst, meter: FlowMeter | None = None) -> Cut:
 
     Fixes the lowest terminal as the source and runs one max flow to every
     other terminal, keeping the strictly best cut seen. The flows are
-    independent, so each group of max(1, ``_BATCH_EDGES`` // m) consecutive
-    sinks is solved ahead as one ``solve_ahead`` batch (one engine
+    independent, so each group of consecutive sinks (``batches``, m edges a
+    flow) is solved ahead as one ``solve_ahead`` batch (one engine
     invocation on SciPy, one per flow on Dinic), and then each of its calls
     is metered through ``max_flow``.
     """
@@ -172,10 +172,8 @@ def naive_steiner(engine, inst, meter: FlowMeter | None = None) -> Cut:
         raise InputError("need at least two terminals")
     s = members[0]
     flows = [(graph, s, t) for t in members[1:]]
-    step = max(1, _BATCH_EDGES // max(graph.m, 1))
     best: Cut | None = None
-    for i in range(0, len(flows), step):
-        group = flows[i : i + step]
+    for group in batches(flows, lambda _: max(graph.m, 1)):
         solve_ahead(engine, group, meter)
         for _, _, t in group:
             cut = max_flow(engine, graph, s, t, meter)
@@ -196,7 +194,7 @@ def naive_isolating(
     For each v, contracts R minus v to a single sink and takes the minimal
     min cut side. Used as the correctness oracle for the two-phase routine;
     each entry's component is recorded as the side itself. Each group of
-    max(1, ``_BATCH_EDGES`` // m) consecutive terminals' flows is solved as
+    consecutive terminals' flows (``batches``, m edges a flow) is solved as
     one ``solve_ahead`` batch, then each call is metered through ``max_flow``.
     """
     if meter is None:
@@ -209,10 +207,9 @@ def naive_isolating(
     mark = meter.call_count
     entries: dict[int, IsolatingCutEntry] = {}
     sink = graph.n - len(members) + 1  # the kept vertices take ids 0 .. sink - 1
-    step = max(1, _BATCH_EDGES // max(graph.m, 1))
-    for i in range(0, len(members), step):
+    for batch in batches(members, lambda _: max(graph.m, 1)):
         group = []
-        for v in members[i : i + step]:
+        for v in batch:
             rest = terminals.bools()
             rest[v] = False
             labels = np.cumsum(~rest) - 1

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -23,8 +22,10 @@ from cutkit import (
 from cutkit import isolating
 from cutkit.graph import components_after_removal
 from cutkit.maxflow import (
+    _BATCH_EDGES,
     ScipyEngine,
     _memo_key,
+    batches,
     known_cut,
     lift_side,
     metered_cuts,
@@ -159,6 +160,9 @@ def test_deterministic_across_runs(dinic):
     assert first.phase_a_calls == second.phase_a_calls
 
 
+_BUILD_PHASE_B = isolating._build_phase_b
+
+
 def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMeter, FlowMeter]:
     """Run sets as one family and one by one on a second meter.
 
@@ -168,13 +172,13 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
     looped = FlowMeter()
     alone = [minimum_isolating_cuts(engine, graph, terminals, looped) for terminals in sets]
     chunks = []
-    run_chunk = isolating._run_chunk
 
-    def recording(engine, graph, runs, *rest):
+    def recording(graph, runs, memo):
+        # Phase B is built once per chunk.
         chunks.append([sum(quotient.m for quotient in run.phase_a) for run in runs])
-        return run_chunk(engine, graph, runs, *rest)
+        return _BUILD_PHASE_B(graph, runs, memo)
 
-    monkeypatch.setattr(isolating, "_run_chunk", recording)
+    monkeypatch.setattr(isolating, "_build_phase_b", recording)
     meter = FlowMeter()
     assert minimum_isolating_cuts_family(engine, graph, sets, meter) == alone
     assert (meter.calls, meter.bundled, meter.recalled) == (
@@ -182,7 +186,7 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
     )
     # A chunk stays within the cap unless it is one run, and closes only
     # when the next run would take it past the cap.
-    cap = isolating._BATCH_EDGES
+    cap = _BATCH_EDGES
     assert sum(map(len, chunks)) == len(sets)
     assert all(len(chunk) == 1 or sum(chunk) <= cap for chunk in chunks)
     assert all(sum(chunk) + after[0] > cap for chunk, after in zip(chunks, chunks[1:]))
@@ -210,7 +214,7 @@ def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
     big = rand_terminals(80, 8, 11)
     small = rand_terminals(80, 2, 12)
     chunks, _, _ = _family_against_loop(any_engine, g, [big, small, small, big], monkeypatch)
-    assert chunks[0][0] > isolating._BATCH_EDGES
+    assert chunks[0][0] > _BATCH_EDGES
     assert [len(chunk) for chunk in chunks] == [1, 2, 1]
 
 
@@ -223,34 +227,33 @@ def test_family_solves_each_phase_b_with_the_next_chunks_phase_a(scipy_eng, monk
     rng = random.Random(7)
     sets = [rand_terminals(40, rng.randint(2, 6), seed) for seed in range(24)]
     sets.insert(9, sets[2])
-    staged, batches, flows = [], [], [0]
-    run_chunk = isolating._run_chunk
+    chunks, glued, flows = [], [], [0]
     solve_batch = ScipyEngine.solve_batch
     maximum_flow = csgraph.maximum_flow
 
-    def recording(engine, graph, runs, following, meter):
-        staged.append((runs, following))
-        return run_chunk(engine, graph, runs, following, meter)
+    def recording(graph, runs, memo):
+        chunks.append(runs)
+        return _BUILD_PHASE_B(graph, runs, memo)
 
     def keyed(instances):
-        batches.append([_memo_key(*instance) for instance in instances])
+        glued.append([_memo_key(*instance) for instance in instances])
         return solve_batch(instances)
 
     def counted(*args, **kwargs):
         flows[0] += 1
         return maximum_flow(*args, **kwargs)
 
-    monkeypatch.setattr(isolating, "_run_chunk", recording)
+    monkeypatch.setattr(isolating, "_build_phase_b", recording)
     monkeypatch.setattr(ScipyEngine, "solve_batch", staticmethod(keyed))
     monkeypatch.setattr(csgraph, "maximum_flow", counted)
     meter = FlowMeter()
     minimum_isolating_cuts_family(scipy_eng, g, sets, meter)
-    chunks = [runs for runs, _ in staged]
     assert len(chunks) >= 3
-    assert [following for _, following in staged] == chunks[1:] + [[]]
+    assert [run.terminals for chunk in chunks for run in chunk] == sets
     # Batch 0 holds chunk 1's phase A, batch c chunk c's phase B and chunk
     # c + 1's phase A, and the last batch the last chunk's phase B, each
-    # without the trivial instances and those already solved.
+    # without the trivial instances and those already solved. So each
+    # phase B shares its batch with the phase A of the chunk after it.
     stages = [[q for run in chunks[0] for q in run.phase_a]]
     stages += [
         [q for run in runs for q, _ in run.phase_b] + [q for run in after for q in run.phase_a]
@@ -262,11 +265,8 @@ def test_family_solves_each_phase_b_with_the_next_chunks_phase_a(scipy_eng, monk
         fresh = [key for key in dict.fromkeys(fresh) if key not in solved]
         solved.update(fresh)
         want += [fresh] if fresh else []
-    assert batches == want
+    assert glued == want
     assert flows[0] == meter.engine_invocations == len(chunks) + 1
-
-
-_BUILD_PHASE_A = isolating._build_phase_a
 
 
 def _same_instance(memo, got, want) -> VertexSet:
@@ -279,10 +279,11 @@ def _same_instance(memo, got, want) -> VertexSet:
     return known_cut(got, 0, 1, memo).side
 
 
-def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tuple[list, list]:
+def _chunk_against_separation_quotient(engine, graph, sets) -> tuple[list, list]:
     """Build one chunk of runs over sets and check every instance of both phases.
 
-    Phase A is built group by group, as the family builds it, and the one
+    Phase A is built group by group by the family's rule (``batches`` over
+    bipartitions times m, one ``_build_phase_a`` per group), and the one
     chunk holds every run, so it may span several groups. Each phase-A
     instance must equal ``separation_quotient(graph, A, B)`` of its
     bipartition and each phase-B instance ``separation_quotient(graph, {v},
@@ -293,15 +294,12 @@ def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tupl
     Returns the phase-B instances and the run count of each phase-A group.
     """
     groups = []
-
-    def recording(graph, runs):
-        groups.append(len(runs))
-        _BUILD_PHASE_A(graph, runs)
-
-    monkeypatch.setattr(isolating, "_build_phase_a", recording)
     meter = FlowMeter()
-    pending = deque(isolating._start_run(graph, terminals) for terminals in sets)
-    runs = list(isolating._with_phase_a(graph, pending))
+    pending = [isolating._start_run(graph, terminals) for terminals in sets]
+    runs = []
+    for group in batches(pending, lambda run: run.bits * graph.m):
+        groups.append(len(group))
+        runs += isolating._build_phase_a(graph, group)
     solve_ahead(engine, [(q, 0, 1) for run in runs for q in run.phase_a], meter)
     label_rows = [run.phase_a_labels for run in runs]  # _build_phase_b clears them
     isolating._build_phase_b(graph, runs, meter.memo)
@@ -333,7 +331,7 @@ def _chunk_against_separation_quotient(engine, graph, sets, monkeypatch) -> tupl
     return built, groups
 
 
-def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic, monkeypatch):
+def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic):
     for seed in range(12):
         rng = random.Random(seed)
         n = rng.randint(6, 28)
@@ -344,24 +342,24 @@ def test_chunk_build_equals_separation_quotient_on_random_multigraphs(dinic, mon
         edges += edges[: len(edges) // 4]  # parallel edges merge
         g = WeightedGraph(n, edges)
         sets = [rand_terminals(n, rng.randint(2, min(n, 7)), 100 * seed + i) for i in range(5)]
-        _chunk_against_separation_quotient(dinic, g, sets, monkeypatch)
+        _chunk_against_separation_quotient(dinic, g, sets)
 
 
-def test_chunk_build_equals_separation_quotient_on_disconnected_graphs(any_engine, monkeypatch):
+def test_chunk_build_equals_separation_quotient_on_disconnected_graphs(any_engine):
     for seed in range(6):
         g = gnp_graph(24, 0.08, seed=seed, connect=False)
         sets = [rand_terminals(24, k, seed + k) for k in (2, 5, 9, 24)]
-        _chunk_against_separation_quotient(any_engine, g, sets, monkeypatch)
+        _chunk_against_separation_quotient(any_engine, g, sets)
 
 
-def test_chunk_build_closed_forms_and_empty_slices(any_engine, monkeypatch):
+def test_chunk_build_closed_forms_and_empty_slices(any_engine):
     # In the star every leaf terminal is alone in its component: a
     # two-vertex instance whose one edge carries the leaf's degree. Vertices
     # 5 and 6 have no edge; 6, the last terminal of the chunk, gets an empty
     # slice at the end of the sorted arrays.
     g = WeightedGraph(7, [(0, 1, 3), (0, 2, 5), (0, 3, 7), (1, 2, 1), (0, 4, 2), (0, 4, 2)])
     sets = [VertexSet.from_ids(7, ids) for ids in ([1, 3], [3, 4, 5], [0, 3, 6], [1, 2, 3, 4, 6])]
-    built, groups = _chunk_against_separation_quotient(any_engine, g, sets, monkeypatch)
+    built, groups = _chunk_against_separation_quotient(any_engine, g, sets)
     assert groups == [4]
     assert (built[0].n, built[0].edges) == (2, ((0, 1, 4),))  # leaf 1 of run one
     assert (built[3].n, built[3].edges) == (2, ((0, 1, 4),))  # leaf 4: a merged pair
@@ -370,26 +368,26 @@ def test_chunk_build_closed_forms_and_empty_slices(any_engine, monkeypatch):
     # An edgeless graph: every instance of either phase is an empty slice of
     # empty arrays, and every run shares one phase-A group.
     _chunk_against_separation_quotient(
-        any_engine, WeightedGraph(3, []), [VertexSet.full(3)] * 2, monkeypatch
+        any_engine, WeightedGraph(3, []), [VertexSet.full(3)] * 2
     )
     full = VertexSet.full(5)
     _, groups = _chunk_against_separation_quotient(
-        any_engine, WeightedGraph(5, []), [full, VertexSet.from_ids(5, [1, 4]), full], monkeypatch
+        any_engine, WeightedGraph(5, []), [full, VertexSet.from_ids(5, [1, 4]), full]
     )
     assert groups == [3]
 
 
-def test_chunk_build_with_an_oversized_run_and_a_chunk_over_several_groups(any_engine, monkeypatch):
+def test_chunk_build_with_an_oversized_run_and_a_chunk_over_several_groups(any_engine):
     # Phase A groups runs while bipartitions * m stays within the cap: the
     # 8-terminal run takes 3 * m > cap rows and forms its own group, and two
     # 2-terminal runs (m rows each) share one. The one chunk spans them all.
     g = rand_graph(80, 11, p=0.6)
-    cap = isolating._BATCH_EDGES
+    cap = _BATCH_EDGES
     assert 3 * g.m > cap >= 2 * g.m
     big = rand_terminals(80, 8, 11)
     small = rand_terminals(80, 2, 12)
     _, groups = _chunk_against_separation_quotient(
-        any_engine, g, [small, big, small, rand_terminals(80, 2, 13)], monkeypatch
+        any_engine, g, [small, big, small, rand_terminals(80, 2, 13)]
     )
     assert groups == [1, 1, 2]
 
@@ -457,6 +455,16 @@ def test_phase_b_sink_merge_past_int32_is_refused_on_scipy(dinic, scipy_eng):
         minimum_isolating_cuts(scipy_eng, g, terminals, FlowMeter())
 
 
+def _traced_peak(run, *args) -> tuple:
+    """run(*args)'s result and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = run(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_chunk_arrays_follow_edges_not_vertices(dinic):
     """128 two-terminal runs on a 40,000-vertex graph with 30 edges.
 
@@ -471,12 +479,50 @@ def test_chunk_arrays_follow_edges_not_vertices(dinic):
     g = WeightedGraph(n, edges)
     sets = [VertexSet.from_ids(n, rng.sample(range(100, n), 2)) for _ in range(128)]
     meter = FlowMeter()
-    tracemalloc.start()
-    try:
-        results = minimum_isolating_cuts_family(dinic, g, sets, meter)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peak = _traced_peak(minimum_isolating_cuts_family, dinic, g, sets, meter)
     assert meter.solved == 1
     assert [len(result.entries) for result in results] == [2] * 128
     assert peak < 16 << 20
+
+
+def test_scipy_batch_ids_follow_edges_not_vertices(dinic, scipy_eng):
+    """64 three-terminal runs on the graph above, on the SciPy engine.
+
+    Two terminals of each run lie among the first 100 vertices, so the
+    runs' phase-A instances differ and one batch glues about 120 of them,
+    each of 40,000 vertices. Glued ids for every vertex of every instance
+    took about 125 MB traced here; for each instance's s, t and the
+    vertices that edges touch, about 37 MB.
+    """
+    n = 40_000
+    rng = random.Random(11)
+    edges = [(*rng.sample(range(100), 2), rng.randint(1, 9)) for _ in range(30)]
+    g = WeightedGraph(n, edges)
+    ids = [rng.sample(range(100), 2) + [rng.randrange(100, n)] for _ in range(64)]
+    sets = [VertexSet.from_ids(n, terminals) for terminals in ids]
+    # SciPy's imports and first-call allocations stay out of the measured run.
+    minimum_isolating_cuts(scipy_eng, star_graph(3), VertexSet.full(4), FlowMeter())
+    meter = FlowMeter()
+    results, peak = _traced_peak(minimum_isolating_cuts_family, scipy_eng, g, sets, meter)
+    looped = FlowMeter()
+    assert results == minimum_isolating_cuts_family(dinic, g, sets, looped)
+    assert meter.calls == looped.calls
+    assert meter.solved > 100 and meter.engine_invocations <= 2
+    assert peak < 64 << 20
+
+
+def test_family_releases_each_run_once_metered(scipy_eng):
+    """A run's instances are freed once it is metered, so the peak does not follow the run count.
+
+    400 three-terminal sets peak at about twice the traced memory of 50.
+    A family that kept every run until it returned held all their
+    instances: about 7 times.
+    """
+    g = gnp_graph(120, 0.1, seed=5)
+
+    def peak(count):
+        sets = [rand_terminals(120, 3, seed) for seed in range(count)]
+        return _traced_peak(minimum_isolating_cuts_family, scipy_eng, g, sets, FlowMeter())[1]
+
+    peak(5)  # SciPy's imports and first-call allocations stay out of the measured runs
+    assert peak(400) < 3 * peak(50)

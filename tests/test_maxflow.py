@@ -324,6 +324,47 @@ def test_scipy_batch_rejects_merged_capacity_past_int32():
         )
 
 
+def test_batches_group_consecutive_items_within_the_cap():
+    cap = maxflow._BATCH_EDGES
+    sizes = [cap // 2, cap // 4, cap // 4, 1, cap, 3, cap + 5, 0, 7]
+    groups = list(maxflow.batches(sizes, lambda size: size))
+    # An item over the cap is a group of its own, and a group closes only
+    # when the next item would take it past the cap.
+    assert groups == [[cap // 2, cap // 4, cap // 4], [1], [cap], [3], [cap + 5], [0, 7]]
+    assert list(maxflow.batches([], len)) == []
+
+
+def test_batches_read_each_size_once_the_item_is_drawn():
+    drawn, read = [], []
+
+    def built():
+        for i in range(5):
+            drawn.append(i)
+            yield i
+
+    def size_of(i):
+        assert drawn[-1] == i  # drawn, and the next item not yet
+        read.append(i)
+        return 2000
+
+    groups = maxflow.batches(built(), size_of)
+    assert drawn == []
+    assert next(groups) == [0, 1]
+    assert drawn == read == [0, 1, 2]  # the group closed once item 2 was drawn
+    assert list(groups) == [[2, 3], [4]]
+    assert drawn == read == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 4096, 5000])
+def test_batches_of_equal_flows_take_the_naive_steps(m):
+    # The naive oracles' flows are all of the graph's m edges (at least 1):
+    # they group in steps of max(1, cap // max(m, 1)) flows.
+    items = list(range(2 * maxflow._BATCH_EDGES + 5))
+    step = max(1, maxflow._BATCH_EDGES // max(m, 1))
+    want = [items[i : i + step] for i in range(0, len(items), step)]
+    assert list(maxflow.batches(items, lambda _: max(m, 1))) == want
+
+
 def test_grid_anchor_batches_without_moving_the_run(scipy_eng, monkeypatch):
     """The benchmark's grid-8x8 anchor: batching changes engine calls, nothing else."""
     import scipy.sparse.csgraph as csgraph
@@ -335,7 +376,7 @@ def test_grid_anchor_batches_without_moving_the_run(scipy_eng, monkeypatch):
     cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
     flows, chunks, per_round = [0], [0], []
     maximum_flow = csgraph.maximum_flow
-    run_chunk = isolating._run_chunk
+    build_phase_b = isolating._build_phase_b
     unbalanced_case = steiner.unbalanced_case
 
     def counted(*args, **kwargs):
@@ -343,8 +384,9 @@ def test_grid_anchor_batches_without_moving_the_run(scipy_eng, monkeypatch):
         return maximum_flow(*args, **kwargs)
 
     def chunk_counted(*args, **kwargs):
+        # Phase B is built once per chunk.
         chunks[0] += 1
-        return run_chunk(*args, **kwargs)
+        return build_phase_b(*args, **kwargs)
 
     def round_run(*args, **kwargs):
         before = flows[0], chunks[0]
@@ -353,7 +395,7 @@ def test_grid_anchor_batches_without_moving_the_run(scipy_eng, monkeypatch):
         return cut, runs
 
     monkeypatch.setattr(csgraph, "maximum_flow", counted)
-    monkeypatch.setattr(isolating, "_run_chunk", chunk_counted)
+    monkeypatch.setattr(isolating, "_build_phase_b", chunk_counted)
     monkeypatch.setattr(steiner, "unbalanced_case", round_run)
     batched = steiner_mincut_det(scipy_eng, inst, cfg)
     assert flows[0] == batched.meter.engine_invocations
