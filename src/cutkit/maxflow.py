@@ -8,32 +8,32 @@ Engine protocol: ``solve_batch`` runs, ``solve`` reads.
 ``solve_batch(instances)`` runs the flows of every (graph, s, t) instance
 it is given and returns their Cuts, and ``glues_batch`` says whether a
 batch is one flow (SciPy) or one flow per instance (Dinic).
-``solve(graph, s, t, memo)`` runs no flow: it returns the closed form of a
-trivial instance, else memo's entry (``known_cut``), and raises
-ContractViolation for a nontrivial instance not yet solved.
+``solve(graph, s, t, memo)`` runs no flow: it reads the answer through
+``known_cut``.
 
-Flows run in one place, ``_solve_fresh``: it sends a batch of new
-nontrivial instances to ``solve_batch`` and stores the cuts in
-``FlowMeter.memo``, under the key (n, m, s, t, the graph's ``digest``:
-16 bytes of BLAKE2b over its ``edge_arrays``). ``solve_ahead`` gives it
-every new nontrivial instance of a list, each once. A digest keeps each
-entry small where the arrays themselves would cost 24 bytes per edge. The
-memo lives as long as the meter: one driver run, which empties it before
-returning its report. ``max_flow`` builds its instance's key once, solves
-the instance as a batch of one if the memo lacks it, then meters the call
-and reads the answer through ``engine.solve``, so the meter counts logical
-calls: a call answered from the memo still counts.
+One solve step, ``solve_ahead``, is the only code that calls
+``solve_batch``: it sends every new nontrivial instance of a list, each
+once, as one batch and stores the cuts in ``FlowMeter.memo``, under the
+key (n, m, s, t, the graph's ``digest``: 16 bytes of BLAKE2b over its
+``edge_arrays``). A digest keeps each entry small where the arrays
+themselves would cost 24 bytes per edge. The memo lives as long as the
+meter: one driver run, which empties it before returning its report.
+One read step, ``known_cut``, is the only place an answer is read: an
+edgeless or two-vertex instance gets its closed form (its only minimal
+side is {s}, of value the total edge weight), any other its memo entry,
+and a nontrivial instance not yet solved raises ContractViolation.
+``max_flow`` passes its instance to ``solve_ahead`` as a batch of one,
+then meters the call and reads the answer through ``engine.solve``, so
+the meter counts logical calls: a call answered from the memo still
+counts.
 
-- Shared base case: both answer an edgeless or two-vertex instance in
-  closed form (``_closed_form``); its only minimal side is {s}, of value
-  the total edge weight.
 - ``DinicEngine`` (the default) is pure Python on Python-int capacities, so
   it is exact at any weight; a call runs O(n^2 m) interpreted steps at
   worst. Edge i of ``graph.edge_arrays`` is arc 2i (u->v) and arc 2i+1
   (v->u), so a ^ 1 is the reverse arc, and one stable argsort of the arc
-  tails gives every vertex its arc list. The side is the set of vertices
-  that the final, failing BFS reaches. Its cost is per arc, not per call,
-  so its ``solve_batch`` just runs one flow per instance.
+  tails gives every vertex that has arcs its arc list. The side is the set
+  of vertices that the final, failing BFS reaches. Its cost is per arc, not
+  per call, so its ``solve_batch`` just runs one flow per instance.
 - ``ScipyEngine`` needs int32 capacities. Its cost is about 0.3 ms of fixed
   SciPy overhead per batch (one ``maximum_flow`` call) plus the same
   algorithm compiled, so ``solve_batch`` solves independent instances in
@@ -162,17 +162,6 @@ def _trivial(n: int, m: int) -> bool:
     return m == 0 or n == 2
 
 
-def _closed_form(graph: WeightedGraph, s: int) -> Cut | None:
-    """The answer of an edgeless or two-vertex instance, else None.
-
-    Such an instance has {s} as its only minimal s-t cut side, of value the
-    total edge weight, so neither engine runs a flow on it.
-    """
-    if _trivial(graph.n, graph.m):
-        return Cut(VertexSet(graph.n, 1 << s), graph.total_weight)
-    return None
-
-
 def _memo_key(graph: WeightedGraph, s: int, t: int) -> tuple:
     return (graph.n, graph.m, s, t, graph.digest)
 
@@ -180,11 +169,13 @@ def _memo_key(graph: WeightedGraph, s: int, t: int) -> tuple:
 def known_cut(graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
     """The cut of (graph, s, t) once ``solve_ahead`` has run: its closed form, else memo's.
 
-    A nontrivial instance missing from memo raises ContractViolation.
+    This is the only place an answer is read. An edgeless or two-vertex
+    instance has {s} as its only minimal s-t cut side, of value the total
+    edge weight, so no flow runs on it. A nontrivial instance missing from
+    memo raises ContractViolation.
     """
-    trivial = _closed_form(graph, s)
-    if trivial is not None:
-        return trivial
+    if _trivial(graph.n, graph.m):
+        return Cut(VertexSet(graph.n, 1 << s), graph.total_weight)
     cut = memo.get(_memo_key(graph, s, t))
     if cut is None:
         raise ContractViolation("instance was read before it was solved")
@@ -203,7 +194,8 @@ class DinicEngine:
     Edge i of ``graph.edge_arrays`` becomes arc 2i (u->v) and arc 2i+1
     (v->u), each with the edge weight as capacity, so a ^ 1 is the reverse
     of arc a; ``to`` and ``cap`` are Python-int lists, exact past 2^53. One
-    stable argsort of the tails gives each vertex its arcs in id order.
+    stable argsort of the tails gives each vertex that has arcs its arcs in
+    id order; every other vertex shares one empty tuple.
 
     A phase is a BFS from s that stops once t has a level (every vertex
     nearer s has one by then), then an iterative blocking flow: a path
@@ -235,8 +227,16 @@ class DinicEngine:
         to = np.stack([vs, us], axis=1).ravel().tolist()
         cap = np.repeat(ws, 2).tolist()
         order = np.argsort(tails, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
-        arcs = [order[b:e] for b, e in zip([0] + ends, ends)]
+        counts = np.bincount(tails, minlength=n)
+        ends = np.cumsum(counts).tolist()
+        # Only vertices that have arcs get a slice, so a near-edgeless
+        # instance builds one list per arc owner, not one per vertex.
+        arcs: list = [()] * n
+        b = 0
+        for v in np.flatnonzero(counts).tolist():
+            e = ends[v]
+            arcs[v] = order[b:e]
+            b = e
 
         total = 0
         while True:
@@ -411,8 +411,9 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
     ``engine.solve_batch``, each distinct one once, and its cut into the
     memo; ``meter.solved`` grows by their number and
     ``meter.engine_invocations`` by the flows the batch ran. This is the
-    only place flows run. It meters no call: the caller meters
-    each instance through ``max_flow``, which finds its cut in the memo.
+    only place flows run; ``max_flow`` too sends its instance here, as a
+    batch of one. It meters no call: the caller meters each instance
+    through ``max_flow``, which finds its cut in the memo.
     """
     memo = meter.memo
     fresh = {}
@@ -422,32 +423,24 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
             if key not in memo:
                 fresh.setdefault(key, (graph, s, t))
     if fresh:
-        _solve_fresh(engine, fresh, meter)
-
-
-def _solve_fresh(engine, fresh: dict, meter: FlowMeter) -> None:
-    """Solve the instances of fresh, keyed and new to the memo, as one batch; store their cuts."""
-    meter.memo.update(zip(fresh, engine.solve_batch(list(fresh.values()))))
-    meter.solved += len(fresh)
-    meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
+        memo.update(zip(fresh, engine.solve_batch(list(fresh.values()))))
+        meter.solved += len(fresh)
+        meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
 
 
 def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> Cut:
     """Solve one s-t max flow, recording exactly one meter entry (n, m).
 
-    A nontrivial instance missing from the memo is solved first, as a
-    batch of one, and then the call always reaches
-    ``engine.solve(graph, s, t, meter.memo)`` and is always metered, so the
-    meter counts logical calls.
+    The instance goes through ``solve_ahead`` as a batch of one, which
+    solves it only if it is nontrivial and new to the memo; then the call
+    always reaches ``engine.solve(graph, s, t, meter.memo)`` and is always
+    metered, so the meter counts logical calls.
     """
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise InputError("source or sink id outside graph")
     if s == t:
         raise InputError("source equals sink")
-    if not _trivial(graph.n, graph.m):
-        key = _memo_key(graph, s, t)
-        if key not in meter.memo:
-            _solve_fresh(engine, {key: (graph, s, t)}, meter)
+    solve_ahead(engine, [(graph, s, t)], meter)
     cut = engine.solve(graph, s, t, meter.memo)
     meter.record(graph.n, graph.m)
     if t in cut.side:

@@ -8,13 +8,15 @@ import pytest
 from cutkit import (
     AlgoConfig,
     InputError,
+    SteinerInstance,
+    VertexSet,
     det_call_budget,
     default_bench_config,
     report_to_csv,
     report_to_json,
     run_bench,
 )
-from cutkit.bench import BENCH_METHODS, CSV_COLUMNS, bench_graph
+from cutkit.bench import BENCH_METHODS, CSV_COLUMNS, bench_graph, run_method
 from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph, gnp_graph, grid_graph
 
 
@@ -86,6 +88,12 @@ def test_run_bench_rejects_unknown_method():
     with pytest.raises(InputError):
         run_bench(sizes=(8,), methods=("det", "prim"), engine_name="dinic")
     assert set(BENCH_METHODS) == {"det", "naive", "rand", "stoer-wagner"}
+    g = dumbbell_graph(8)
+    cfg = default_bench_config()
+    with pytest.raises(InputError, match="unknown method 'x'"):
+        run_method("x", None, SteinerInstance(g, g.full_set), cfg)
+    with pytest.raises(InputError, match="only when every vertex is terminal"):
+        run_method("stoer-wagner", None, SteinerInstance(g, VertexSet.from_ids(8, [0, 7])), cfg)
 
 
 def test_report_serializers():

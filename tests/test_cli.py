@@ -260,21 +260,43 @@ def test_expander_decomp_output(dumbbell_path, capsys):
     assert doc["clusters"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
     assert doc["inter_weight"] == 1
     assert doc["certified"] == [True, True]
-
-
-def test_expander_decomp_bad_phi(dumbbell_path, capsys):
-    code = main(
+    # Demand on three vertices only: a smaller budget, and no split needed.
+    code, doc = run_json(
+        capsys,
         [
             "expander-decomp",
             "--graph",
             dumbbell_path,
             "--phi",
-            "7/2",
+            "1/2",
             "--demand-value",
             "1",
-        ]
+            "--demand-support",
+            "0,3,5",
+        ],
     )
-    assert code == 2
+    assert code == 0
+    assert doc["clusters"] == [list(range(8))]
+    assert (doc["budget"], doc["certified"]) == ("27/2", [True])
+
+
+def test_expander_decomp_bad_phi(dumbbell_path, capsys):
+    faults = {"7/2": "phi must be", "abc": "bad phi 'abc'", "1/0": "bad phi '1/0'"}
+    for phi, message in faults.items():
+        code = main(
+            [
+                "expander-decomp",
+                "--graph",
+                dumbbell_path,
+                "--phi",
+                phi,
+                "--demand-value",
+                "1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
 
 
 def test_mincut_methods_agree(dumbbell_path, capsys):
@@ -397,6 +419,9 @@ def test_steiner_bad_terminals(dumbbell_path, capsys):
     assert code == 2
     code = main(["steiner", "--graph", dumbbell_path, "--terminals", "zero"])
     assert code == 2
+    code = main(["steiner", "--graph", dumbbell_path, "--terminals", ","])
+    assert code == 2
+    assert capsys.readouterr().err.endswith("error: vertex list is empty\n")
 
 
 def test_verify_reports_all_ok(dumbbell_path, capsys):

@@ -364,6 +364,10 @@ def test_edgelist_errors():
         parse_edgelist("p 3 1\n0 one 2\n")
     with pytest.raises(InputError, match="line 1: edge before header"):
         parse_edgelist("pizza 3 1\n0 1 5\n")
+    with pytest.raises(InputError, match="line 2: duplicate header"):
+        parse_edgelist("p 3 1\np 3 1\n0 1 5\n")
+    with pytest.raises(InputError, match="missing 'p <n> <m>' header"):
+        parse_edgelist("c only a comment\n")
 
 
 def test_edgelist_bad_number_names_its_token():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -210,6 +211,36 @@ def test_memo_keys_on_source_sink_and_every_weight(any_engine):
     for h, s, t in variants:
         max_flow(any_engine, h, s, t, meter)
     assert (len(meter.memo), meter.recalled, meter.call_count) == (4, 4, 8)
+
+
+def test_solve_reads_only_what_was_solved(any_engine):
+    g = WeightedGraph(4, [(0, 1, 3), (1, 2, 2), (2, 3, 4)])
+    with pytest.raises(ContractViolation, match="read before it was solved"):
+        any_engine.solve(g, 0, 3, {})
+    # A trivial instance needs no memo entry: it is read in closed form.
+    pair = WeightedGraph(2, [(0, 1, 5)])
+    assert any_engine.solve(pair, 1, 0, {}).side.members() == [1]
+    assert any_engine.solve_batch([]) == []
+
+
+def test_dinic_arc_lists_follow_edges_not_vertices(dinic, scipy_eng):
+    """One flow on 400,000 vertices and 4 edges.
+
+    An arc list for every vertex took about 38 MB traced here; arc lists
+    for the vertices that have arcs, with the per-vertex lists of arc ends
+    and BFS levels, about 19 MB.
+    """
+    n = 400_000
+    g = WeightedGraph(n, [(0, 1, 2), (1, 2, 3), (2, n - 1, 4), (0, n - 1, 1)])
+    tracemalloc.start()
+    try:
+        (cut,) = dinic.solve_batch([(g, 0, n - 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    assert cut == scipy_eng.solve_batch([(g, 0, n - 1)])[0]
+    assert (cut.weight, cut.side.members()) == (3, [0])
 
 
 def test_driver_reports_hold_no_memo_entries(dinic):
@@ -544,6 +575,9 @@ def test_dimacs_parse_errors():
         "'a' line before": "a 1 2 3\np max 3 1\nn 1 s\nn 3 t\n",
         "duplicate 'n <id> s'": "p max 3 1\nn 1 s\nn 2 s\nn 3 t\na 1 2 3\n",
         "duplicate 'n <id> t'": "p max 3 1\nn 1 s\nn 3 t\nn 2 t\na 1 2 3\n",
+        "node line must be": "p max 3 1\nn 2\nn 1 s\nn 3 t\na 1 2 3\n",
+        "arc line must be": "p max 3 1\nn 1 s\nn 3 t\na 1 2\n",
+        "missing 'p max' header": "c only a comment\n",
     }
     for message, bad in faults.items():
         with pytest.raises(InputError, match=message):
