@@ -30,6 +30,7 @@ from cutkit import (
     stoer_wagner,
     write_dimacs,
 )
+from cutkit.bench import bench_graph
 
 from helpers import rand_graph, st_pair
 
@@ -109,7 +110,7 @@ def test_dinic_long_weighted_path_is_exact(dinic):
 
 
 def test_dinic_matches_enumeration_past_2_to_53(dinic):
-    big = 0
+    cases = []
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randint(2, 12)
@@ -122,17 +123,45 @@ def test_dinic_matches_enumeration_past_2_to_53(dinic):
         # 2^13 + 1 parallel copies of 2^40 merge to more than 2^53.
         u, v = rng.sample(range(n), 2)
         triples += [(u, v, 1 << 40)] * ((1 << 13) + rng.randint(1, 4))
-        g = WeightedGraph(n, triples)
-        big += int(g.edge_arrays[2].max()) > 1 << 53
-        s, t = st_pair(n, seed)
+        cases.append((WeightedGraph(n, triples), *st_pair(n, seed)))
+    assert all(int(g.edge_arrays[2].max()) > 1 << 53 for g, _, _ in cases)
+
+    rng = random.Random(40)
+
+    def heavy(n, pairs):
+        weights = [rng.randint((1 << 40) - (1 << 20), 1 << 40) for _ in pairs]
+        return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+    cycle = [(i, (i + 1) % 12) for i in range(12)]
+    grid = [(i, i + 1) for i in range(12) if i % 4 < 3] + [(i, i + 4) for i in range(8)]
+    cases += [
+        (heavy(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 0, 5),  # t out of reach of s
+        (heavy(5, [(1, 2), (2, 3), (3, 4)]), 0, 4),  # s without arcs
+        (heavy(4, [(0, 3)]), 0, 3),  # a lone s-t edge
+        (heavy(12, cycle), 0, 6),
+        (heavy(12, cycle), 2, 3),
+        (heavy(12, grid), 0, 11),  # a 3x4 grid, corner to corner
+        (heavy(12, grid), 5, 6),
+    ]
+    for g, s, t in cases:
         res = max_flow(dinic, g, s, t, FlowMeter())
         best = enumerate_cuts(g, source=s, sink=t)
         assert res.weight == best.weight
         assert res.side == best.side
-    assert big == 40
 
 
-def test_engines_agree_on_every_flow_of_a_driver_run():
+# Driver runs whose every flow both engines must agree on. The bench cycle
+# and grid have long residual paths, where the Dinic engine's relabels pass
+# its arc count and it redoes its distance labels (a global relabel).
+_DRIVER_RUN_GRAPHS = {
+    "gnp-48": lambda: gnp_graph(48, 0.15, seed=3, w_min=1 << 20, w_max=1 << 21),
+    "cycle-128": lambda: bench_graph("cycle", 128),
+    "grid-144": lambda: bench_graph("grid", 144),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRIVER_RUN_GRAPHS))
+def test_engines_agree_on_every_flow_of_a_driver_run(name):
     class Recording(ScipyEngine):
         def __init__(self):
             self.seen = []
@@ -141,7 +170,7 @@ def test_engines_agree_on_every_flow_of_a_driver_run():
             self.seen.append((graph, s, t))
             return super().solve(graph, s, t, memo)
 
-    g = gnp_graph(48, 0.15, seed=3, w_min=1 << 20, w_max=1 << 21)
+    g = _DRIVER_RUN_GRAPHS[name]()
     recorder = Recording()
     steiner_mincut_det(recorder, SteinerInstance(g, g.full_set), AlgoConfig(phi=Fraction(1, 4), k=2))
     flows = [(h, s, t) for h, s, t in recorder.seen if h.m and h.n > 2]
@@ -228,7 +257,9 @@ def test_dinic_arc_lists_follow_edges_not_vertices(dinic, scipy_eng):
 
     An arc list for every vertex took about 38 MB traced here; arc lists
     for the vertices that have arcs, with the per-vertex lists of arc ends
-    and BFS levels, about 19 MB.
+    and BFS levels, about 19 MB; with per-vertex distance labels and
+    current arcs instead, and a bytearray of seen flags for the side, about
+    13 MB.
     """
     n = 400_000
     g = WeightedGraph(n, [(0, 1, 2), (1, 2, 3), (2, n - 1, 4), (0, n - 1, 1)])
