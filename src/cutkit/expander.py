@@ -21,10 +21,14 @@ Scaling every demand by g > 0 scales every sparsity the spectral search
 compares by 1/g, so it picks the same cut; only the final test against phi
 depends on the scale. The search therefore runs on demands divided by their
 gcd and is memoized in a dict keyed on the cluster's vertex count, its
-``WeightedGraph.digest`` and the reduced demands. The caller owns the
-dict: the Steiner driver keeps one per run, so a cluster that recurs along
-its guess ladder is searched once; expander_decompose uses a fresh one
-when given none, and verify_expander always does.
+``WeightedGraph.digest`` and the reduced demands. The sweep order itself
+depends on the graph alone, so the same dict keeps it under the vertex
+count and digest: one eigendecomposition per cluster graph, and one sweep
+and local-move pass per demand pattern. The caller owns the dict: the
+Steiner driver keeps one per run, so a cluster graph that recurs along its
+guess ladder is decomposed once, however its pool is thinned;
+expander_decompose uses a fresh one when given none, and verify_expander
+always does.
 """
 
 import math
@@ -186,29 +190,18 @@ def _exhaustive_violating(
     return mask
 
 
-def _spectral_search(
-    graph: WeightedGraph, demands: tuple[int, ...]
-) -> tuple[int, int, int] | None:
-    """Spectral sweep plus first-improvement vertex moves; may miss cuts.
+def _sweep(
+    graph: WeightedGraph, weight: np.ndarray, deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Fiedler sweep order and the cut weight of each proper prefix.
 
-    Returns (mask, cross, denominator) of the sparsest cut found, whose
-    sparsity is cross / denominator, or None when no sweep cut has positive
-    demand on both sides. Floats only order the vertices and preselect in
-    _sparsest; every sparsity that decides anything is compared exactly, so
-    scaling all demands by g returns the same mask and cross with the
-    denominator scaled by g.
-
-    A sweep prefix's cut weight is its volume minus twice the weight of the
-    edges whose later endpoint it holds: int64 prefix sums, each below 2^63.
-    The moves keep gain[x] = deg(x) - 2 w(x, S) as an int64 vector: v joining
-    S raises the cut weight by gain[v] and v leaving lowers it by gain[v],
-    and either move shifts gain by -/+ 2 weight[v]; |gain[x]| <= deg(x) < 2^62.
-    A move that empties a side leaves it zero demand, so the denominator
-    test skips it.
+    The order sorts the vertices by the sign-fixed second eigenvector of
+    the normalized Laplacian, ties to lower ids. A prefix's cut weight is
+    its volume minus twice the weight of the edges whose later endpoint it
+    holds: int64 prefix sums, each below 2^63. Both arrays depend on the
+    graph alone.
     """
     n = graph.n
-    total = sum(demands)
-    weight = _weight_matrix(graph)
     w = weight.astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(w.sum(axis=1), 1.0))
     lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
@@ -219,13 +212,46 @@ def _spectral_search(
         fiedler = -fiedler
     order = np.lexsort((np.arange(n), fiedler))
 
-    deg = weight.sum(axis=1)
     us, vs, ws = graph.edge_arrays
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     inner = np.zeros(n, dtype=np.int64)
     np.add.at(inner, np.maximum(rank[us], rank[vs]), ws)
     prefix_cross = (np.cumsum(deg[order]) - 2 * np.cumsum(inner))[:-1]
+    return order, prefix_cross
+
+
+def _spectral_search(
+    graph: WeightedGraph, demands: tuple[int, ...], memo: dict
+) -> tuple[int, int, int] | None:
+    """Spectral sweep plus first-improvement vertex moves; may miss cuts.
+
+    Returns (mask, cross, denominator) of the sparsest cut found, whose
+    sparsity is cross / denominator, or None when no sweep cut has positive
+    demand on both sides. Floats only order the vertices and preselect in
+    _sparsest; every sparsity that decides anything is compared exactly, so
+    scaling all demands by g returns the same mask and cross with the
+    denominator scaled by g.
+
+    The sweep (_sweep) depends on the graph alone, so memo keeps it under
+    (graph.n, graph.digest): one eigendecomposition per graph however many
+    demand vectors it is searched under. Only its two O(n) arrays are kept,
+    never the n x n weight matrix.
+
+    The moves keep gain[x] = deg(x) - 2 w(x, S) as an int64 vector: v joining
+    S raises the cut weight by gain[v] and v leaving lowers it by gain[v],
+    and either move shifts gain by -/+ 2 weight[v]; |gain[x]| <= deg(x) < 2^62.
+    A move that empties a side leaves it zero demand, so the denominator
+    test skips it.
+    """
+    n = graph.n
+    total = sum(demands)
+    weight = _weight_matrix(graph)
+    deg = weight.sum(axis=1)
+    key = (n, graph.digest)
+    if key not in memo:
+        memo[key] = _sweep(graph, weight, deg)
+    order, prefix_cross = memo[key]
     prefix_din = np.cumsum(np.array(demands, dtype=np.int64)[order])[:-1]
     order = order.tolist()
     # Prefix i holds i + 1 vertices, so the index itself is the tie order.
@@ -260,10 +286,12 @@ def _heuristic_violating(
 
     The search runs on the demands divided by their gcd g and is memoized
     in memo: its every comparison is invariant under scaling, so only the
-    test cross / (denominator * g) < phi depends on g. The key is
-    (graph.n, graph.digest, reduced demands), so an entry keeps no graph or
-    array alive (see ``WeightedGraph.digest``); the value is three ints or
-    None.
+    test cross / (denominator * g) < phi depends on g. memo holds two kinds
+    of entry, and no graph (see ``WeightedGraph.digest``):
+    - (graph.n, graph.digest) -> the graph's sweep, two O(n) arrays, made
+      by one eigendecomposition (see _spectral_search);
+    - (graph.n, graph.digest, reduced demands) -> the search's three ints
+      or None, one sweep and local-move pass per demand pattern.
     """
     scale = math.gcd(*demands)
     if scale == 0:
@@ -271,7 +299,7 @@ def _heuristic_violating(
     reduced = tuple(d // scale for d in demands)
     key = (graph.n, graph.digest, reduced)
     if key not in memo:
-        memo[key] = _spectral_search(graph, reduced)
+        memo[key] = _spectral_search(graph, reduced, memo)
     found = memo[key]
     if found is None:
         return None
@@ -373,11 +401,12 @@ def expander_decompose(
 ) -> ExpanderDecomposition:
     """Partition V into clusters with no (detected) cut sparser than phi.
 
-    memo is the spectral search memo. Callers that decompose the same
-    graph under demands differing only in scale share one; a fresh one is
-    used when none is given. Raises DecompositionError if the split count
-    passes 4n or the final inter-cluster weight exceeds the budget
-    phi * d(V) * ceil(lg n)^2.
+    memo is the spectral search memo (see _heuristic_violating). Callers
+    that decompose the same graph more than once share one: a cluster graph
+    met again costs no eigendecomposition, and a demand pattern met again
+    (up to scale) no sweep. A fresh one is used when none is given.
+    Raises DecompositionError if the split count passes 4n or the final
+    inter-cluster weight exceeds the budget phi * d(V) * ceil(lg n)^2.
     """
     _check_phi(phi)
     if demands.n != graph.n:

@@ -213,8 +213,10 @@ def sparsify_terminals(
     every cluster is a phi-expander, the kept set still touches both sides
     of some minimum Steiner cut. Uncertified clusters are thinned too, so
     that holds only as far as the spectral heuristic found every sparse cut.
-    memo is handed to expander_decompose; sharing one across guesses lets
-    each cluster's spectral search run once for the whole ladder. A total
+    memo is handed to expander_decompose; sharing one across guesses runs
+    one eigendecomposition per cluster graph for the whole ladder, and one
+    spectral sweep per cluster graph and demand pattern (up to scale), so a
+    graph met again under a thinned pool is swept again. A total
     demand lam_guess * |pool| past the exactness limit raises
     DecompositionError, so the driver abandons that guess.
     """
@@ -300,8 +302,9 @@ def steiner_mincut_det(engine, inst: SteinerInstance, cfg: AlgoConfig | None = N
     # Guesses often reach the same pool again; each pool is solved once.
     run_unbalanced = functools.cache(lambda pool: unbalanced_case(engine, inst, pool, k, meter))
     pairwise = functools.cache(lambda pool: _pairwise_mincut(engine, graph, pool, meter))
-    # Guesses that decompose the same pool differ only in demand scale, so
-    # one memo runs each cluster's spectral search once for the whole ladder.
+    # One memo for the whole ladder: one eigendecomposition per cluster graph,
+    # and one spectral sweep per demand pattern. Guesses on one pool differ
+    # only in demand scale; a thinned pool is a new pattern on the same graphs.
     spectral_memo: dict = {}
 
     def run_pairwise(pool: VertexSet) -> Cut:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from cutkit import (
+    AlgoConfig,
     ContractViolation,
     DemandVector,
     InputError,
     ScipyEngine,
+    SteinerInstance,
     VertexSet,
     WeightedGraph,
     augmented_demands,
@@ -20,6 +22,7 @@ from cutkit import (
     induced_subgraph,
     sparsify_terminals,
     sparsity,
+    steiner_mincut_det,
     verify_expander,
 )
 from cutkit.bench import bench_graph, default_bench_config
@@ -30,7 +33,7 @@ from cutkit.expander import (
     _mask_order,
     _spectral_search,
 )
-from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph
+from cutkit.generators import clique_graph, cycle_graph, dumbbell_graph, gnp_graph
 from cutkit.graph import contract
 from cutkit.steiner import _guess_ladder
 
@@ -356,7 +359,7 @@ def test_spectral_search_triples_are_exact():
             cases.append((g, tuple(rng.randint(1, 1 << 30) for _ in range(g.n))))
     found = heavy = 0
     for g, demands in cases:
-        result = _spectral_search(g, demands)
+        result = _spectral_search(g, demands, {})
         if result is None:
             continue
         mask, cross, denominator = result
@@ -392,7 +395,7 @@ def test_spectral_search_choices_are_pinned():
         ]
         d_max = 1 << rng.choice((0, 2, 20, 40))
         demands = tuple(rng.choice((0, rng.randint(1, d_max), d_max)) for _ in range(n))
-        results.append(_spectral_search(WeightedGraph(n, edges), demands))
+        results.append(_spectral_search(WeightedGraph(n, edges), demands, {}))
     assert sum(r is not None for r in results) == 149
     digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
     assert digest == "7929ec820e22ecc4"
@@ -438,7 +441,21 @@ def test_shared_memo_matches_fresh_memo_on_every_guess():
         assert memo
 
 
-def test_one_memo_entry_answers_both_ways():
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Sizes of the matrices cutkit.expander hands to np.linalg.eigh, in order."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def counting(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr("cutkit.expander.np.linalg.eigh", counting)
+    return sizes
+
+
+def test_one_memo_entry_answers_both_ways(eigh_calls):
     # The bridge of a 24-vertex dumbbell has sparsity 6 / (12 * lam) under
     # uniform demand lam: not below 1/4 at lam = 1, below it at lam = 4.
     # The two 12-vertex halves are searched exhaustively, not memoized.
@@ -452,10 +469,13 @@ def test_one_memo_entry_answers_both_ways():
         VertexSet.from_ids(24, range(12)),
         VertexSet.from_ids(24, range(12, 24)),
     )
-    assert list(memo) == [(24, g.digest, (1,) * 24)]
+    # One search entry for the one demand pattern, and the graph's sweep.
+    assert [key for key in memo if len(key) == 3] == [(24, g.digest, (1,) * 24)]
+    assert [key for key in memo if len(key) == 2] == [(24, g.digest)]
+    assert eigh_calls == [24]
 
 
-def test_guess_ladder_without_split_searches_once():
+def test_guess_ladder_without_split_searches_once(eigh_calls):
     # In K24 at phi = 1/4 no cut is sparse below lam = 48, past the ladder's top.
     g = clique_graph(24)
     memo: dict = {}
@@ -464,4 +484,49 @@ def test_guess_ladder_without_split_searches_once():
     for guess in guesses:
         _, dec = sparsify_terminals(g, g.full_set, Fraction(1, 4), guess, memo)
         assert dec.splits == 0
-    assert len(memo) == 1
+    assert sorted(memo, key=len) == [(24, g.digest), (24, g.digest, (1,) * 24)]
+    assert eigh_calls == [24]
+
+
+def test_shared_sweep_memo_matches_fresh_memo():
+    """Demand vectors that differ in support or only in scale share one
+    graph's sweep, and each search answers as with a fresh memo."""
+    rng = random.Random(30)
+    for seed in range(6):
+        n = rng.randint(EXHAUSTIVE_LIMIT + 1, 60)
+        g = gnp_graph(n, rng.choice((0.1, 0.3)), seed=seed, w_max=1 << rng.choice((3, 40)))
+        base = [rng.randint(1, 1 << 20) for _ in range(n)]
+        demand_vectors = [tuple(base)]
+        for scale in (2, 3, 1 << 19):
+            demand_vectors.append(tuple(d * scale for d in base))
+        for _ in range(3):
+            support = set(rng.sample(range(n), rng.randint(2, n - 1)))
+            thinned = tuple(d if v in support else 0 for v, d in enumerate(base))
+            demand_vectors += [thinned, tuple(5 * d for d in thinned)]
+            demand_vectors.append(tuple(int(v in support) for v in range(n)))
+        shared: dict = {}
+        for demands in demand_vectors:
+            assert _spectral_search(g, demands, shared) == _spectral_search(g, demands, {})
+        assert list(shared) == [(n, g.digest)]
+
+
+def test_det_run_decomposes_each_searched_graph_once(eigh_calls, monkeypatch):
+    """A steiner-subset-shaped det run: 20 of 320 sparse-gnp vertices.
+
+    Its thinned pool searches the same cluster graph under a second demand
+    pattern, which must reuse the first pattern's eigendecomposition.
+    """
+    searched = []
+
+    def recording(graph, demands, memo):
+        searched.append((graph.n, graph.digest, demands))
+        return _spectral_search(graph, demands, memo)
+
+    monkeypatch.setattr("cutkit.expander._spectral_search", recording)
+    g = gnp_graph(320, 6 / 320, seed=0)
+    terminals = VertexSet.from_ids(320, random.Random(0).sample(range(320), 20))
+    cfg = AlgoConfig(phi=Fraction(1, 4), k=2)
+    steiner_mincut_det(ScipyEngine(), SteinerInstance(g, terminals), cfg)
+    graphs = {(n, digest) for n, digest, _ in searched}
+    assert len(searched) > len(graphs)
+    assert len(eigh_calls) == len(graphs)
