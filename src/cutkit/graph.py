@@ -247,22 +247,32 @@ def canonical_graphs(
     total / 2 entries, so a key could pass 2^63 only once it took 12 GB.
     """
     total = int(base[-1])
-    key = np.minimum(near, far) * total + np.maximum(near, far)
+    # near and far may be int32; every key is built in int64.
+    key = np.minimum(near, far, dtype=np.int64)
+    key *= total
+    key += np.maximum(near, far)
     # Rows with equal keys merge, so any sort gives the same arrays. Rows
     # often come in runs of ascending keys, which a stable sort exploits.
+    # Each array is freed as soon as it is used, so no more than three rows'
+    # worth of int64 arrays live at once, besides the caller's.
     order = np.argsort(key, kind="stable")
-    key, ws = key[order], ws[order]
+    key = key[order]
+    ws = ws[order]
+    del order
     if ws.size:
-        first = np.ones(ws.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        key, ws = key[starts], np.add.reduceat(ws, starts)
+        first = np.empty(ws.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            key, ws = key[starts], np.add.reduceat(ws, starts)
     bounds = np.searchsorted(key, base * total)
-    lo = key // total
-    hi = key - lo * total
+    lo, hi = np.divmod(key, max(total, 1))  # with no ids there are no rows
+    del key
     at = np.repeat(base[:-1], np.diff(bounds))
     lo -= at
     hi -= at
+    del at
     # The prefix sums wrap mod 2^64, but every graph's total is below
     # 2^62, so each difference is exact.
     prefix = np.zeros(ws.size + 1, dtype=np.uint64)

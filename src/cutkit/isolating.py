@@ -26,9 +26,11 @@ fingerprints and bundled and recalled counts are those of the runs made
 one by one, and on the SciPy engine a family of C chunks costs at most
 C + 1 ``maximum_flow`` invocations; the Dinic engine's batch runs one flow
 per new instance. A batch of one chunk's phase B (at most 2m + |R| edges
-per run) and the next chunk's phase A may glue a few times the cap. Runs
-leave the queue as they are drawn, so only the chunk being metered and the
-next one are held at a time.
+per run) and the next chunk's phase A may pass the cap: at the 8,192-edge
+cap the largest perfbench batches glue 1.2 to 1.6 times it (11,665 edges
+on global-dense, 13,442 on steiner-subset). Runs leave the queue as they
+are drawn, so only the chunk being metered and the next one are held at a
+time.
 
 Every instance of either phase comes from one sort
 (``graph.canonical_graphs``): the instances of a build are laid end to
@@ -42,7 +44,11 @@ a chunk's components come from one labelling of the disjoint union of its
 runs' copies of the graph, each copy without its run's phase-A cut edges.
 Label rows and copies cover only the vertices that some edge touches (and
 the terminals), so the arrays of a group or chunk grow with runs times
-min(n, 2m), not with runs times n.
+min(n, 2m), not with runs times n. Ids that fit int32 are kept in int32,
+and each build frees its arrays once it has used them, so a build at the
+8,192-edge cap rises no higher than one at 4,096 did before: traced over
+a global-dense pass, about 0.49 MB in ``_build_phase_a`` and 0.47 MB in
+``_build_phase_b`` (0.43 and 0.58 MB before, at 4,096).
 
 ``minimum_isolating_cuts`` is the family of one set.
 """
@@ -55,7 +61,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, _component_labels, canonical_graphs
-from .maxflow import FlowMeter, batches, known_cut, max_flow, metered_cuts, solve_ahead
+from .maxflow import INT32_LIMIT, FlowMeter, batches, known_cut, max_flow, metered_cuts, solve_ahead
 
 
 @dataclass(frozen=True)
@@ -165,28 +171,41 @@ def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> list[_Run]:
     owner = np.repeat(np.arange(len(runs)), counts)
     rank = np.arange(members.size) - np.repeat(np.cumsum(counts) - counts, counts)
     # below[r, i]: how many of run r's terminals lie below ends[i].
-    below = np.zeros((len(runs), ends.size + 1), dtype=np.int64)
+    below = np.zeros((len(runs), ends.size + 1), dtype=np.int32)
     np.add.at(below, (owner, index[members] + 1), 1)
-    below = np.cumsum(below[:, :-1], axis=1)
+    below = np.cumsum(below[:, :-1], axis=1, dtype=np.int32)
     # Per run, each non-terminal's label, and ~rank < 0 for each terminal.
-    code = ends + 2 - below
+    # Labels stay below n, so they fit int32.
+    code = (ends + 2).astype(np.int32) - below
+    del below
     hit = touched[members]
     code[owner[hit], index[members[hit]]] = ~rank[hit]
     of = np.repeat(np.arange(len(runs)), ks)
     firsts = np.cumsum(ks) - ks
-    bit = np.arange(of.size) - np.repeat(firsts, ks)
+    bit = (np.arange(of.size) - np.repeat(firsts, ks)).astype(np.int32)
     labels = code[of]
+    del code
     labels = np.where(labels >= 0, labels, ~labels >> bit[:, None] & 1)
     base = np.zeros(of.size + 1, dtype=np.int64)
     base[1:] = np.cumsum(n - counts[of] + 2)
-    ids = labels + base[:-1, None]
-    iu, iv = np.take(ids, index[us], axis=1), np.take(ids, index[vs], axis=1)
-    keep = iu != iv
-    quotients = canonical_graphs(base, iu[keep], iv[keep], np.broadcast_to(ws, keep.shape)[keep])
+    ids = labels + base[:-1, None].astype(_id_dtype(base[-1]))
+    # One row per edge and instance; each array is freed once it is used.
+    near = np.take(ids, index[us], axis=1)
+    far = np.take(ids, index[vs], axis=1)
+    del ids
+    keep = near != far
+    near = near[keep]
+    far = far[keep]
+    quotients = canonical_graphs(base, near, far, np.broadcast_to(ws, keep.shape)[keep])
     for run, first in zip(runs, firsts.tolist()):
         run.phase_a_labels = labels[first : first + run.bits]
         run.phase_a = quotients[first : first + run.bits]
     return runs
+
+
+def _id_dtype(bound: int) -> type:
+    """int32 for ids below bound when they fit it, else int64."""
+    return np.int32 if bound <= INT32_LIMIT else np.int64
 
 
 def _cut_edges(graph: WeightedGraph, runs: list[_Run], memo: dict, index: np.ndarray) -> np.ndarray:
@@ -237,8 +256,6 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     touched, ends, index = _touched(graph)
     removed = _cut_edges(graph, runs, memo, index)
     e = ends.size
-    shift = np.arange(len(runs))[:, None] * e
-    eu, ev = (shift + index[us]).ravel(), (shift + index[vs]).ravel()
     members = np.fromiter(chain.from_iterable(run.members for run in runs), np.int64)
     run_of = np.repeat(np.arange(len(runs)), [len(run.members) for run in runs])
     hit = touched[members]
@@ -246,17 +263,24 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     terminals[hit] = run_of[hit] * e + index[members[hit]]
     lone = np.flatnonzero(~hit)
     terminals[lone] = len(runs) * e + np.arange(lone.size)
+    copies = _id_dtype(len(runs) * e + lone.size)
+    shift = np.arange(len(runs), dtype=copies)[:, None] * e
+    eu = (shift + index[us].astype(copies)).ravel()
+    ev = (shift + index[vs].astype(copies)).ravel()
     kept = ~removed.ravel()
+    del removed
     labels = _component_labels(len(runs) * e + lone.size, eu[kept], ev[kept])
+    del kept
 
     held = labels[terminals]
-    owner = np.full(labels.size, -1, dtype=np.int64)
+    owner = np.full(labels.size, -1, dtype=_id_dtype(terminals.size))
     owner[held] = np.arange(terminals.size)
     shared = np.flatnonzero(owner[held] != np.arange(terminals.size))
     if shared.size:
         shared = members[held == held[shared[0]]].tolist()
         raise ContractViolation(f"component holds terminals {shared}; phase A cuts must separate R")
     inst = owner[labels]  # -1 off every terminal's component
+    del labels, owner
     is_rest = inst >= 0
     is_rest[terminals] = False
     # Within a copy, ids ascend with graph ids, and only terminals lie past
@@ -268,7 +292,7 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     # positions in rest, moved up past two ids per instance up to j.
     base = np.zeros(terminals.size + 1, dtype=np.int64)
     base[1:] = sizes + 2 * np.arange(1, terminals.size + 1)
-    chunk_id = np.empty(labels.size, dtype=np.int64)
+    chunk_id = np.empty(inst.size, dtype=_id_dtype(base[-1]))
     chunk_id[terminals] = base[:-1]
     chunk_id[rest] = np.arange(rest.size) + 2 * inst[rest] + 2
     rest_ids = ends[rest % max(e, 1)]  # with no edges there is no rest
@@ -277,17 +301,23 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     comps = np.zeros(terminals.size * width, dtype=np.uint8)
     for j, x in ((inst[rest], rest_ids), (np.arange(terminals.size), members)):
         np.bitwise_or.at(comps, j * width + (x >> 3), (1 << (x & 7)).astype(np.uint8))
-    comps = comps.tobytes()
+    comps = memoryview(comps)  # read in place: a copy would double its n bits per terminal
 
     # Every copy of an edge is a row of u's instance, and of v's when that
     # differs; an end outside the row's component is its merged outside,
-    # vertex 1. Where iu is -1 the row is dropped, so base[-1] is never kept.
-    iu, iv, cu, cv = inst[eu], inst[ev], chunk_id[eu], chunk_id[ev]
+    # vertex 1. Where iu is -1 the row is dropped, so outside[-1] is never
+    # kept. Each array is freed once it is used.
+    iu, iv = inst[eu], inst[ev]
+    cu, cv = chunk_id[eu], chunk_id[ev]
+    del inst, chunk_id, eu, ev
+    outside = (base[:-1] + 1).astype(cu.dtype)
     at_u, at_v = iu >= 0, (iv >= 0) & (iv != iu)
     near = np.concatenate([cu[at_u], cv[at_v]])
-    far = np.concatenate([np.where(iv == iu, cv, base[iu] + 1)[at_u], base[iv[at_v]] + 1])
+    far = np.concatenate([np.where(iv == iu, cv, outside[iu])[at_u], outside[iv[at_v]]])
+    del iu, iv, cu, cv
     ew = np.tile(ws, len(runs))
     ew = np.concatenate([ew[at_u], ew[at_v]])
+    del at_u, at_v
     instances = canonical_graphs(base, near, far, ew)
 
     rest_ids = rest_ids.tolist()

@@ -50,8 +50,11 @@ counts.
   csgraph BFS over the arcs with positive residual capacity then gives
   every instance its side. The glue is one vectorized pass over the
   batch's concatenated edge arrays, with no NumPy call per instance, and
-  SciPy's COO to CSR conversion sorts the arcs; one gather of the BFS
-  reach gives every side, and one prefix sum every cut weight.
+  SciPy's COO to CSR conversion sorts the arcs; the BFS reach gives every
+  side, and the flow out of vertex 0 every cut weight. Its arrays grow
+  with the batch's edges, not its vertices, and only the CSR matrix lives
+  through the flow: a batch peaks at about 80 traced bytes per glued
+  edge, some 57 of them inside SciPy's ``maximum_flow``.
 
 A caller that knows several independent flows ahead builds each
 instance, solves the new ones in one ``solve_ahead`` batch, and then meters
@@ -74,10 +77,14 @@ from .graph import Cut, VertexSet, WeightedGraph, contract
 INT32_LIMIT = 1 << 31
 
 # Edges that one batch of independent flows may glue together (``batches``).
-# The cap bounds memory: a batch's glued arrays take a couple of hundred
-# bytes per edge while they live, and without the cap the SciPy benchmark
-# workloads peaked 6-12% higher.
-_BATCH_EDGES = 4096
+# The cap trades SciPy's fixed cost per ``maximum_flow`` call against
+# memory: a SciPy batch peaks at about 80 traced bytes per glued edge (57
+# inside ``maximum_flow``), on top of the isolating instances that wait to
+# be metered (24 bytes per edge). At 8,192 every perfbench workload peaks
+# within 2% of its RSS at 4,096 before the glue and the isolating builds
+# were trimmed, and global-dense runs 14% faster; 16,384 ran 22% faster
+# but peaked about 3% higher there.
+_BATCH_EDGES = 8192
 
 # Maps the digits of ``bin`` to the bytes 0 and 1 (``lift_side``).
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -383,74 +390,132 @@ class ScipyEngine:
         share only 0 and 1 and no glued edge is parallel to another. No
         residual path reaches a vertex without edges, so it is never on a
         side and needs no id. A direct s-t edge is left out of the flow; it
-        crosses every s-t cut, so the cut weight (the weight of the
-        instance's edges that leave its side) counts it back.
+        crosses every s-t cut, so the cut weight counts it back.
         After a maximum flow no residual path reaches vertex 1, so the BFS
         from vertex 0 passes between instances only through 0 and reaches,
-        in each, the side a flow on that instance alone would give.
+        in each, the side a flow on that instance alone would give. By the
+        same token the glued flow is a maximum flow of every instance, so an
+        instance's cut weight is its flow out of vertex 0 plus its direct
+        s-t edge.
 
-        Every step is one pass over the whole batch. The instances' vertices
-        are laid end to end, each instance from a byte boundary, so vertex x
-        of instance i sits at first[i] + x. One cumulative sum numbers the
-        glued vertices and one gather glues every edge; SciPy's COO to CSR
-        conversion sorts the arcs. One gather of the BFS reach gives every
-        side, packed into bytes a side at a time, and one prefix sum over the
-        crossing edges every cut weight.
+        Every step is one pass over the whole batch (``_glue``). Vertex x
+        of instance i has the key first[i] + x, each instance starting at a
+        byte boundary; only the keys of edge ends, s and t take part, so
+        the glue's arrays grow with the batch's edges. While the flow runs,
+        only the CSR matrix, the glued vertices' keys and one weight per
+        instance are alive. The BFS reach gives every side, set bit by bit
+        in bytes, one instance after another.
         """
-        from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
         if not instances:
             return []
         for graph, _, _ in instances:
             _check_int32(graph)
-        graphs = [graph for graph, _, _ in instances]
-        ns, ms, ss, ts = np.array([(g.n, g.m, s, t) for g, s, t in instances]).T
+        ns = np.array([graph.n for graph, _, _ in instances])
         width = (ns + 7) // 8
-        # Instance i takes n slots from first[i], then pads to a byte boundary.
+        # Instance i's vertex x has key first[i] + x: each instance starts
+        # at a byte boundary.
         first = 8 * (np.cumsum(width) - width)
-        at = np.repeat(first, ms)
-        us = np.concatenate([g.edge_arrays[0] for g in graphs]) + at
-        vs = np.concatenate([g.edge_arrays[1] for g in graphs]) + at
-        ws = np.concatenate([g.edge_arrays[2] for g in graphs])
-        kept = np.zeros(8 * int(width.sum()), dtype=bool)
-        kept[us] = kept[vs] = kept[first + ss] = kept[first + ts] = True
-        rest = kept.copy()
-        rest[first + ss] = rest[first + ts] = False
-        # s -> 0, t -> 1, every other kept vertex its own id from 2 upward,
-        # as csgraph's int32 indices.
-        local = np.cumsum(rest, dtype=np.int32) + 1
-        local[first + ss], local[first + ts] = 0, 1
-        size = np.count_nonzero(rest) + 2
-        gu, gv = local[us], local[vs]
-        keep = gu + gv != 1  # only the pair {0, 1} sums to 1
-        gu, gv, wk = gu[keep], gv[keep], ws[keep].astype(np.int32)
-        arcs = (np.concatenate([wk, wk]), (np.concatenate([gu, gv]), np.concatenate([gv, gu])))
-        # Rows ascending and, within a row, heads ascending and distinct.
-        glued = coo_matrix(arcs, shape=(size, size)).tocsr()
+        glued, held, direct = _glue(instances, first)
         flow = maximum_flow(glued, 0, 1).flow
-        layout = (flow.indptr, flow.indices), (glued.indptr, glued.indices)
-        if not all(map(np.array_equal, *layout)):
+        if not all(map(np.array_equal, (flow.indptr, flow.indices), (glued.indptr, glued.indices))):
             raise ContractViolation("maximum_flow returned a different CSR layout")
+        # Instance i's vertices other than s and t have the glued ids
+        # bounds[i] .. bounds[i + 1] - 1, and row 0 holds the arcs out of
+        # the glued source, heads ascending; its flow into instance i is
+        # that instance's flow value. Summed in int64, it is exact.
+        bounds = np.append(np.searchsorted(held, first), held.size) + 2
+        heads = flow.indices[: flow.indptr[1]]
+        out = np.concatenate([[0], np.cumsum(flow.data[: heads.size], dtype=np.int64)])
+        values = np.diff(out[np.searchsorted(heads, bounds)])
+        weights = (values + direct).tolist()
         # The flow matrix becomes the residual one in place. float64 is
         # csgraph's own dtype, so the BFS works on it without a copy.
         residual = flow
         residual.data = np.subtract(glued.data, flow.data, dtype=np.float64)
+        del glued
         residual.eliminate_zeros()
-        reached = np.zeros(size, dtype=bool)
+        reached = np.zeros(held.size + 2, dtype=bool)
         reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
-        inside = reached[local] & kept
-        # Each graph's total is below 2^62, so its difference of the prefix
-        # sums, which wrap mod 2^64, is exact.
-        prefix = np.zeros(ws.size + 1, dtype=np.uint64)
-        np.cumsum((ws * (inside[us] != inside[vs])).view(np.uint64), out=prefix[1:])
-        weights = np.diff(prefix[np.concatenate([[0], np.cumsum(ms)])]).tolist()
-        sides = np.packbits(inside, bitorder="little").tobytes()
+        del residual
+        # Glued id g >= 2 is vertex held[g - 2]; every s is on its side.
+        keys = np.concatenate([held[reached[2:]], first + [s for _, s, _ in instances]])
+        sides = np.zeros(int(width.sum()), dtype=np.uint8)
+        np.bitwise_or.at(sides, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+        sides = memoryview(sides)  # read in place, without a copy
         byte_ends = np.cumsum(width).tolist()
         return [
             Cut(VertexSet(n, int.from_bytes(sides[b - w : b], "little")), weight)
             for n, w, b, weight in zip(ns.tolist(), width.tolist(), byte_ends, weights)
         ]
+
+
+def _glue(instances: list[tuple[WeightedGraph, int, int]], first: np.ndarray) -> tuple:
+    """The glued CSR of a batch, the keys of its glued vertices, and each instance's s-t weight.
+
+    Vertex x of instance i has key first[i] + x. Every s becomes glued
+    vertex 0, every t vertex 1, and every other key that some edge touches
+    glued id 2 + its rank among those keys, so held, the keys in ascending
+    order, maps a glued id back to its instance and vertex. The ranks come
+    from one flag per key slot when the batch has no more slots than edge
+    ends, else from one sort of the edge ends; either way the arrays grow
+    with the batch's edges, not with its vertices. A direct s-t edge is left
+    out of the CSR; direct[i] holds its weight (canonical edges are
+    distinct, so an instance has at most one). The arrays built on the way
+    die with this call, so none of them lives through the flow.
+    """
+    from scipy.sparse import coo_matrix
+
+    graphs = [graph for graph, _, _ in instances]
+    ms = [graph.m for graph in graphs]
+    at = np.repeat(first, ms)
+    ends = np.concatenate(
+        [g.edge_arrays[0] for g in graphs] + [g.edge_arrays[1] for g in graphs]
+        + [first + [s for _, s, _ in instances], first + [t for _, _, t in instances]]
+    )
+    e, count = at.size, len(instances)
+    ends[:e] += at
+    ends[e : 2 * e] += at
+    del at
+    slots = int(first[-1]) + 8 * ((graphs[-1].n + 7) // 8)
+    if slots <= ends.size:
+        # A flag per key slot costs no more than the edge ends.
+        space, spot = None, ends
+        rest = np.zeros(slots, dtype=bool)
+        rest[ends] = True
+    else:
+        space, spot = np.unique(ends, return_inverse=True)
+        rest = np.ones(space.size, dtype=bool)
+    del ends
+    rest[spot[2 * e :]] = False
+    held = np.flatnonzero(rest)
+    if space is not None:
+        held = space[held]
+    # s -> 0, t -> 1, every other key its own id from 2 upward, as
+    # csgraph's int32 indices.
+    ids = np.cumsum(rest, dtype=np.int32)
+    del rest
+    ids += 1
+    ids[spot[2 * e : 2 * e + count]] = 0
+    ids[spot[2 * e + count :]] = 1
+    gu, gv = ids[spot[:e]], ids[spot[e : 2 * e]]
+    del ids, spot
+    ws = np.concatenate([g.edge_arrays[2] for g in graphs])
+    keep = (gu | gv) != 1  # of an edge's two ids, only s's and t's have 1 as bitwise or
+    direct = np.zeros(count, dtype=np.int64)
+    loose = np.flatnonzero(~keep)
+    direct[np.searchsorted(np.cumsum(ms), loose, side="right")] = ws[loose]
+    wk = ws[keep].astype(np.int32)
+    del ws
+    gu, gv = gu[keep], gv[keep]
+    del keep
+    rows, heads = np.concatenate([gu, gv]), np.concatenate([gv, gu])
+    del gu, gv
+    size = held.size + 2
+    # Rows ascending and, within a row, heads ascending and distinct.
+    glued = coo_matrix((np.concatenate([wk, wk]), (rows, heads)), shape=(size, size)).tocsr()
+    return glued, held, direct
 
 
 _ENGINES = {"dinic": DinicEngine, "scipy": ScipyEngine}

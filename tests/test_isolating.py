@@ -19,10 +19,9 @@ from cutkit import (
     naive_isolating,
 )
 
-from cutkit import isolating
+from cutkit import isolating, maxflow
 from cutkit.graph import components_after_removal
 from cutkit.maxflow import (
-    _BATCH_EDGES,
     ScipyEngine,
     _memo_key,
     batches,
@@ -186,7 +185,7 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
     )
     # A chunk stays within the cap unless it is one run, and closes only
     # when the next run would take it past the cap.
-    cap = _BATCH_EDGES
+    cap = maxflow._BATCH_EDGES
     assert sum(map(len, chunks)) == len(sets)
     assert all(len(chunk) == 1 or sum(chunk) <= cap for chunk in chunks)
     assert all(sum(chunk) + after[0] > cap for chunk, after in zip(chunks, chunks[1:]))
@@ -198,6 +197,7 @@ def _family_against_loop(engine, graph, sets, monkeypatch) -> tuple[list, FlowMe
 
 
 def test_family_equals_one_run_per_set(any_engine, monkeypatch):
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 4096)  # the cap this family is sized for
     g = rand_graph(40, 7, p=0.5)
     rng = random.Random(7)
     sets = [rand_terminals(40, rng.randint(2, 6), seed) for seed in range(24)]
@@ -210,11 +210,12 @@ def test_family_equals_one_run_per_set(any_engine, monkeypatch):
 
 
 def test_family_gives_an_oversized_run_its_own_chunk(any_engine, monkeypatch):
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 4096)  # the cap this family is sized for
     g = rand_graph(80, 11, p=0.6)
     big = rand_terminals(80, 8, 11)
     small = rand_terminals(80, 2, 12)
     chunks, _, _ = _family_against_loop(any_engine, g, [big, small, small, big], monkeypatch)
-    assert chunks[0][0] > _BATCH_EDGES
+    assert chunks[0][0] > maxflow._BATCH_EDGES
     assert [len(chunk) for chunk in chunks] == [1, 2, 1]
 
 
@@ -223,6 +224,7 @@ def test_family_solves_each_phase_b_with_the_next_chunks_phase_a(scipy_eng, monk
     # against the one-run-per-set loop.
     import scipy.sparse.csgraph as csgraph
 
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 4096)  # the cap this family is sized for
     g = rand_graph(40, 7, p=0.5)
     rng = random.Random(7)
     sets = [rand_terminals(40, rng.randint(2, 6), seed) for seed in range(24)]
@@ -377,12 +379,13 @@ def test_chunk_build_closed_forms_and_empty_slices(any_engine):
     assert groups == [3]
 
 
-def test_chunk_build_with_an_oversized_run_and_a_chunk_over_several_groups(any_engine):
+def test_chunk_build_with_an_oversized_run_and_a_chunk_over_several_groups(any_engine, monkeypatch):
     # Phase A groups runs while bipartitions * m stays within the cap: the
     # 8-terminal run takes 3 * m > cap rows and forms its own group, and two
     # 2-terminal runs (m rows each) share one. The one chunk spans them all.
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 4096)  # the cap this graph is sized for
     g = rand_graph(80, 11, p=0.6)
-    cap = _BATCH_EDGES
+    cap = maxflow._BATCH_EDGES
     assert 3 * g.m > cap >= 2 * g.m
     big = rand_terminals(80, 8, 11)
     small = rand_terminals(80, 2, 12)
@@ -491,8 +494,9 @@ def test_scipy_batch_ids_follow_edges_not_vertices(dinic, scipy_eng):
     Two terminals of each run lie among the first 100 vertices, so the
     runs' phase-A instances differ and one batch glues about 120 of them,
     each of 40,000 vertices. Glued ids for every vertex of every instance
-    took about 125 MB traced here; for each instance's s, t and the
-    vertices that edges touch, about 37 MB.
+    took about 125 MB traced here; with ids for each instance's s, t and
+    touched vertices but a flag and an id slot for every vertex, about
+    37 MB; with every array over the edge ends, about 2 MB, as on Dinic.
     """
     n = 40_000
     rng = random.Random(11)
@@ -500,15 +504,16 @@ def test_scipy_batch_ids_follow_edges_not_vertices(dinic, scipy_eng):
     g = WeightedGraph(n, edges)
     ids = [rng.sample(range(100), 2) + [rng.randrange(100, n)] for _ in range(64)]
     sets = [VertexSet.from_ids(n, terminals) for terminals in ids]
-    # SciPy's imports and first-call allocations stay out of the measured run.
-    minimum_isolating_cuts(scipy_eng, star_graph(3), VertexSet.full(4), FlowMeter())
+    # SciPy's imports and first-call allocations stay out of the measured
+    # run: the phase-A instance of {1, 2} on a star is one nontrivial flow.
+    minimum_isolating_cuts(scipy_eng, star_graph(3), VertexSet.from_ids(4, [1, 2]), FlowMeter())
     meter = FlowMeter()
     results, peak = _traced_peak(minimum_isolating_cuts_family, scipy_eng, g, sets, meter)
     looped = FlowMeter()
     assert results == minimum_isolating_cuts_family(dinic, g, sets, looped)
     assert meter.calls == looped.calls
     assert meter.solved > 100 and meter.engine_invocations <= 2
-    assert peak < 64 << 20
+    assert peak < 6 << 20
 
 
 def test_family_releases_each_run_once_metered(scipy_eng):

@@ -8,13 +8,14 @@ from cutkit import (
     WeightedGraph,
     enumerate_cuts,
     enumerate_min_cut_sides,
+    maxflow,
     minimum_isolating_cuts,
     naive_isolating,
     naive_steiner,
     stoer_wagner,
 )
 from cutkit.generators import cycle_graph, dumbbell_graph
-from cutkit.maxflow import _BATCH_EDGES, max_flow
+from cutkit.maxflow import max_flow
 
 from helpers import rand_graph, rand_terminals
 
@@ -121,11 +122,12 @@ def test_naive_steiner_meters_and_agrees(any_engine):
         assert cut.side.complement().intersection(t)
 
 
-def test_naive_steiner_batches_its_flows_without_moving_the_calls(any_engine):
+def test_naive_steiner_batches_its_flows_without_moving_the_calls(any_engine, monkeypatch):
     # 29 sinks in groups of _BATCH_EDGES // m, the last group short; an
     # edgeless graph runs no flow at all.
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 4096)  # the cap this graph is sized for
     g = rand_graph(30, 3, p=0.5)
-    step = _BATCH_EDGES // g.m
+    step = maxflow._BATCH_EDGES // g.m
     assert 1 < step < 29 and 29 % step
     for graph in (g, WeightedGraph(5, [])):
         terminals = graph.full_set
@@ -154,7 +156,8 @@ def test_naive_steiner_needs_two_terminals(dinic):
         SteinerInstance(g, VertexSet.from_ids(4, [1]))
 
 
-def test_naive_isolating_meters_and_matches(any_engine):
+def test_naive_isolating_meters_and_matches(any_engine, monkeypatch):
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 4096)  # the cap the second graph is sized for
     g = rand_graph(9, 5, p=0.4)
     t = rand_terminals(9, 4, 5)
     meter = FlowMeter()
@@ -170,7 +173,8 @@ def test_naive_isolating_meters_and_matches(any_engine):
     # graph there are three groups, the last one short.
     big = rand_graph(40, 3, p=0.6)
     big_t = VertexSet.from_ids(40, range(0, 40, 2))
-    assert 1 < _BATCH_EDGES // big.m < 20 and 20 % (_BATCH_EDGES // big.m)
+    step = maxflow._BATCH_EDGES // big.m
+    assert 1 < step < 20 and 20 % step
     for g, t in ((g, t), (big, big_t)):
         meter = FlowMeter()
         res = naive_isolating(any_engine, g, t, meter)
@@ -182,4 +186,4 @@ def test_naive_isolating_meters_and_matches(any_engine):
         if any_engine.name == "dinic":
             assert meter.engine_invocations == len(t)
         else:
-            assert meter.engine_invocations == -(-len(t) // (_BATCH_EDGES // g.m))
+            assert meter.engine_invocations == -(-len(t) // (maxflow._BATCH_EDGES // g.m))
