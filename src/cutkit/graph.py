@@ -253,8 +253,7 @@ def canonical_graphs(
     key += np.maximum(near, far)
     # Rows with equal keys merge, so any sort gives the same arrays. Rows
     # often come in runs of ascending keys, which a stable sort exploits.
-    # Each array is freed as soon as it is used, so no more than three rows'
-    # worth of int64 arrays live at once, besides the caller's.
+    # Each array is freed as soon as it is used.
     order = np.argsort(key, kind="stable")
     key = key[order]
     ws = ws[order]
@@ -263,9 +262,11 @@ def canonical_graphs(
         first = np.empty(ws.size, dtype=bool)
         first[0] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        if not first.all():
-            starts = np.flatnonzero(first)
-            key, ws = key[starts], np.add.reduceat(ws, starts)
+        starts = np.flatnonzero(first)
+        del first
+        ws = np.add.reduceat(ws, starts)
+        key = key[starts]
+        del starts
     bounds = np.searchsorted(key, base * total)
     lo, hi = np.divmod(key, max(total, 1))  # with no ids there are no rows
     del key

@@ -175,8 +175,8 @@ def _build_phase_a(graph: WeightedGraph, runs: list[_Run]) -> list[_Run]:
     np.add.at(below, (owner, index[members] + 1), 1)
     below = np.cumsum(below[:, :-1], axis=1, dtype=np.int32)
     # Per run, each non-terminal's label, and ~rank < 0 for each terminal.
-    # Labels stay below n, so they fit int32.
-    code = (ends + 2).astype(np.int32) - below
+    # Labels stay below n + 2.
+    code = (ends + 2).astype(_id_dtype(n + 2)) - below
     del below
     hit = touched[members]
     code[owner[hit], index[members[hit]]] = ~rank[hit]
