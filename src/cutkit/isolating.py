@@ -23,14 +23,12 @@ phase-B instances, solves those in one batch with the next chunk's new
 phase-A instances, and only then meters the chunk's calls in run order
 (A1 B1 A2 B2 ...), where each call finds its cut in the memo. So the calls,
 fingerprints and bundled and recalled counts are those of the runs made
-one by one, and on the SciPy engine a family of C chunks costs at most
-C + 1 ``maximum_flow`` invocations; the Dinic engine's batch runs one flow
-per new instance. A batch of one chunk's phase B (at most 2m + |R| edges
-per run) and the next chunk's phase A may pass the cap: at the 8,192-edge
-cap the largest perfbench batches glue 1.2 to 1.6 times it (11,665 edges
-on global-dense, 13,442 on steiner-subset). Runs leave the queue as they
-are drawn, so only the chunk being metered and the next one are held at a
-time.
+one by one, and on the SciPy engine a family of C chunks whose capacities
+fit int32 costs at most C + 1 ``maximum_flow`` invocations; the Dinic
+engine's batch runs one flow per new instance. A batch of one chunk's
+phase B (at most 2m + |R| edges per run) and the next chunk's phase A may
+pass the cap. Runs leave the queue as they are drawn, so only the chunk
+being metered and the next one are held at a time.
 
 Every instance of either phase comes from one sort
 (``graph.canonical_graphs``): the instances of a build are laid end to
@@ -39,16 +37,15 @@ and merge once, and each instance is a graph whose edge arrays are its
 slice of the sorted arrays, byte for byte what ``separation_quotient``
 would build (so digests and memo keys match). A phase-A cut lifts back
 through its instance's row of contraction labels; a phase-B cut through
-terminal v and the ascending ids of the instance's other vertices. All of
-a chunk's components come from one labelling of the disjoint union of its
-runs' copies of the graph, each copy without its run's phase-A cut edges.
+terminal v and the ascending ids of the instance's other vertices, a lift
+that is also the only record of v's component. All of a chunk's
+components come from one labelling of the disjoint union of its runs'
+copies of the graph, each copy without its run's phase-A cut edges.
 Label rows and copies cover only the vertices that some edge touches (and
 the terminals), so the arrays of a group or chunk grow with runs times
 min(n, 2m), not with runs times n. Ids that fit int32 are kept in int32,
-and each build frees its arrays once it has used them, so a build at the
-8,192-edge cap rises no higher than one at 4,096 did before: traced over
-a global-dense pass, about 0.49 MB in ``_build_phase_a`` and 0.47 MB in
-``_build_phase_b`` (0.43 and 0.58 MB before, at 4,096).
+and each build frees its arrays once it has used them, so a build's peak
+memory stays small next to the glued flow it feeds.
 
 ``minimum_isolating_cuts`` is the family of one set.
 """
@@ -61,7 +58,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, _component_labels, canonical_graphs
-from .maxflow import INT32_LIMIT, FlowMeter, batches, known_cut, max_flow, metered_cuts, solve_ahead
+from .maxflow import INT32_LIMIT, FlowMeter, batches, known_cut, lift_side, max_flow, solve_ahead
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,6 @@ class _Run:
     phase_a: list[WeightedGraph] = field(default_factory=list)  # in schedule order
     # Row i: bipartition i's contraction labels of the touched vertices.
     phase_a_labels: np.ndarray | None = None
-    comps: list[VertexSet] = field(default_factory=list)
     phase_b: list[_Instance] = field(default_factory=list)
 
 
@@ -234,7 +230,7 @@ def _cut_edges(graph: WeightedGraph, runs: list[_Run], memo: dict, index: np.nda
 
 
 def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
-    """Every run's components and phase-B instances, from one sort of the chunk's edges.
+    """Every run's phase-B instances and their lifts, from one sort of the chunk's edges.
 
     Each run gets a copy of the touched vertices (``_touched``): run r's
     copy of ends[i] is r * len(ends) + i, and a terminal that no edge
@@ -246,7 +242,8 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
 
     Instance j (terminal v's) is numbered as ``separation_quotient``
     numbers it: v is 0, the merged outside of its component 1, the rest of
-    the component from 2 up in ascending id. The chunk lays the instances
+    the component from 2 up in ascending id. Its lift, (v, the rest's
+    ids), is the only record of v's component. The chunk lays the instances
     end to end, so instance j's vertex i has chunk id base[j] + i. Every
     copy of an edge becomes a row of the instance of each end whose
     component it touches, keyed by its two chunk ids (``canonical_graphs``).
@@ -296,12 +293,6 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
     chunk_id[terminals] = base[:-1]
     chunk_id[rest] = np.arange(rest.size) + 2 * inst[rest] + 2
     rest_ids = ends[rest % max(e, 1)]  # with no edges there is no rest
-    # Row j holds instance j's component, packed as VertexSet masks are.
-    width = (n + 7) // 8
-    comps = np.zeros(terminals.size * width, dtype=np.uint8)
-    for j, x in ((inst[rest], rest_ids), (np.arange(terminals.size), members)):
-        np.bitwise_or.at(comps, j * width + (x >> 3), (1 << (x & 7)).astype(np.uint8))
-    comps = memoryview(comps)  # read in place: a copy would double its n bits per terminal
 
     # Every copy of an edge is a row of u's instance, and of v's when that
     # differs; an end outside the row's component is its merged outside,
@@ -322,16 +313,14 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
 
     rest_ids = rest_ids.tolist()
     sizes = [0] + sizes.tolist()
-    pieces = enumerate(zip(sizes, sizes[1:], instances))
+    pieces = zip(sizes, sizes[1:], instances)
     for run in runs:
-        for v, (j, (a, b, quotient)) in zip(run.members, islice(pieces, len(run.members))):
+        for v, (a, b, quotient) in zip(run.members, islice(pieces, len(run.members))):
             run.phase_b.append((quotient, (VertexSet(n, 1 << v), rest_ids[a:b])))
-            comp = int.from_bytes(comps[j * width : (j + 1) * width], "little")
-            run.comps.append(VertexSet(n, comp))
 
 
 def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> IsolatingCutResult:
-    """Meter the run's calls, phase A then phase B, and check its cuts on their masks."""
+    """Meter the run's calls, phase A then phase B, lifting and checking each phase-B cut."""
     mark_a = meter.call_count
     for quotient in run.phase_a:
         max_flow(engine, quotient, 0, 1, meter)
@@ -340,16 +329,16 @@ def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> Iso
         raise ContractViolation("phase A must meter exactly ceil(lg|R|) calls")
 
     mark_b = meter.call_count
-    cuts = metered_cuts(engine, run.phase_b, meter)
     terminals = run.terminals.mask
     entries: dict[int, IsolatingCutEntry] = {}
-    for v, comp, cut in zip(run.members, run.comps, cuts):
-        side = cut.side.mask
-        if side & ~comp.mask:
-            raise ContractViolation("isolating side escaped its component")
-        if side & terminals != 1 << v:
+    for v, (quotient, lift) in zip(run.members, run.phase_b):
+        cut = max_flow(engine, quotient, 0, 1, meter)
+        side = lift_side(cut.side, lift)
+        if side.mask & terminals != 1 << v:
             raise ContractViolation(f"isolating side must meet R in exactly {v}")
-        entries[v] = IsolatingCutEntry(v, cut, comp)
+        # The whole piece but its merged outside, vertex 1, lifts to v's component.
+        component = lift_side(VertexSet(quotient.n, (1 << quotient.n) - 3), lift)
+        entries[v] = IsolatingCutEntry(v, Cut(side, cut.weight), component)
     phase_b = meter.delta(mark_b)
 
     n, m = graph.n, graph.m

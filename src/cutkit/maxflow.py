@@ -6,8 +6,9 @@ cut side, the set of vertices reachable from s in the final residual graph.
 
 Engine protocol: ``solve_batch`` runs, ``solve`` reads.
 ``solve_batch(instances)`` runs the flows of every (graph, s, t) instance
-it is given and returns their Cuts, and ``glues_batch`` says whether a
-batch is one flow (SciPy) or one flow per instance (Dinic).
+it is given and returns their Cuts, and ``glues(graph)`` says whether an
+instance joins the batch's one glued flow (SciPy, within int32) or gets a
+flow of its own (Dinic, and SciPy past int32).
 ``solve(graph, s, t, memo)`` runs no flow: it reads the answer through
 ``known_cut``.
 
@@ -41,14 +42,16 @@ counts.
   ``dinic``, which the CLI, ``get_engine`` and perfbench's ``heavy-dinic``
   workload use. Its cost is per arc, not per call, so its ``solve_batch``
   just runs one flow per instance.
-- ``ScipyEngine`` needs int32 capacities. Its cost is about 0.3 ms of fixed
-  SciPy overhead per batch (one ``maximum_flow`` call) plus the same
-  algorithm compiled, so ``solve_batch`` solves independent instances in
-  one call: it glues every source into vertex 0 and every sink into vertex
-  1, gives each instance's other vertices that some edge touches ids of
-  their own, leaves direct s-t edges out and adds their weight back. One
-  csgraph BFS over the arcs with positive residual capacity then gives
-  every instance its side. The glue is one vectorized pass over the
+- ``ScipyEngine``'s ``maximum_flow`` needs int32 capacities, so
+  ``solve_batch`` sends an instance past int32 to ``DinicEngine``'s exact
+  flow. Its cost is about 0.3 ms of fixed SciPy overhead per batch (one
+  ``maximum_flow`` call) plus the same algorithm compiled, so
+  ``solve_batch`` solves the other independent instances in one call: it
+  glues every source into vertex 0 and every sink into vertex 1, gives
+  each instance's other vertices that some edge touches ids of their own,
+  leaves direct s-t edges out and adds their weight back. One csgraph BFS
+  over the arcs with positive residual capacity then gives every instance
+  its side. The glue is one vectorized pass over the
   batch's concatenated edge arrays, with no NumPy call per instance, and
   SciPy's COO to CSR conversion sorts the arcs; the BFS reach gives every
   side, and the flow out of vertex 0 every cut weight. Its arrays grow
@@ -58,9 +61,9 @@ counts.
 
 A caller that knows several independent flows ahead builds each
 instance, solves the new ones in one ``solve_ahead`` batch, and then meters
-every call in order (``max_flow``, or ``metered_cuts``, which lifts each
+every call in order through ``max_flow``, lifting a contracted instance's
 cut back to the graph through ``lift_side``, from the bits of the
-instance's side). Callers group their flows with ``batches``, the one rule
+instance's side. Callers group their flows with ``batches``, the one rule
 that sizes a batch. ``separation_quotient`` builds one instance by
 contraction.
 """
@@ -102,8 +105,8 @@ class FlowMeter:
     is metered in the same step, so recalled, the nontrivial calls minus
     solved, counts the calls answered from an earlier call's solve.
     engine_invocations counts the flows the engine actually ran: per
-    ``solve_ahead`` batch, one on the SciPy engine or one per instance on
-    the Dinic engine. A recalled or batched call is still a call: neither
+    ``solve_ahead`` batch, one for the instances the engine glues
+    (``glues``) and one per other instance. A recalled or batched call is still a call: neither
     count changes calls, equivalent calls or a report's fingerprint.
     """
 
@@ -196,12 +199,6 @@ def known_cut(graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
     return cut
 
 
-def _check_int32(graph: WeightedGraph) -> None:
-    # Weights are nonnegative, so a total below the limit bounds every edge.
-    if graph.total_weight >= INT32_LIMIT and int(graph.edge_arrays[2].max()) >= INT32_LIMIT:
-        raise InputError("capacity exceeds int32 range; use the dinic engine")
-
-
 class DinicEngine:
     """Shortest-augmenting-path max flow on flat arc lists; exact for any int weights.
 
@@ -233,13 +230,16 @@ class DinicEngine:
     the name the CLI and ``get_engine`` use.
 
     ``solve_batch`` runs one flow per instance, so each batched instance is
-    one engine invocation. ``solve`` only reads: edgeless and two-vertex
-    instances get the shared closed form, any other its cut in memo
-    (``known_cut``).
+    one engine invocation, and ``glues`` is always false. ``solve`` only
+    reads: edgeless and two-vertex instances get the shared closed form,
+    any other its cut in memo (``known_cut``).
     """
 
     name = "dinic"
-    glues_batch = False
+
+    @staticmethod
+    def glues(graph: WeightedGraph) -> bool:
+        return False
 
     def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
         return known_cut(graph, s, t, memo)
@@ -360,28 +360,41 @@ class DinicEngine:
 
 
 class ScipyEngine:
-    """scipy.sparse.csgraph.maximum_flow engine; capacities must fit int32.
+    """scipy.sparse.csgraph.maximum_flow engine, exact for any int weights.
 
-    The limit holds per solved instance: contraction merges parallel edges,
-    so a graph whose every edge fits int32 (a star of five 2^30 edges, for
-    one) can still raise InputError here. The dinic engine has no limit.
+    ``maximum_flow`` needs int32 capacities, and the limit holds per solved
+    instance: contraction merges parallel edges, so a graph whose every
+    edge fits int32 (a star of five 2^30 edges, for one) can still have an
+    instance that does not. ``glues`` says which instances fit.
 
-    ``solve_batch`` runs the flows, a whole batch in one ``maximum_flow``
-    call, so a batch is one engine invocation. ``solve`` only reads: once
-    the instance's capacities pass the int32 check, an edgeless or
-    two-vertex instance gets the shared closed form, any other its cut in
-    memo (``known_cut``).
+    ``solve_batch`` runs the flows: every instance that fits in one
+    ``maximum_flow`` call, and each other one through ``DinicEngine``'s
+    exact flow, so a batch is one engine invocation plus one per instance
+    past int32. ``solve`` only reads: an edgeless or two-vertex instance
+    gets the shared closed form, any other its cut in memo
+    (``known_cut``).
     """
 
     name = "scipy"
-    glues_batch = True
+
+    @staticmethod
+    def glues(graph: WeightedGraph) -> bool:
+        """Whether graph's capacities fit int32, so that its instance joins the glued flow."""
+        # Weights are nonnegative, so a total below the limit bounds every edge.
+        return graph.total_weight < INT32_LIMIT or int(graph.edge_arrays[2].max()) < INT32_LIMIT
 
     def solve(self, graph: WeightedGraph, s: int, t: int, memo: dict) -> Cut:
-        _check_int32(graph)
         return known_cut(graph, s, t, memo)
 
     @staticmethod
     def solve_batch(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
+        """Every instance's Cut: one flow for all that ``glues``, and one per other instance."""
+        glued = [ScipyEngine.glues(graph) for graph, _, _ in instances]
+        cuts = iter(ScipyEngine._glued_flow(list(compress(instances, glued))))
+        return [next(cuts) if g else DinicEngine._flow(*inst) for g, inst in zip(glued, instances)]
+
+    @staticmethod
+    def _glued_flow(instances: list[tuple[WeightedGraph, int, int]]) -> list[Cut]:
         """The Cut of every (graph, s, t) instance, from one maximum_flow call.
 
         The instances are glued into one graph: every s becomes vertex 0,
@@ -410,8 +423,6 @@ class ScipyEngine:
 
         if not instances:
             return []
-        for graph, _, _ in instances:
-            _check_int32(graph)
         ns = np.array([graph.n for graph, _, _ in instances])
         width = (ns + 7) // 8
         # Instance i's vertex x has key first[i] + x: each instance starts
@@ -537,9 +548,10 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
     Every instance whose key is not in ``meter.memo`` goes to
     ``engine.solve_batch``, each distinct one once, and its cut into the
     memo; ``meter.solved`` grows by their number and
-    ``meter.engine_invocations`` by the flows the batch ran. This is the
-    only place flows run; ``max_flow`` too sends its instance here, as a
-    batch of one. It meters no call: the caller meters each instance
+    ``meter.engine_invocations`` by the flows the batch ran: one for the
+    instances that ``engine.glues``, if any, and one per other instance.
+    This is the only place flows run; ``max_flow`` too sends its instance
+    here, as a batch of one. It meters no call: the caller meters each instance
     through ``max_flow``, which finds its cut in the memo.
     """
     memo = meter.memo
@@ -550,9 +562,11 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
             if key not in memo:
                 fresh.setdefault(key, (graph, s, t))
     if fresh:
-        memo.update(zip(fresh, engine.solve_batch(list(fresh.values()))))
+        batch = list(fresh.values())
+        memo.update(zip(fresh, engine.solve_batch(batch)))
         meter.solved += len(fresh)
-        meter.engine_invocations += 1 if engine.glues_batch else len(fresh)
+        glued = sum(engine.glues(graph) for graph, _, _ in batch)
+        meter.engine_invocations += len(fresh) - glued + (glued > 0)
 
 
 def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> Cut:
@@ -618,17 +632,6 @@ def lift_side(side: VertexSet, lift: tuple[VertexSet, list[int]]) -> VertexSet:
     return VertexSet(source.n, mask)
 
 
-def metered_cuts(
-    engine, quotients: list[tuple[WeightedGraph, tuple[VertexSet, list[int]]]], meter: FlowMeter
-) -> list[Cut]:
-    """One metered 0-1 call per (quotient, lift), in order, each cut lifted to the graph."""
-    lifted = []
-    for quotient, lift in quotients:
-        cut = max_flow(engine, quotient, 0, 1, meter)
-        lifted.append(Cut(lift_side(cut.side, lift), cut.weight))
-    return lifted
-
-
 def min_cut_separating(
     engine,
     graph: WeightedGraph,
@@ -641,5 +644,7 @@ def min_cut_separating(
     One metered call on the ``separation_quotient``; the returned side is
     the inclusion-minimal minimizer containing A.
     """
-    return metered_cuts(engine, [separation_quotient(graph, side_a, side_b)], meter)[0]
+    quotient, lift = separation_quotient(graph, side_a, side_b)
+    cut = max_flow(engine, quotient, 0, 1, meter)
+    return Cut(lift_side(cut.side, lift), cut.weight)
 

@@ -27,7 +27,6 @@ from cutkit.maxflow import (
     batches,
     known_cut,
     lift_side,
-    metered_cuts,
     separation_quotient,
     solve_ahead,
 )
@@ -321,8 +320,10 @@ def _chunk_against_separation_quotient(engine, graph, sets) -> tuple[list, list]
             assert np.array_equal(side.bools()[row], inside[touched])
             removed |= inside[us] != inside[vs]
         labels = components_after_removal(graph, removed)
-        assert len(run.phase_b) == len(run.comps) == len(run.members)
-        for v, comp, (quotient, lift) in zip(run.members, run.comps, run.phase_b):
+        assert len(run.phase_b) == len(run.members)
+        for v, (quotient, lift) in zip(run.members, run.phase_b):
+            # The piece but its merged outside, vertex 1, lifts to v's component.
+            comp = lift_side(VertexSet(quotient.n, (1 << quotient.n) - 3), lift)
             assert comp == VertexSet.from_bools(labels == labels[v])
             source = VertexSet(graph.n, 1 << v)
             want, want_lift = separation_quotient(graph, source, comp.complement())
@@ -421,15 +422,13 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
     terminals = VertexSet.from_ids(5, [2, 4])
 
     # Phase A runs for real: its cuts are read from the memo, and only phase B
-    # is lifted through metered_cuts. A phase-B side must stay inside its
-    # one-terminal component, so the side that reaches the terminal check is
-    # one that misses its own terminal: terminal 2's {0, 1, 2} loses 2.
-    def drop_source(engine, quotients, meter):
-        cuts = metered_cuts(engine, quotients, meter)
-        first = cuts[0]
-        return [Cut(first.side.difference(terminals), first.weight)] + cuts[1:]
+    # is lifted through lift_side. A phase-B side lifts into its one-terminal
+    # component, so the side that reaches the terminal check is one that
+    # misses its own terminal: terminal 2's {0, 1, 2} loses 2.
+    def drop_terminals(side, lift):
+        return lift_side(side, lift).difference(terminals)
 
-    monkeypatch.setattr("cutkit.isolating.metered_cuts", drop_source)
+    monkeypatch.setattr("cutkit.isolating.lift_side", drop_terminals)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
 
@@ -440,22 +439,6 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
     monkeypatch.setattr("cutkit.oracles.max_flow", with_sink)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         naive_isolating(dinic, g, terminals)
-
-
-def _int32_sink_merge():
-    # Every phase-A instance fits int32; only terminal 0's phase-B instance,
-    # whose merged outside {1, 2} meets vertex 3 twice, passes 2^31.
-    big = (1 << 30) + 1
-    return WeightedGraph(4, [(0, 3, 1), (1, 3, big), (2, 3, big)]), VertexSet.from_ids(4, [0, 1, 2])
-
-
-def test_phase_b_sink_merge_past_int32_is_refused_on_scipy(dinic, scipy_eng):
-    g, terminals = _int32_sink_merge()
-    res = minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
-    big = (1 << 30) + 1
-    assert {v: e.cut.weight for v, e in res.entries.items()} == {0: 1, 1: big, 2: big}
-    with pytest.raises(InputError, match="int32"):
-        minimum_isolating_cuts(scipy_eng, g, terminals, FlowMeter())
 
 
 def _traced_peak(run, *args) -> tuple:

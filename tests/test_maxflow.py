@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from cutkit import (
     AlgoConfig,
     ContractViolation,
+    Cut,
     DinicEngine,
     FlowMeter,
     GeneratorSpec,
@@ -31,6 +33,7 @@ from cutkit import (
     write_dimacs,
 )
 from cutkit.bench import bench_graph
+from cutkit.cli import main
 
 from helpers import rand_graph, st_pair
 
@@ -285,15 +288,6 @@ def test_driver_reports_hold_no_memo_entries(dinic):
     assert report.meter.call_count == 0
 
 
-def test_scipy_rejects_weights_beyond_int32(scipy_eng):
-    w = 1 << 40
-    g = WeightedGraph(3, [(0, 1, w), (1, 2, w)])
-    with pytest.raises(InputError):
-        max_flow(scipy_eng, g, 0, 2, FlowMeter())
-    with pytest.raises(InputError):
-        max_flow(scipy_eng, WeightedGraph(2, [(0, 1, w)]), 0, 1, FlowMeter())
-
-
 def test_scipy_layout_mismatch_is_contract_violation(scipy_eng, monkeypatch):
     import scipy.sparse.csgraph as csgraph
     from scipy.sparse import csr_matrix
@@ -372,18 +366,90 @@ def test_scipy_batch_sums_flows_past_int32(dinic):
     assert cuts == [max_flow(dinic, g, s, t, FlowMeter()) for g, s, t in batch]
 
 
-def test_scipy_batch_rejects_merged_capacity_past_int32():
-    # Every edge fits int32, but contraction merges two into 2^31 (the CLI
-    # maps this InputError to exit 2; see test_cli).
+def _past_int32_max_flow(engine, tmp_path):
+    w = 1 << 40
+    meter = FlowMeter()
+    cuts = [max_flow(engine, WeightedGraph(3, [(0, 1, w), (1, 2, w)]), 0, 2, meter)]
+    cuts.append(max_flow(engine, WeightedGraph(2, [(0, 1, w)]), 0, 1, meter))
+    assert [cut.weight for cut in cuts] == [w, w]
+    assert meter.engine_invocations == 1  # the two-vertex instance runs no flow
+    return cuts
+
+
+def _past_int32_batch(engine, tmp_path):
+    # Every edge fits int32, but contraction merges two into 2^31; only the
+    # quotient passes int32, so SciPy glues the small instance alone.
     g = WeightedGraph(4, [(0, 2, 1 << 30), (1, 2, 1 << 30), (2, 3, 5)])
     small = WeightedGraph(3, [(0, 2, 1), (2, 1, 1)])
     quotient = WeightedGraph(3, [(0, 2, 1 << 31), (2, 1, 5)])
-    with pytest.raises(InputError, match="int32"):
-        ScipyEngine.solve_batch([(small, 0, 1), (quotient, 0, 1)])
-    with pytest.raises(InputError, match="int32"):
-        min_cut_separating(
-            ScipyEngine(), g, VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [3]), FlowMeter()
-        )
+    batch = [(small, 0, 1), (quotient, 0, 1)]
+    meter = FlowMeter()
+    maxflow.solve_ahead(engine, batch, meter)
+    assert meter.engine_invocations == 2
+    cut = min_cut_separating(
+        engine, g, VertexSet.from_ids(4, [0, 1]), VertexSet.from_ids(4, [3]), FlowMeter()
+    )
+    assert cut.weight == 5
+    return type(engine).solve_batch(batch), cut
+
+
+def _sink_merge_past_int32():
+    # Every phase-A instance fits int32; only terminal 0's phase-B instance,
+    # whose merged outside {1, 2} meets vertex 3 twice, passes 2^31.
+    big = (1 << 30) + 1
+    return WeightedGraph(4, [(0, 3, 1), (1, 3, big), (2, 3, big)]), VertexSet.from_ids(4, [0, 1, 2])
+
+
+def _past_int32_isolating(engine, tmp_path):
+    g, terminals = _sink_merge_past_int32()
+    res = minimum_isolating_cuts(engine, g, terminals, FlowMeter())
+    big = (1 << 30) + 1
+    assert {v: e.cut.weight for v, e in res.entries.items()} == {0: 1, 1: big, 2: big}
+    return res
+
+
+def _cli_doc(argv, engine, tmp_path):
+    out = tmp_path / f"{engine.name}.json"
+    assert main(argv + ["--engine", engine.name, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["engine_invocations"]
+    return doc
+
+
+def _past_int32_cli_mincut(engine, tmp_path):
+    # Each edge fits int32, but contracting the star merges them past it.
+    path = tmp_path / "star.graph"
+    lines = ["p 6 6"] + [f"0 {v} {1 << 30}" for v in range(1, 6)] + ["1 2 1"]
+    path.write_text("\n".join(lines) + "\n")
+    doc = _cli_doc(["mincut", "--graph", str(path), "--phi", "1/4", "--k", "2"], engine, tmp_path)
+    assert doc["weight"] == 1 << 30
+    return doc
+
+
+def _past_int32_cli_isolating(engine, tmp_path):
+    g, _ = _sink_merge_past_int32()
+    path = tmp_path / "sink.graph"
+    path.write_text("p 4 3\n" + "".join(f"{u} {v} {w}\n" for u, v, w in g.edges))
+    doc = _cli_doc(["isolating", "--graph", str(path), "--terminals", "0,1,2"], engine, tmp_path)
+    assert [c["weight"] for c in doc["cuts"]] == [1, (1 << 30) + 1, (1 << 30) + 1]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _past_int32_max_flow,
+        _past_int32_batch,
+        _past_int32_isolating,
+        _past_int32_cli_mincut,
+        _past_int32_cli_isolating,
+    ],
+    ids=["max-flow", "batch", "isolating", "cli-mincut", "cli-isolating"],
+)
+def test_scipy_agrees_with_dinic_past_int32(run, dinic, scipy_eng, tmp_path):
+    # Capacities past int32, given or merged by contraction: SciPy runs those
+    # instances through Dinic's flow and gives Dinic's answers.
+    assert run(scipy_eng, tmp_path) == run(dinic, tmp_path)
 
 
 def test_batches_group_consecutive_items_within_the_cap():
@@ -566,7 +632,8 @@ def test_batched_instances_count_as_solved_and_repeats_as_recalled(any_engine):
     def batched(pairs):
         quotients = [maxflow.separation_quotient(g, x, y) for x, y in pairs]
         maxflow.solve_ahead(any_engine, [(q, 0, 1) for q, _ in quotients], meter)
-        return maxflow.metered_cuts(any_engine, quotients, meter)
+        cuts = [(max_flow(any_engine, q, 0, 1, meter), lift) for q, lift in quotients]
+        return [Cut(maxflow.lift_side(cut.side, lift), cut.weight) for cut, lift in cuts]
 
     first = batched(pairs)
     again = batched(pairs[2:])
