@@ -51,13 +51,13 @@ counts.
   each instance's other vertices that some edge touches ids of their own,
   leaves direct s-t edges out and adds their weight back. One csgraph BFS
   over the arcs with positive residual capacity then gives every instance
-  its side. The glue is one vectorized pass over the
-  batch's concatenated edge arrays, with no NumPy call per instance, and
-  SciPy's COO to CSR conversion sorts the arcs; the BFS reach gives every
-  side, and the flow out of vertex 0 every cut weight. Its arrays grow
-  with the batch's edges, not its vertices, and only the CSR matrix lives
-  through the flow: a batch peaks at about 80 traced bytes per glued
-  edge, some 57 of them inside SciPy's ``maximum_flow``.
+  its side. The glue is one vectorized pass over the batch's concatenated
+  edge arrays, with no NumPy call per instance, and SciPy's COO to CSR
+  conversion sorts the arcs; the BFS reach gives every side, and the flow
+  out of vertex 0 every cut weight. Its arrays grow with the batch's
+  edges, not its vertices, and only the CSR matrix lives through the flow:
+  a batch peaks at about 80 traced bytes per glued edge, some 57 of them
+  inside SciPy's ``maximum_flow``.
 
 A caller that knows several independent flows ahead builds each
 instance, solves the new ones in one ``solve_ahead`` batch, and then meters
@@ -106,8 +106,9 @@ class FlowMeter:
     solved, counts the calls answered from an earlier call's solve.
     engine_invocations counts the flows the engine actually ran: per
     ``solve_ahead`` batch, one for the instances the engine glues
-    (``glues``) and one per other instance. A recalled or batched call is still a call: neither
-    count changes calls, equivalent calls or a report's fingerprint.
+    (``glues``) and one per other instance. A recalled or batched call is
+    still a call: neither count changes calls, equivalent calls or a
+    report's fingerprint.
     """
 
     calls: list[tuple[int, int]] = field(default_factory=list)
