@@ -1,7 +1,8 @@
 """Flow-call benchmark: the fast driver versus the naive baseline.
 
 Counts are reported four ways. Raw calls are the logical max-flow calls,
-one metered call per ``max_flow``. Every distinct nontrivial instance is
+one per metered call (``max_flow``, or ``maxflow.metered_read`` for an
+instance solved ahead). Every distinct nontrivial instance is
 solved once for a run (``maxflow.solve_ahead``), and recalled calls are
 the nontrivial raw calls beyond those solves, each answered from the
 run's memo. Equivalent calls (FlowMeter.equivalent_calls) count one per

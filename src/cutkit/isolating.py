@@ -30,6 +30,17 @@ phase B (at most 2m + |R| edges per run) and the next chunk's phase A may
 pass the cap. Runs leave the queue as they are drawn, so only the chunk
 being metered and the next one are held at a time.
 
+Once a batch is solved, a run keeps each of its instances only as a
+``maxflow.SolvedInstance`` record (n, m, total weight, digest), which is
+all the reads take, so a build's edge arrays die before the next batch's
+flow. Each call is then metered with one read (``maxflow.metered_read``):
+the memo's cut, through ``engine.solve``. A result holds no graph: for each
+terminal, the cut of its phase-B piece and the piece's lift. The drivers
+read only ``IsolatingCutResult.best()``, so a run lifts only its lightest
+cut as it is metered; every other entry is lifted, and checked to meet R
+in exactly its terminal, the first time it is read, and an entry's
+component the first time that is read.
+
 Every instance of either phase comes from one sort
 (``graph.canonical_graphs``): the instances of a build are laid end to
 end, every edge becomes a row of each instance it touches, the rows sort
@@ -51,6 +62,7 @@ memory stays small next to the glued flow it feeds.
 """
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -58,27 +70,109 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .graph import Cut, VertexSet, WeightedGraph, _component_labels, canonical_graphs
-from .maxflow import INT32_LIMIT, FlowMeter, batches, known_cut, lift_side, max_flow, solve_ahead
+from .maxflow import (
+    INT32_LIMIT,
+    FlowMeter,
+    SolvedInstance,
+    batches,
+    known_cut,
+    lift_side,
+    metered_read,
+    solve_ahead,
+)
+
+# The lift of a phase-B piece's cuts (``maxflow.lift_side``): terminal v as
+# a set, and the ascending ids of the rest of v's component.
+_Lift = tuple[VertexSet, list[int]]
 
 
-@dataclass(frozen=True)
 class IsolatingCutEntry:
-    """Minimal minimum isolating cut for one terminal, plus its component."""
+    """Minimal minimum isolating cut for one terminal, plus its component.
 
-    vertex: int
-    cut: Cut
-    component: VertexSet
+    component is given as a set, or as the lift of the terminal's phase-B
+    piece, which is lifted the first time it is read: the whole piece but
+    its merged outside, vertex 1, lifts to the component.
+    """
+
+    __slots__ = ("vertex", "cut", "_component")
+
+    def __init__(self, vertex: int, cut: Cut, component: VertexSet | _Lift):
+        self.vertex = vertex
+        self.cut = cut
+        self._component = component
+
+    @property
+    def component(self) -> VertexSet:
+        if not isinstance(self._component, VertexSet):
+            size = len(self._component[1]) + 2  # the piece's vertices
+            self._component = lift_side(VertexSet(size, (1 << size) - 3), self._component)
+        return self._component
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IsolatingCutEntry):
+            return NotImplemented
+        return (self.vertex, self.cut, self.component) == (other.vertex, other.cut, other.component)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex, self.cut))
+
+    def __repr__(self) -> str:
+        return f"IsolatingCutEntry(vertex={self.vertex}, cut={self.cut}, component={self.component})"
+
+
+class _LiftedEntries(Mapping):
+    """A run's entries, each lifted from its terminal's phase-B piece the first time it is read.
+
+    pieces maps terminal v to the cut of its piece, as the memo holds it,
+    and the piece's lift. Every lifted side must meet R in exactly v. The
+    lightest cut (lowest vertex id on ties) is lifted at once, as
+    ``lightest``, since the drivers read only that one.
+    """
+
+    def __init__(self, terminals: VertexSet, pieces: dict[int, tuple[Cut, _Lift]]):
+        self._terminals = terminals.mask
+        self._pieces = pieces
+        self._lifted: dict[int, IsolatingCutEntry] = {}
+        self.lightest = self[min(pieces, key=lambda v: (pieces[v][0].weight, v))]
+
+    def __getitem__(self, v: int) -> IsolatingCutEntry:
+        entry = self._lifted.get(v)
+        if entry is None:
+            cut, lift = self._pieces[v]
+            side = lift_side(cut.side, lift)
+            if side.mask & self._terminals != 1 << v:
+                raise ContractViolation(f"isolating side must meet R in exactly {v}")
+            entry = self._lifted[v] = IsolatingCutEntry(v, Cut(side, cut.weight), lift)
+        return entry
+
+    def __contains__(self, v) -> bool:
+        return v in self._pieces
+
+    def __iter__(self):
+        return iter(self._pieces)
+
+    def __len__(self) -> int:
+        return len(self._pieces)
 
 
 @dataclass
 class IsolatingCutResult:
+    """Each terminal's isolating cut (entries) and the calls of the run's two phases.
+
+    ``minimum_isolating_cuts`` lifts only the lightest cut, best(), as it
+    meters the run; every other entry is lifted the first time it is read.
+    The result holds no graph.
+    """
+
     terminals: VertexSet
-    entries: dict[int, IsolatingCutEntry]
+    entries: Mapping[int, IsolatingCutEntry]
     phase_a_calls: list[tuple[int, int]]
     phase_b_calls: list[tuple[int, int]]
 
     def best(self) -> IsolatingCutEntry:
         """Entry with the smallest cut weight (lowest vertex id on ties)."""
+        if isinstance(self.entries, _LiftedEntries):
+            return self.entries.lightest
         return min(self.entries.values(), key=lambda e: (e.cut.weight, e.vertex))
 
 
@@ -106,8 +200,8 @@ def bipartition_schedule(terminals: VertexSet) -> list[tuple[VertexSet, VertexSe
     return schedule
 
 
-# A phase-B instance and the lift of its cuts (``maxflow.lift_side``).
-_Instance = tuple[WeightedGraph, tuple[VertexSet, list[int]]]
+# An instance as built, or its record once solved (``SolvedInstance``).
+_Instance = WeightedGraph | SolvedInstance
 
 
 @dataclass
@@ -117,10 +211,10 @@ class _Run:
     terminals: VertexSet
     members: list[int]
     bits: int  # ceil(lg|R|), the number of bipartitions (``bipartition_schedule``)
-    phase_a: list[WeightedGraph] = field(default_factory=list)  # in schedule order
+    phase_a: list[_Instance] = field(default_factory=list)  # in schedule order
     # Row i: bipartition i's contraction labels of the touched vertices.
     phase_a_labels: np.ndarray | None = None
-    phase_b: list[_Instance] = field(default_factory=list)
+    phase_b: list[tuple[_Instance, _Lift]] = field(default_factory=list)  # in terminal order
 
 
 def _start_run(graph: WeightedGraph, terminals: VertexSet) -> _Run:
@@ -320,25 +414,19 @@ def _build_phase_b(graph: WeightedGraph, runs: list[_Run], memo: dict) -> None:
 
 
 def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> IsolatingCutResult:
-    """Meter the run's calls, phase A then phase B, lifting and checking each phase-B cut."""
+    """Meter the run's solved calls, phase A then phase B, with one read each (``metered_read``)."""
     mark_a = meter.call_count
     for quotient in run.phase_a:
-        max_flow(engine, quotient, 0, 1, meter)
+        metered_read(engine, quotient, 0, 1, meter)
     phase_a = meter.delta(mark_a)
     if len(phase_a) != len(run.phase_a):
         raise ContractViolation("phase A must meter exactly ceil(lg|R|) calls")
 
     mark_b = meter.call_count
-    terminals = run.terminals.mask
-    entries: dict[int, IsolatingCutEntry] = {}
-    for v, (quotient, lift) in zip(run.members, run.phase_b):
-        cut = max_flow(engine, quotient, 0, 1, meter)
-        side = lift_side(cut.side, lift)
-        if side.mask & terminals != 1 << v:
-            raise ContractViolation(f"isolating side must meet R in exactly {v}")
-        # The whole piece but its merged outside, vertex 1, lifts to v's component.
-        component = lift_side(VertexSet(quotient.n, (1 << quotient.n) - 3), lift)
-        entries[v] = IsolatingCutEntry(v, Cut(side, cut.weight), component)
+    pieces = {
+        v: (metered_read(engine, quotient, 0, 1, meter), lift)
+        for v, (quotient, lift) in zip(run.members, run.phase_b)
+    }
     phase_b = meter.delta(mark_b)
 
     n, m = graph.n, graph.m
@@ -351,7 +439,24 @@ def _meter_run(engine, graph: WeightedGraph, run: _Run, meter: FlowMeter) -> Iso
     # bounds just checked), so the whole phase costs one equivalent call.
     meter.bundle(mark_b)
 
+    entries = _LiftedEntries(run.terminals, pieces)
     return IsolatingCutResult(run.terminals, entries, list(phase_a), list(phase_b))
+
+
+def _solve(engine, metered: list[_Run], following: list[_Run], meter: FlowMeter) -> None:
+    """Solve metered's phase B and following's phase A in one batch, keeping only records.
+
+    Once the batch is solved, each of its instances is replaced by its
+    ``SolvedInstance``, which is all that ``known_cut`` and the meter read,
+    so the builds' edge arrays die before the next batch's flow runs.
+    """
+    ahead = [quotient for run in metered for quotient, _ in run.phase_b]
+    ahead += [quotient for run in following for quotient in run.phase_a]
+    solve_ahead(engine, [(quotient, 0, 1) for quotient in ahead], meter)
+    for run in metered:
+        run.phase_b = [(SolvedInstance.of(quotient), lift) for quotient, lift in run.phase_b]
+    for run in following:
+        run.phase_a = list(map(SolvedInstance.of, run.phase_a))
 
 
 def minimum_isolating_cuts_family(
@@ -374,14 +479,12 @@ def minimum_isolating_cuts_family(
     built = chain.from_iterable(_build_phase_a(graph, group) for group in groups)
     chunks = batches(built, lambda run: sum(quotient.m for quotient in run.phase_a))
     chunk = next(chunks, [])
-    solve_ahead(engine, [(quotient, 0, 1) for run in chunk for quotient in run.phase_a], meter)
+    _solve(engine, [], chunk, meter)
     results: list[IsolatingCutResult] = []
     while chunk:
         following = next(chunks, [])
         _build_phase_b(graph, chunk, meter.memo)
-        ahead = [quotient for run in chunk for quotient, _ in run.phase_b]
-        ahead += [quotient for run in following for quotient in run.phase_a]
-        solve_ahead(engine, [(quotient, 0, 1) for quotient in ahead], meter)
+        _solve(engine, chunk, following, meter)
         results += [_meter_run(engine, graph, run, meter) for run in chunk]
         chunk = following
     return results

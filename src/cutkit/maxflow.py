@@ -23,10 +23,13 @@ One read step, ``known_cut``, is the only place an answer is read: an
 edgeless or two-vertex instance gets its closed form (its only minimal
 side is {s}, of value the total edge weight), any other its memo entry,
 and a nontrivial instance not yet solved raises ContractViolation.
-``max_flow`` passes its instance to ``solve_ahead`` as a batch of one,
-then meters the call and reads the answer through ``engine.solve``, so
-the meter counts logical calls: a call answered from the memo still
-counts.
+``metered_read`` meters one call of an instance already solved and reads
+its answer through ``engine.solve``; ``max_flow`` passes its instance to
+``solve_ahead`` as a batch of one and then does the same. So the meter
+counts logical calls: a call answered from the memo still counts, and
+every metered call reaches ``engine.solve`` once. A read needs only the
+instance's n, m, total weight and digest, so a caller may keep a solved
+instance as its ``SolvedInstance`` record and let its edge arrays go.
 
 - ``DinicEngine`` (the default) is pure Python on Python-int capacities, so
   it is exact at any weight. It runs shortest augmenting paths on exact
@@ -60,17 +63,17 @@ counts.
   inside SciPy's ``maximum_flow``.
 
 A caller that knows several independent flows ahead builds each
-instance, solves the new ones in one ``solve_ahead`` batch, and then meters
-every call in order through ``max_flow``, lifting a contracted instance's
-cut back to the graph through ``lift_side``, from the bits of the
-instance's side. Callers group their flows with ``batches``, the one rule
-that sizes a batch. ``separation_quotient`` builds one instance by
-contraction.
+instance, solves the new ones in one ``solve_ahead`` batch, keeps each as
+its ``SolvedInstance``, and then meters every call in order through
+``metered_read``, lifting a contracted instance's cut back to the graph
+through ``lift_side``, from the bits of the instance's side. Callers group
+their flows with ``batches``, the one rule that sizes a batch.
+``separation_quotient`` builds one instance by contraction.
 """
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,12 +85,13 @@ INT32_LIMIT = 1 << 31
 # Edges that one batch of independent flows may glue together (``batches``).
 # The cap trades SciPy's fixed cost per ``maximum_flow`` call against
 # memory: a SciPy batch peaks at about 80 traced bytes per glued edge (57
-# inside ``maximum_flow``), on top of the isolating instances that wait to
-# be metered (24 bytes per edge). At 8,192 every perfbench workload peaks
-# within 2% of its RSS at 4,096 before the glue and the isolating builds
-# were trimmed, and global-dense runs 13% faster; 16,384 ran 22% faster
-# but peaked about 3% higher there.
-_BATCH_EDGES = 8192
+# inside ``maximum_flow``). Solved isolating instances wait to be metered
+# only as ``SolvedInstance`` records, so their edge arrays (24 bytes per
+# edge) no longer sit under that peak. At 16,384, perfbench's global-dense runs 13% faster
+# than at 8,192 and peaks 1.3% higher in RSS (steiner-subset 1.4%, the
+# others less); 32,768 ran 4% faster again but peaked 3.5% higher than
+# 8,192 there (``BENCH_33.json``).
+_BATCH_EDGES = 16384
 
 # Maps the digits of ``bin`` to the bytes 0 and 1 (``lift_side``).
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -570,24 +574,55 @@ def solve_ahead(engine, instances: list[tuple[WeightedGraph, int, int]], meter: 
         meter.engine_invocations += len(fresh) - glued + (glued > 0)
 
 
+class SolvedInstance(NamedTuple):
+    """What is read of an instance once ``solve_ahead`` has solved it, without its edge arrays.
+
+    ``known_cut`` reads n, m, the total weight and, for a nontrivial
+    instance, the digest; the meter reads n and m. A caller that holds
+    solved instances until it meters them keeps these records, 16 bytes of
+    digest where the arrays take 24 bytes per edge.
+    """
+
+    n: int
+    m: int
+    total_weight: int
+    digest: bytes | None  # None for a trivial instance, which has no memo key
+
+    @classmethod
+    def of(cls, graph: WeightedGraph) -> "SolvedInstance":
+        digest = None if _trivial(graph.n, graph.m) else graph.digest
+        return cls(graph.n, graph.m, graph.total_weight, digest)
+
+
+def metered_read(
+    engine, graph: WeightedGraph | SolvedInstance, s: int, t: int, meter: FlowMeter
+) -> Cut:
+    """Meter one call of an instance ``solve_ahead`` has solved: one read through ``engine.solve``.
+
+    graph is the instance or its ``SolvedInstance``. The call records one
+    meter entry (n, m), and its side must not hold t.
+    """
+    cut = engine.solve(graph, s, t, meter.memo)
+    meter.record(graph.n, graph.m)
+    if t in cut.side:
+        raise ContractViolation("engine returned sink inside source side")
+    return cut
+
+
 def max_flow(engine, graph: WeightedGraph, s: int, t: int, meter: FlowMeter) -> Cut:
     """Solve one s-t max flow, recording exactly one meter entry (n, m).
 
     The instance goes through ``solve_ahead`` as a batch of one, which
     solves it only if it is nontrivial and new to the memo; then the call
     always reaches ``engine.solve(graph, s, t, meter.memo)`` and is always
-    metered, so the meter counts logical calls.
+    metered (``metered_read``), so the meter counts logical calls.
     """
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise InputError("source or sink id outside graph")
     if s == t:
         raise InputError("source equals sink")
     solve_ahead(engine, [(graph, s, t)], meter)
-    cut = engine.solve(graph, s, t, meter.memo)
-    meter.record(graph.n, graph.m)
-    if t in cut.side:
-        raise ContractViolation("engine returned sink inside source side")
-    return cut
+    return metered_read(engine, graph, s, t, meter)
 
 
 def separation_quotient(

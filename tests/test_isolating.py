@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -439,6 +440,85 @@ def test_side_check_names_the_vertex(dinic, monkeypatch):
     monkeypatch.setattr("cutkit.oracles.max_flow", with_sink)
     with pytest.raises(ContractViolation, match=r"exactly 2$"):
         naive_isolating(dinic, g, terminals)
+
+
+def test_runs_waiting_to_be_metered_hold_no_edge_arrays(any_engine, monkeypatch):
+    """Once its batch is solved, an instance lives on only as its record.
+
+    Every instance that reaches the engine's ``solve_batch`` is watched
+    through a weak reference to its edge arrays. By the next batch, and by
+    the time any run is metered, every instance solved so far must be gone,
+    so no build's arrays wait through a flow or through the metering.
+    """
+    monkeypatch.setattr(maxflow, "_BATCH_EDGES", 1024)  # several chunks
+    g = rand_graph(40, 3, p=0.3)
+    sets = [rand_terminals(40, 4, seed) for seed in range(12)]
+    solved, batches_run = [], [0]
+    cls = type(any_engine)
+    solve_batch = cls.solve_batch
+    meter_run = isolating._meter_run
+
+    def all_freed():
+        return all(ref() is None for ref in solved)
+
+    def watched(instances):
+        assert all_freed()
+        batches_run[0] += 1
+        solved.extend(weakref.ref(graph.edge_arrays[0]) for graph, _, _ in instances)
+        return solve_batch(instances)
+
+    def metered(engine, graph, run, meter):
+        assert all_freed()
+        return meter_run(engine, graph, run, meter)
+
+    monkeypatch.setattr(cls, "solve_batch", staticmethod(watched))
+    monkeypatch.setattr(isolating, "_meter_run", metered)
+    meter = FlowMeter()
+    minimum_isolating_cuts_family(any_engine, g, sets, meter)
+    assert batches_run[0] >= 3 and meter.solved >= len(solved) > 0
+    assert all_freed()
+
+
+def test_entries_are_lifted_as_they_are_read(dinic, monkeypatch):
+    """A run lifts only its lightest cut; entries and components lift when read.
+
+    The lazily lifted cuts equal ``naive_isolating``'s, and every lifted
+    side still passes the check that it meets R in exactly its terminal.
+    """
+    g = rand_graph(30, 5, p=0.3)
+    sets = [rand_terminals(30, count, seed) for seed, count in enumerate((2, 3, 5, 8))]
+    naive = [naive_isolating(dinic, g, terminals) for terminals in sets]
+    lifts = [0]
+
+    def counted(side, lift):
+        lifts[0] += 1
+        return lift_side(side, lift)
+
+    monkeypatch.setattr(isolating, "lift_side", counted)
+    results = minimum_isolating_cuts_family(dinic, g, sets, FlowMeter())
+    assert lifts[0] == len(sets)
+    for res, slow in zip(results, naive):
+        best = res.best()
+        assert (best.vertex, best.cut) == (slow.best().vertex, slow.best().cut)
+        assert {v: e.cut for v, e in res.entries.items()} == {
+            v: e.cut for v, e in slow.entries.items()
+        }
+        assert res.entries[best.vertex] is best
+    assert lifts[0] == sum(map(len, sets))
+    for res, terminals in zip(results, sets):
+        for v, entry in res.entries.items():
+            assert entry.cut.side.issubset(entry.component)
+            assert entry.component.intersection(terminals).members() == [v]
+    assert lifts[0] == 2 * sum(map(len, sets))
+
+    terminals = sets[-1]
+    res = minimum_isolating_cuts(dinic, g, terminals, FlowMeter())
+    v = next(v for v in res.entries if v != res.best().vertex)
+    monkeypatch.setattr(
+        isolating, "lift_side", lambda side, lift: lift_side(side, lift).difference(terminals)
+    )
+    with pytest.raises(ContractViolation, match=rf"exactly {v}$"):
+        res.entries[v]
 
 
 def _traced_peak(run, *args) -> tuple:

@@ -169,9 +169,11 @@ def test_engines_agree_on_every_flow_of_a_driver_run(name):
         def __init__(self):
             self.seen = []
 
-        def solve(self, graph, s, t, memo):
-            self.seen.append((graph, s, t))
-            return super().solve(graph, s, t, memo)
+        def solve_batch(self, instances):
+            # Every solved instance arrives here with its edge arrays; a
+            # metered call may read only an instance's record.
+            self.seen += instances
+            return super().solve_batch(instances)
 
     g = _DRIVER_RUN_GRAPHS[name]()
     recorder = Recording()
@@ -194,15 +196,23 @@ def test_memo_recalls_repeats_without_moving_the_fingerprint(dinic, monkeypatch)
     assert report.weight == stoer_wagner(g).weight
 
     flows = []
-    solve = DinicEngine.solve
+    solve, solve_batch = DinicEngine.solve, DinicEngine.solve_batch
+    built = {}
+
+    def remembered(instances):
+        # Each solved instance with its edge arrays, by memo key: a metered
+        # call may hold only the instance's record.
+        built.update((maxflow._memo_key(*instance), instance) for instance in instances)
+        return solve_batch(instances)
 
     def never_stored(self, graph, s, t, memo):
         # Every metered call runs its own flow; the memo's cut goes unread.
         if graph.m and graph.n > 2:
             flows.append((graph.n, graph.m))
-            return self.solve_batch([(graph, s, t)])[0]
+            return self.solve_batch([built[maxflow._memo_key(graph, s, t)]])[0]
         return solve(self, graph, s, t, memo)
 
+    monkeypatch.setattr(DinicEngine, "solve_batch", staticmethod(remembered))
     monkeypatch.setattr(DinicEngine, "solve", never_stored)
     unstored = steiner_mincut_det(dinic, inst, cfg)
     assert unstored.fingerprint() == report.fingerprint()
@@ -712,15 +722,15 @@ _PINNED_COUNTERS = {
     ("gnp24-all", "dinic", "det"): ("d16d94c309d21154", 34, 128, 143),
     ("gnp24-all", "dinic", "rand"): ("1b645df864a26009", 11, 261, 377),
     ("gnp24-all", "scipy", "det"): ("d16d94c309d21154", 34, 5, 143),
-    ("gnp24-all", "scipy", "rand"): ("1b645df864a26009", 11, 4, 377),
+    ("gnp24-all", "scipy", "rand"): ("1b645df864a26009", 11, 3, 377),
     ("gnp30-third", "dinic", "det"): ("bbfd111afc5eb3a4", 54, 66, 45),
     ("gnp30-third", "dinic", "rand"): ("00b5de011acdae31", 5, 133, 129),
     ("gnp30-third", "scipy", "det"): ("bbfd111afc5eb3a4", 54, 3, 45),
-    ("gnp30-third", "scipy", "rand"): ("00b5de011acdae31", 5, 4, 129),
+    ("gnp30-third", "scipy", "rand"): ("00b5de011acdae31", 5, 3, 129),
     ("dumbbell32", "dinic", "det"): ("7f09ae172a3d6404", 101, 67, 183),
     ("dumbbell32", "dinic", "rand"): ("c87718c42b988e11", 167, 190, 560),
-    ("dumbbell32", "scipy", "det"): ("7f09ae172a3d6404", 101, 6, 183),
-    ("dumbbell32", "scipy", "rand"): ("c87718c42b988e11", 167, 6, 560),
+    ("dumbbell32", "scipy", "det"): ("7f09ae172a3d6404", 101, 5, 183),
+    ("dumbbell32", "scipy", "rand"): ("c87718c42b988e11", 167, 4, 560),
 }
 
 
